@@ -110,7 +110,25 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     if "name" not in cfg:
         raise ConfigurationError("config needs a 'name'")
+    name = cfg["name"]
+    if not isinstance(name, str) or not name or any(s in name for s in ("/", "\\", "..")):
+        raise ConfigurationError(
+            f"config 'name' must be a non-empty file stem without '/', '\\' or '..', got {name!r}"
+        )
     return cfg
+
+
+def _positive_t(cfg: dict) -> float | None:
+    """The config's ``t``, or None when the key is absent (scenario default)."""
+    if "t" not in cfg:
+        return None
+    try:
+        t = float(cfg["t"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"'t' must be a number, got {cfg['t']!r}") from exc
+    if not (math.isfinite(t) and t > 0.0):
+        raise ConfigurationError(f"'t' must be positive and finite, got {cfg['t']!r}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +220,12 @@ def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
 
 def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
     base_seed = int(seed if seed is not None else cfg.get("seed", 0))
-    t = float(cfg.get("t", 0)) or None
+    t = _positive_t(cfg)
     config = montecarlo.ExperimentConfig(
         scenario=cfg["scenario"],
         replications=int(cfg["replications"]),
         base_seed=base_seed,
-        t_grid=(t,) if t else (),
+        t_grid=(t,) if t is not None else (),
         nested_probes=int(cfg.get("nested_probes", 512)),
         nested_replicas=int(cfg.get("nested_replicas", 200)),
         threads=threads,
@@ -257,12 +275,12 @@ def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
 
 
 def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    t = float(cfg.get("t", 0)) or None
+    t = _positive_t(cfg)
     config = montecarlo.ExperimentConfig(
         scenario=cfg["scenario"],
         replications=int(cfg.get("pairs", 10000)),
         base_seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        t_grid=(t,) if t else (),
+        t_grid=(t,) if t is not None else (),
         negative_control=bool(cfg.get("negative_control", False)),
     )
     report = montecarlo.markov_two_sample(config)
@@ -388,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.time()
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

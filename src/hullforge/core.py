@@ -255,7 +255,13 @@ class HullGenerator(ABC):
 
     ``boundary`` must be a valid generator (H1)-(H4); ``hull_contains`` must
     agree with the definitional form ``boundary(mu + d_x) == boundary(mu)``.
-    Implementations are stateless and safe to share.
+    ``survival_mask`` gives the leave-one-out indicators H_z(mu - d_z) that
+    the error representation sums; its default is the definitional loop over
+    ``hull_contains``.  An override must equal that loop and must not call
+    ``boundary`` or its kernels, so that the representation still
+    cross-checks two independent computations (``EnvelopeGen``, which
+    reuses its contribution mask, is the one exception).  Implementations
+    are stateless and safe to share.
     """
 
     #: ground-space tag all arguments must carry
@@ -288,6 +294,16 @@ class HullGenerator(ABC):
     def hull_contains_many(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         """Batch membership; concrete generators override with vectorized kernels."""
         return [self.hull_contains(mu, p) for p in points]
+
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """H_z(mu - d_z) == 1 per support atom z, in ``mu.entries`` order.
+
+        One copy of z is removed, so an atom of multiplicity m >= 2 is tested
+        against a pattern that still holds m - 1 copies of it.  The default is
+        the definitional loop (a pattern rebuild and a membership query per
+        atom); concrete generators override it with vectorized kernels.
+        """
+        return tuple(not self.hull_contains(mu.remove(p), p) for p, _ in mu.entries)
 
 
 def h_indicator(gen: HullGenerator, mu: PointPattern, x: SpacePoint) -> int:

@@ -30,7 +30,6 @@ from .core import (
     HullGenerator,
     PointPattern,
     SpacePoint,
-    h_indicator,
 )
 
 
@@ -328,31 +327,23 @@ def ks_error(
 ) -> float:
     """Estimation error via the anticipating-integral form.
 
-    The atom sum uses the membership predicate on reduced patterns (not the
-    boundary map), so agreement with ``hull_estimate - f_true`` genuinely
-    cross-checks the two kernels.  The lambda integral of f off the hull is
+    The atom sum takes H_z(mu - d_z), one copy of z removed, from
+    ``gen.survival_mask``: the definitional membership loop by default, or a
+    generator's own leave-one-out kernel (angular gaps for planar convex
+    hulls, a domination matrix for Pareto), which do not call the boundary
+    map.  Agreement with ``hull_estimate - f_true`` therefore cross-checks
+    two kernels; only the envelope generator reuses its boundary's
+    contribution mask.  The lambda integral of f off the hull is
     evaluated as f_true minus the hull integral, which pins the identity to
     float precision and isolates Monte Carlo error to sampling.
     """
     gen.check_pattern(mu)
     atom_sum = 0.0
-    for p, m, h in _survival_triples(gen, mu):
+    for (p, m), h in zip(mu.entries, gen.survival_mask(mu)):
         if h:
             atom_sum += m * f.value(p)
     h_term = hull_integral(gen, model, f, mu) if hull_term is None else hull_term
     return atom_sum - (f_true - h_term)
-
-
-def _survival_triples(gen: HullGenerator, mu: PointPattern):
-    """(point, multiplicity, H_z(mu - d_z)) per support atom."""
-    if isinstance(gen, generators.EnvelopeGen) and not mu.is_empty:
-        # removing one copy leaves H at the atom equal to the all-copies
-        # domination test, so the cached contribution mask applies directly
-        for (p, m), c in zip(mu.entries, gen.contributing_mask(mu)):
-            yield p, m, 1 if c else 0
-        return
-    for p, m in mu.entries:
-        yield p, m, h_indicator(gen, mu.remove(p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,35 @@ def _on_segment(a, b, q, tol_len: float) -> bool:
     return math.hypot(q[0] - nx, q[1] - ny) <= tol_len
 
 
+def _outside_others_2d(pts: np.ndarray) -> np.ndarray:
+    """Per distinct planar point: is it off the convex hull of the others?
+
+    Angular-gap test, independent of the monotone chain: z is off
+    conv(others) iff the directions from z to the others leave a gap wider
+    than pi.  The gap is judged on the two directions bounding it, with the
+    chain's area tolerance, so a point within tolerance of a hull edge counts
+    as inside; a gap wider than 3 pi / 2 (all others within a quarter turn,
+    e.g. on one ray) is outside outright.  n x n work, vectorized.
+    """
+    n = len(pts)
+    if n <= 1:
+        return np.ones(n, dtype=bool)
+    d = pts[None, :, :] - pts[:, None, :]  # d[i, j]: direction from point i to point j
+    ang = np.arctan2(d[..., 1], d[..., 0])
+    np.fill_diagonal(ang, np.inf)  # each point itself sorts last and is dropped
+    order = np.argsort(ang, axis=1)[:, :-1]
+    a = np.take_along_axis(ang, order, axis=1)
+    gaps = np.diff(a, axis=1, append=a[:, :1] + 2.0 * math.pi)  # last gap wraps around
+    k = np.argmax(gaps, axis=1)
+    rows = np.arange(n)
+    u = d[rows, order[rows, k]]
+    v = d[rows, order[rows, (k + 1) % (n - 1)]]
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+    tol = EPS_GEOM * max(1.0, float(np.abs(pts).max())) ** 2
+    return (gaps[rows, k] > math.pi) & ((cross < -tol) | (dot > 0.0))
+
+
 def _affine_rank(coords: np.ndarray, tol: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(rank, centroid, orthonormal basis rows) of the affine span."""
     c = coords.mean(axis=0)
@@ -224,6 +253,19 @@ class ConvexHullGen(HullGenerator):
             return float(t.min()) - tol <= qp[0] <= float(t.max()) + tol
         flat = _extreme_2d([tuple(p) for p in proj])
         return _point_in_polygon(flat, tuple(qp))
+
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Leave-one-out indicators; planar patterns use the angular-gap kernel.
+
+        Copies of z never change conv(others), so H_z(mu - d_z) is 1 iff z is
+        off the hull of the other distinct support points, whatever its
+        multiplicity.  d = 3 keeps the definitional loop.
+        """
+        if self.dim != 2:
+            return super().survival_mask(mu)
+        self.check_pattern(mu)
+        pts = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, 2)
+        return tuple(_outside_others_2d(pts).tolist())
 
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
         if mu.is_empty:
@@ -371,6 +413,22 @@ class ParetoGen(HullGenerator):
             return False
         return any(self._leq(p, x) for p in mu.support())
 
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Leave-one-out indicators from a domination matrix.
+
+        H_z(mu - d_z) is 1 iff no other support point is coordinatewise <= z
+        (copies of z do not count).  In 1-D that is the minimum atom alone.
+        """
+        self.check_pattern(mu)
+        x = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, self.dim)
+        if self.dim == 1:
+            alone = x[:, 0] == x[:, 0].min(initial=math.inf)
+        else:
+            below = np.all(x[None, :, :] <= x[:, None, :], axis=2)  # below[i, j]: x_j <= x_i
+            np.fill_diagonal(below, False)
+            alone = ~below.any(axis=1)
+        return tuple(alone.tolist())
+
 
 # ---------------------------------------------------------------------------
 # Hoelder envelope generator
@@ -450,6 +508,15 @@ class EnvelopeGen(HullGenerator):
     def contributing_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom: does removing all its copies change the envelope?"""
         return _envelope_mask(self, mu)
+
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Removing one copy leaves H at the atom equal to the all-copies test.
+
+        The contribution mask compares each atom with the envelope of the
+        others, which is what H_z(mu - d_z) asks, so it serves directly.
+        """
+        self.check_pattern(mu)
+        return self.contributing_mask(mu) if not mu.is_empty else ()
 
     def boundary(self, mu: PointPattern) -> PointPattern:
         self.check_pattern(mu)

@@ -183,6 +183,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ConfigurationError("need at least 2 replications")
+        if self.threads < 1:
+            raise ConfigurationError(f"need at least 1 thread, got {self.threads}")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
         get_scenario(self.scenario)

@@ -34,6 +34,8 @@ from hullforge.estimators import Constant
 from hullforge.generators import hull_mass
 from hullforge.sampling import UniformBox
 
+pytestmark = pytest.mark.acceptance
+
 THREADS = min(2, os.cpu_count() or 1)
 Z99 = 2.5758293035489004
 

@@ -6,6 +6,7 @@ import pytest
 
 from hullforge import montecarlo
 from hullforge.cli import _grid_rows, main
+from hullforge.core import ConfigurationError
 
 
 def _write(tmp_path: Path, name: str, obj: dict) -> str:
@@ -103,6 +104,42 @@ def test_config_errors_exit_2(tmp_path):
     notjson = tmp_path / "bad4.json"
     notjson.write_text("{", encoding="utf-8")
     assert main(["estimate", "--config", str(notjson), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["estimate", "axioms"])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    # rejected before dispatch, so no command starts a worker or writes output
+    body = (_estimate_cfg() if command == "estimate" else
+            {"schema": 1, "name": "ax", "generators": ["coordmin"], "patterns": 4})
+    cfg = _write(tmp_path, "c.json", body)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_experiment_config_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigurationError):
+        montecarlo.ExperimentConfig(scenario="coordmin", replications=10, threads=threads)
+
+
+@pytest.mark.parametrize("t", [0, 0.0, -5.0, "abc"])
+@pytest.mark.parametrize("command", ["variance", "markov"])
+def test_explicit_t_not_positive_exit_2(tmp_path, command, t):
+    size = {"replications": 10} if command == "variance" else {"pairs": 10}
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", "scenario": "convex_square",
+                                      "t": t, **size})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("name", ["", "../x", "a/b", "a\\b", "..", 7])
+def test_unsafe_name_exit_2(tmp_path, name):
+    cfg = _write(tmp_path, "c.json", {**_estimate_cfg(reps=10), "name": name})
+    out = tmp_path / "deep" / "o"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_axioms_command_pass_fail_and_vacuous(tmp_path, capsys):

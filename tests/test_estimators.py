@@ -128,6 +128,14 @@ def test_ks_error_examples():
     f = Constant(0.2)
     assert ks_error(ConvexHullGen(2), BOX5, f, SQUARE5, 1.0) == pytest.approx(0.8)
     assert ks_error(ConvexHullGen(2), BOX5, f, PointPattern.empty(), 1.0) == pytest.approx(-1.0)
+    # one vertex and the centre doubled: removing one copy of (0, 0) leaves it
+    # off the hull of the other atoms, so both copies count; the centre stays
+    # inside whichever copy is removed.  Hull integral 5 * 0.2 * 1 = 1.
+    doubled = SQUARE5.add(euclid(0, 0)).add(euclid(0.5, 0.5))
+    expected = 0.2 * (2 + 1 + 1 + 1) - (1.0 - 5.0 * 0.2 * 1.0)
+    assert ks_error(ConvexHullGen(2), BOX5, f, doubled, 1.0) == pytest.approx(expected)
+    est = hull_estimate(ConvexHullGen(2), BOX5, f, doubled)
+    assert est.value - 1.0 == pytest.approx(expected)
 
 
 @pytest.mark.parametrize(
