@@ -28,7 +28,6 @@ from .generators import (
     ParetoGen,
     convex_hull_vertices,
     hull_mass,
-    polytope_boundary,
 )
 from .sampling import RngStream, sample_poisson, trimmed_resample
 
@@ -64,7 +63,6 @@ __all__ = [
     "ks_error",
     "line",
     "param",
-    "polytope_boundary",
     "sample_poisson",
     "trimmed_resample",
 ]

@@ -245,9 +245,3 @@ def meanwidth_target(k_radius: float, l_radius: float) -> float:
         raise DomainError("need 0 < K radius <= L radius")
     return 2.0 * math.pi * (l_radius - k_radius)
 
-
-def indicator_profile_for_window(
-    phi_inverse_measure: Callable[[float], float],
-) -> Callable[[float], float]:
-    """Depth profile of the indicator integrand: the super-level measure of phi."""
-    return phi_inverse_measure

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, analytics, corpora, estimators, montecarlo, sampling
-from .core import ConfigurationError, check_axioms
+from . import __version__, analytics, corpora, montecarlo
+from .core import ConfigurationError
 
 SCHEMA_VERSION = 1
 
@@ -118,17 +117,58 @@ def _load_config(path: str, command: str) -> dict:
     return cfg
 
 
-def _positive_t(cfg: dict) -> float | None:
-    """The config's ``t``, or None when the key is absent (scenario default)."""
-    if "t" not in cfg:
-        return None
+def _number(cfg: dict, key: str, default: int | None = None) -> int:
+    """``int(cfg[key])``, or ``default`` when the key is absent and a default is given."""
+    if key not in cfg and default is not None:
+        return default
+    if key not in cfg:
+        raise ConfigurationError(f"config needs {key!r}")
     try:
-        t = float(cfg["t"])
+        return int(cfg[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"'t' must be a number, got {cfg['t']!r}") from exc
-    if not (math.isfinite(t) and t > 0.0):
-        raise ConfigurationError(f"'t' must be positive and finite, got {cfg['t']!r}")
-    return t
+        raise ConfigurationError(f"{key!r} must be an integer, got {cfg[key]!r}") from exc
+
+
+def _positive(key: str, value) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigurationError(f"{key!r} must be a positive finite number, got {value!r}")
+    return x
+
+
+def _experiment_config(
+    cfg: dict, command: str, seed: int | None, threads: int
+) -> montecarlo.ExperimentConfig:
+    """The one place that reads a command's experiment keys and checks their types.
+
+    ``variance`` and ``markov`` may give one ``t``, the other commands a
+    ``t_grid``; an absent one means the scenario default.  ``clt`` and
+    ``rates`` fit a log-log slope, which needs 4 grid points.
+    """
+    scenario = cfg.get("scenario")
+    if not isinstance(scenario, str):
+        raise ConfigurationError(f"config needs a 'scenario' name, got {scenario!r}")
+    key = "t" if "t" in cfg else "t_grid"
+    raw = [cfg["t"]] if key == "t" else cfg.get("t_grid", [])
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"'t_grid' must be a list of numbers, got {raw!r}")
+    t_grid = tuple(_positive(key, t) for t in raw)
+    if command in ("clt", "rates") and len(t_grid) < 4:
+        raise ConfigurationError(f"{command} needs at least 4 't_grid' points, got {len(t_grid)}")
+    return montecarlo.ExperimentConfig(
+        scenario=scenario,
+        replications=(_number(cfg, "pairs", 10000) if command == "markov"
+                      else _number(cfg, "replications")),
+        base_seed=seed if seed is not None else _number(cfg, "seed", 0),
+        t_grid=t_grid,
+        nested_probes=_number(cfg, "nested_probes", 512),
+        nested_replicas=_number(cfg, "nested_replicas", 200),
+        threads=threads,
+        negative_control=bool(cfg.get("negative_control", False)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +177,9 @@ def _positive_t(cfg: dict) -> float | None:
 
 def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
     names = cfg.get("generators", [n for n in corpora.GENERATOR_SUITE if n != "broken_lexdrop"])
-    count = int(cfg.get("patterns", 1000))
-    max_points = int(cfg.get("max_points", 12))
-    base_seed = int(seed if seed is not None else cfg.get("seed", 0))
+    count = _number(cfg, "patterns", 1000)
+    max_points = _number(cfg, "max_points", 12)
+    base_seed = seed if seed is not None else _number(cfg, "seed", 0)
     if count == 0:
         print("warning: corpus size 0, axiom checks pass vacuously", file=sys.stderr)
     rows = []
@@ -169,26 +209,15 @@ def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
 
 def _grid_rows(cfg, seed, threads):
     """Run one t at a time so callers can flush partial output on interrupt."""
-    base = montecarlo.ExperimentConfig(
-        scenario=cfg["scenario"],
-        replications=int(cfg["replications"]),
-        base_seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        t_grid=tuple(float(t) for t in cfg.get("t_grid", [])),
-        threads=threads,
-    )
+    base = _experiment_config(cfg, "estimate", seed, threads)
     for t_index, t in enumerate(base.grid()):
-        single = montecarlo.ExperimentConfig(
-            scenario=base.scenario,
-            replications=base.replications,
-            base_seed=base.base_seed,
-            t_grid=(t,),
-            threads=base.threads,
-        )
+        single = dataclasses.replace(base, t_grid=(t,))
         summary = montecarlo.run_replications(single, t_offset=t_index)
         yield summary.rows[0], summary.samples[t]
 
 
 def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
+    config = _experiment_config(cfg, "estimate", seed, threads)  # checked before any output
     writer = _IncrementalCsv(
         out / f"{cfg['name']}.csv",
         ["t", "mean", "se", "ci_lo", "ci_hi", "target", "pass"],
@@ -205,8 +234,8 @@ def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
     ks_ok = all(r.ks_resid_max <= 1e-10 * (1.0 + abs(r.target)) for r in rows)
     passed = all(r.unbiased_pass for r in rows) and ks_ok
     return passed, {
-        "scenario": cfg["scenario"],
-        "replications": int(cfg["replications"]),
+        "scenario": config.scenario,
+        "replications": config.replications,
         "rows": [
             {"t": r.t, "mean": r.mean, "se": r.se, "target": r.target,
              "pass": r.unbiased_pass}
@@ -219,17 +248,7 @@ def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
 
 
 def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    base_seed = int(seed if seed is not None else cfg.get("seed", 0))
-    t = _positive_t(cfg)
-    config = montecarlo.ExperimentConfig(
-        scenario=cfg["scenario"],
-        replications=int(cfg["replications"]),
-        base_seed=base_seed,
-        t_grid=(t,) if t is not None else (),
-        nested_probes=int(cfg.get("nested_probes", 512)),
-        nested_replicas=int(cfg.get("nested_replicas", 200)),
-        threads=threads,
-    )
+    config = _experiment_config(cfg, "variance", seed, threads)
     t = config.grid()[0]
     summary = montecarlo.run_replications(config)
     values = summary.samples[t]["values"]
@@ -275,14 +294,7 @@ def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
 
 
 def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    t = _positive_t(cfg)
-    config = montecarlo.ExperimentConfig(
-        scenario=cfg["scenario"],
-        replications=int(cfg.get("pairs", 10000)),
-        base_seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        t_grid=(t,) if t is not None else (),
-        negative_control=bool(cfg.get("negative_control", False)),
-    )
+    config = _experiment_config(cfg, "markov", seed, threads)
     report = montecarlo.markov_two_sample(config)
     rows = list(zip(report.coordinates, report.statistics, report.pvalues))
     _write_csv(out / f"{cfg['name']}.csv", ["coordinate", "ks_statistic", "p_value"], rows)
@@ -300,13 +312,7 @@ def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
 
 
 def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = montecarlo.ExperimentConfig(
-        scenario=cfg["scenario"],
-        replications=int(cfg["replications"]),
-        base_seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        t_grid=tuple(float(t) for t in cfg["t_grid"]),
-        threads=threads,
-    )
+    config = _experiment_config(cfg, "clt", seed, threads)
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
         raise ConfigurationError(f"scenario {scen.name} has no analytic bound terms")
@@ -338,13 +344,7 @@ def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool,
 
 
 def cmd_rates(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = montecarlo.ExperimentConfig(
-        scenario=cfg["scenario"],
-        replications=int(cfg["replications"]),
-        base_seed=int(seed if seed is not None else cfg.get("seed", 0)),
-        t_grid=tuple(float(t) for t in cfg["t_grid"]),
-        threads=threads,
-    )
+    config = _experiment_config(cfg, "rates", seed, threads)
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
         raise ConfigurationError(f"scenario {scen.name} has no analytic variance bounds")

@@ -6,8 +6,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import generators
-from .core import HullGenerator, PointPattern, SpacePoint, euclid, line, param
+from . import core, generators, montecarlo
+from .core import AxiomReport, HullGenerator, PointPattern, SpacePoint, euclid, line, param
 
 
 def _with_duplicates(pts: list[SpacePoint], rng: random.Random) -> list[SpacePoint]:
@@ -95,39 +95,25 @@ class LexDropGen(HullGenerator):
         return self.hull_contains_definitional(mu, x)
 
 
-def _battery_chunk(args) -> "AxiomReport":
-    name, count, max_points, seed, lo, hi = args
+def _battery_chunk(args, lo: int, hi: int) -> list[AxiomReport]:
+    """The battery over patterns [lo, hi) of a rebuilt corpus, as a one-report list."""
+    name, count, max_points, seed = args
     gen, make_corpus = GENERATOR_SUITE[name]
     patterns, probes = make_corpus(count, max_points, seed)
-    from .core import check_axioms
-
-    return check_axioms(gen, patterns[lo:hi], probes, seed=seed + lo)
+    return [core.check_axioms(gen, patterns[lo:hi], probes, seed=seed + lo)]
 
 
-def run_axiom_battery(
-    name: str, count: int, max_points: int, seed: int, threads: int = 1
-):
-    """Axiom battery over a generator's random corpus, optionally chunked.
+def run_axiom_battery(name: str, count: int, max_points: int, seed: int,
+                      threads: int = 1) -> AxiomReport:
+    """Axiom battery over a generator's random corpus, in chunks.
 
-    Chunk workers rebuild the corpus deterministically and check disjoint
-    slices; merged counters do not depend on the worker count.
+    Each chunk rebuilds the corpus deterministically and checks a disjoint
+    slice with its own RNG; the chunk layout depends on ``count`` alone, so
+    merged counters do not depend on the worker count.
     """
-    from .core import AxiomReport
-
-    chunk = max(32, count // max(1, 4 * threads))
-    jobs = [
-        (name, count, max_points, seed, lo, min(lo + chunk, count))
-        for lo in range(0, count, chunk)
-    ]
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_battery_chunk, jobs))
-    else:
-        parts = [_battery_chunk(j) for j in jobs]
     report = AxiomReport()
-    for part in parts:
+    args = (name, count, max_points, seed)
+    for part in montecarlo.replicate(_battery_chunk, args, count, threads):
         report.merge(part)
     return report
 

@@ -576,22 +576,6 @@ def _envelope_mask(gen: EnvelopeGen, mu: PointPattern) -> tuple[bool, ...]:
     return tuple(bool(not d) for d in dominated)
 
 
-def envelope_value(mu: PointPattern, site, env_const: float, beta: float) -> float:
-    """Envelope of the pattern at one site; -inf on the empty pattern."""
-    dim = 1 if not hasattr(site, "__len__") else len(site)
-    gen = EnvelopeGen(dim=dim, env_const=env_const, beta=beta)
-    return gen.envelope_value(mu, site)
-
-
-def envelope_boundary(mu: PointPattern, env_const: float, beta: float) -> PointPattern:
-    """Atoms whose removal changes the pointwise supremum."""
-    if mu.is_empty:
-        return mu
-    dim = len(mu.support()[0].site)
-    gen = EnvelopeGen(dim=dim, env_const=env_const, beta=beta)
-    return gen.boundary(mu)
-
-
 # ---------------------------------------------------------------------------
 # half-plane (Poisson polytope) generator
 
@@ -720,11 +704,6 @@ class HalfPlaneGen(HullGenerator):
             else:
                 out.append(p.offset >= hv)
         return out
-
-
-def polytope_boundary(mu: PointPattern, window_radius: float) -> PointPattern:
-    """Lines contributing a positive-length edge to the window-clipped polytope."""
-    return HalfPlaneGen(window_radius=window_radius).boundary(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Replication harness, statistical tests, and rate regressions.
+"""Replication engine, statistical tests, and rate regressions.
 
 Each replication draws its pattern from a dedicated RNG stream (stream index
 = replication index inside a per-scenario namespace), so summaries do not
 depend on execution order or worker count; aggregation happens on arrays in
-replication order.
+replication order.  Every Monte Carlo loop runs through ``replicate``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.stats import ks_2samp, norm
 
 from . import analytics, estimators, generators, sampling
-from .core import ConfigurationError, DomainError, HullGenerator, PointPattern
+from .core import ConfigurationError, DomainError, HullGenerator
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,37 @@ def _hull_mass_scale(f: estimators.Integrand) -> float | None:
     return None
 
 
-def _replicate_chunk(args) -> list[tuple[float, float, int, float, float]]:
-    scenario_name, t, stream_tag, base_seed, lo, hi = args
+def chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """Split [0, n) into contiguous chunks whose layout depends on n alone."""
+    size = max(32, n // 4)
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def worker_count(threads: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes for a run: no more than threads, chunks or CPUs."""
+    return max(1, min(threads, chunks, cpus or 1))
+
+
+def replicate(chunk_fn: Callable, args: tuple, n: int, threads: int) -> list:
+    """Concatenate ``chunk_fn(args, lo, hi)`` over the chunks of [0, n), in index order.
+
+    ``chunk_fn`` is a module-level function of its arguments alone and
+    ``args`` is picklable, so chunks run in worker processes unchanged; with
+    one worker they run in-process.  Outputs do not depend on ``threads``.
+    """
+    bounds = chunk_bounds(n)
+    workers = worker_count(threads, len(bounds), os.cpu_count())
+    if workers == 1:
+        parts = [chunk_fn(args, lo, hi) for lo, hi in bounds]
+    else:
+        los, his = zip(*bounds)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk_fn, [args] * len(bounds), los, his))
+    return [r for part in parts for r in part]
+
+
+def _replicate_chunk(args, lo: int, hi: int) -> list[tuple[float, float, int, float, float]]:
+    scenario_name, t, stream_tag, base_seed = args
     scen = get_scenario(scenario_name)
     model = scen.make_model(t)
     f = scen.make_integrand(t)
@@ -284,17 +314,8 @@ def run_replications(config: ExperimentConfig, t_offset: int = 0) -> Replication
     )
     R = config.replications
     for t_index, t in enumerate(config.grid()):
-        chunk = max(64, R // max(1, 4 * config.threads))
-        jobs = [
-            (config.scenario, t, t_offset + t_index, config.base_seed, lo, min(lo + chunk, R))
-            for lo in range(0, R, chunk)
-        ]
-        if config.threads > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                parts = list(pool.map(_replicate_chunk, jobs))
-        else:
-            parts = [_replicate_chunk(j) for j in jobs]
-        records = [r for part in parts for r in part]
+        args = (config.scenario, t, t_offset + t_index, config.base_seed)
+        records = replicate(_replicate_chunk, args, R, config.threads)
         values = np.array([r[0] for r in records])
         varests = np.array([r[1] for r in records])
         bcounts = np.array([r[2] for r in records], dtype=float)
@@ -368,6 +389,29 @@ def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
     return float(interior.total_mass), float(fsum), mass
 
 
+def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
+    scenario_name, t, base_seed, negative_control = args
+    scen = get_scenario(scenario_name)
+    model = scen.make_model(t)
+    f = scen.make_integrand(t)
+    gen = scen.gen
+    root = sampling.RngStream(base_seed)
+    out = []
+    for i in range(lo, hi):
+        eta = sampling.sample_poisson(model, root.child(11).stream(i))
+        stats_a = _interior_stats(gen, model, f, eta)
+
+        eta2 = sampling.sample_poisson(model, root.child(12).stream(i))
+        if negative_control:
+            fresh = sampling.sample_poisson(model, root.child(13).stream(i))
+        else:
+            fresh = sampling.trimmed_resample(model, gen, eta2, root.child(13).stream(i))
+        fsum = sum(m * f.value(p) for p, m in fresh.entries)
+        mass = generators.hull_mass(gen, eta2, model) if not eta2.is_empty else 0.0
+        out.append((stats_a, (float(fresh.total_mass), float(fsum), mass)))
+    return out
+
+
 def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
     """Two-sample test of the hull-trimmed conditional law.
 
@@ -377,27 +421,10 @@ def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
     Under the trimmed-resampling law both arms share a distribution; the
     negative control skips the thinning and must be detected.
     """
-    scen = get_scenario(config.scenario)
-    t = config.grid()[0]
-    model = scen.make_model(t)
-    f = scen.make_integrand(t)
-    gen = scen.gen
     n = config.replications
-    root = sampling.RngStream(config.base_seed)
-    arm_a = np.empty((n, 3))
-    arm_b = np.empty((n, 3))
-    for i in range(n):
-        eta = sampling.sample_poisson(model, root.child(11).stream(i))
-        arm_a[i] = _interior_stats(gen, model, f, eta)
-
-        eta2 = sampling.sample_poisson(model, root.child(12).stream(i))
-        if config.negative_control:
-            fresh = sampling.sample_poisson(model, root.child(13).stream(i))
-        else:
-            fresh = sampling.trimmed_resample(model, gen, eta2, root.child(13).stream(i))
-        fsum = sum(m * f.value(p) for p, m in fresh.entries)
-        mass = generators.hull_mass(gen, eta2, model) if not eta2.is_empty else 0.0
-        arm_b[i] = (float(fresh.total_mass), float(fsum), mass)
+    args = (config.scenario, config.grid()[0], config.base_seed, config.negative_control)
+    arm_a, arm_b = (np.array(arm, dtype=float)
+                    for arm in zip(*replicate(_markov_chunk, args, n, config.threads)))
 
     names = ("interior_count", "interior_fsum", "hull_mass")
     stats, pvals = [], []
@@ -475,6 +502,20 @@ class NestedIntegral:
         return self.estimate - _Z99 * self.se, self.estimate + _Z99 * self.se
 
 
+def _nested_chunk(args, lo: int, hi: int) -> list[int]:
+    """Per probe, how many of its fresh replicas leave the probe off the hull."""
+    scenario_name, t, base_seed, replicas, probes = args
+    scen = get_scenario(scenario_name)
+    model = scen.make_model(t)
+    root = sampling.RngStream(base_seed).child(22)
+    out = []
+    for i in range(lo, hi):
+        ns = root.child(i)
+        etas = (sampling.sample_poisson(model, ns.stream(r)) for r in range(replicas))
+        out.append(sum(not scen.gen.hull_contains(eta, probes[i]) for eta in etas))
+    return out
+
+
 def nested_h_integral(
     config: ExperimentConfig,
     weight: Callable[[object], float],
@@ -486,21 +527,16 @@ def nested_h_integral(
     fresh patterns, so the probe-level terms are independent and the reported
     standard error is honest.
     """
-    scen = get_scenario(config.scenario)
     t = t if t is not None else config.grid()[0]
-    model = scen.make_model(t)
-    gen = scen.gen
+    model = get_scenario(config.scenario).make_model(t)
     root = sampling.RngStream(config.base_seed)
     probes = model.sample_points(config.nested_probes, root.child(21).generator())
-    terms = np.empty(len(probes))
-    for i, x in enumerate(probes):
-        ns = root.child(22).child(i)
-        hits = 0
-        for r in range(config.nested_replicas):
-            eta = sampling.sample_poisson(model, ns.stream(r))
-            if not gen.hull_contains(eta, x):
-                hits += 1
-        terms[i] = model.total_mass * weight(x) * hits / config.nested_replicas
+    args = (config.scenario, t, config.base_seed, config.nested_replicas, probes)
+    hits = replicate(_nested_chunk, args, len(probes), config.threads)
+    terms = np.array(
+        [model.total_mass * weight(x) * h / config.nested_replicas for x, h in zip(probes, hits)],
+        dtype=float,
+    )
     return NestedIntegral(
         estimate=float(terms.mean()),
         se=float(terms.std(ddof=1) / math.sqrt(len(terms))),
@@ -516,6 +552,30 @@ class PairedRun:
     ks_resid_max: float
 
 
+def _paired_chunk(args, lo: int, hi: int) -> list[tuple[float, ...]]:
+    """(f value, g value) per replication, then the two residuals when targets are set."""
+    scenario_name, t, base_seed, targets = args
+    scen = get_scenario(scenario_name)
+    model = scen.make_model(t)
+    f = scen.make_integrand(t)
+    g = scen.covariate(t)
+    root = sampling.RngStream(base_seed).child(31)
+    out = []
+    for rep in range(lo, hi):
+        pattern = sampling.sample_poisson(model, root.stream(rep))
+        est_f = estimators.hull_estimate(scen.gen, model, f, pattern)
+        est_g = estimators.hull_estimate(scen.gen, model, g, pattern)
+        record = (est_f.value, est_g.value)
+        if targets is not None:
+            for est, fn, target in ((est_f, f, targets[0]), (est_g, g, targets[1])):
+                err = estimators.ks_error(
+                    scen.gen, model, fn, pattern, target, hull_term=est.hull_term
+                )
+                record += (abs(est.value - target - err),)
+        out.append(record)
+    return out
+
+
 def paired_estimates(
     config: ExperimentConfig,
     t: float | None = None,
@@ -528,29 +588,15 @@ def paired_estimates(
     error-representation identity is checked for both integrands on every
     pattern and the worst residual is reported.
     """
-    scen = get_scenario(config.scenario)
-    if scen.covariate is None:
-        raise ConfigurationError(f"scenario {scen.name} declares no covariate integrand")
+    if get_scenario(config.scenario).covariate is None:
+        raise ConfigurationError(f"scenario {config.scenario} declares no covariate integrand")
     t = t if t is not None else config.grid()[0]
-    model = scen.make_model(t)
-    f = scen.make_integrand(t)
-    g = scen.covariate(t)
-    vf = np.empty(config.replications)
-    vg = np.empty(config.replications)
-    resid = 0.0
-    root = sampling.RngStream(config.base_seed).child(31)
-    for rep in range(config.replications):
-        pattern = sampling.sample_poisson(model, root.stream(rep))
-        est_f = estimators.hull_estimate(scen.gen, model, f, pattern)
-        est_g = estimators.hull_estimate(scen.gen, model, g, pattern)
-        vf[rep] = est_f.value
-        vg[rep] = est_g.value
-        if targets is not None:
-            for est, fn, target in ((est_f, f, targets[0]), (est_g, g, targets[1])):
-                err = estimators.ks_error(
-                    scen.gen, model, fn, pattern, target, hull_term=est.hull_term
-                )
-                resid = max(resid, abs(est.value - target - err))
+    args = (config.scenario, t, config.base_seed, targets)
+    records = replicate(_paired_chunk, args, config.replications, config.threads)
+    vf = np.array([r[0] for r in records], dtype=float)
+    vg = np.array([r[1] for r in records], dtype=float)
+    # from 0.0 in replication order, so a NaN residual is skipped as a running max skips it
+    resid = max([0.0] + [x for r in records for x in r[2:]])
     return PairedRun(values_f=vf, values_g=vg, ks_resid_max=resid)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -250,10 +250,6 @@ class HoelderBand(IntensityModel):
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    @property
-    def window_volume(self) -> float:
-        return float(np.prod([h - l for l, h in zip(self.lo, self.hi)]))
 
     @property
     def total_mass(self) -> float:

@@ -283,6 +283,7 @@ def test_c05_variance_identity(capsys, convex20, hoelder20):
             t_grid=(20.0,),
             nested_probes=512,
             nested_replicas=200,
+            threads=THREADS,
         )
         scen = mc.get_scenario(scenario)
         f = scen.make_integrand(20.0)
@@ -322,6 +323,7 @@ def test_c06_covariance_identity(capsys):
         t_grid=(t,),
         nested_probes=512,
         nested_replicas=200,
+        threads=THREADS,
     )
     paired = mc.paired_estimates(cfg, t, targets=(f_target, g_target))
     _record_residual("hoelder_covariance", paired.ks_resid_max, g_target)
@@ -347,7 +349,8 @@ def test_c07_markov_two_sample(capsys):
     details = []
     for scenario, seed in (("convex_square", 861), ("pareto_square", 862)):
         cfg = mc.ExperimentConfig(
-            scenario=scenario, replications=10_000, base_seed=seed, t_grid=(20.0,)
+            scenario=scenario, replications=10_000, base_seed=seed, t_grid=(20.0,),
+            threads=THREADS,
         )
         report = mc.markov_two_sample(cfg)
         assert report.all_pass, (scenario, report.pvalues)
@@ -359,6 +362,7 @@ def test_c07_markov_two_sample(capsys):
             base_seed=863,
             t_grid=(20.0,),
             negative_control=True,
+            threads=THREADS,
         )
     )
     assert neg.pvalues[0] < 1e-6, neg.pvalues

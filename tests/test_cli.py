@@ -106,6 +106,45 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["estimate", "--config", str(notjson), "--out", str(tmp_path / "o")]) == 2
 
 
+_GRID4 = [16.0, 32.0, 64.0, 128.0]
+
+
+@pytest.mark.parametrize("command, body", [
+    pytest.param("estimate", {"replications": 10, "t_grid": [50.0]}, id="no-scenario"),
+    pytest.param("estimate", {"scenario": ["convex_square"], "replications": 10},
+                 id="scenario-list"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": "abc"},
+                 id="replications-abc"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": [1.0, "x"]}, id="t_grid-item-x"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10, "t_grid": 50.0},
+                 id="t_grid-number"),
+    pytest.param("variance", {"scenario": "convex_square", "t": 15.0}, id="no-replications"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10,
+                              "nested_probes": "x"}, id="nested_probes-x"),
+    pytest.param("markov", {"pairs": 10}, id="markov-no-scenario"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": [10]}, id="pairs-list"),
+    pytest.param("clt", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4[:3]},
+                 id="clt-3-points"),
+    pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4[:3]},
+                 id="rates-3-points"),
+    pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10}, id="rates-no-grid"),
+    pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10,
+                           "t_grid": [0.0, *_GRID4]}, id="t_grid-zero"),
+    pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
+                           "seed": "s"}, id="seed-s"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": "many"},
+                 id="patterns-many"),
+])
+def test_bad_experiment_keys_exit_2(tmp_path, capsys, command, body):
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **body})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (out / "x.csv").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["estimate", "axioms"])
 def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):

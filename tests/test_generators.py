@@ -18,10 +18,8 @@ from hullforge import (
     hull_mass,
     line,
     param,
-    polytope_boundary,
 )
 from hullforge.core import ConfigurationError, check_axioms, prime_factorization_holds
-from hullforge.generators import envelope_boundary, envelope_value
 from hullforge.sampling import (
     HoelderBand,
     LinesBand,
@@ -185,21 +183,24 @@ def test_hull_mass_monotone_in_pattern():
 
 
 def test_envelope_value_examples():
+    gen = EnvelopeGen(dim=1, env_const=2.0, beta=1.0)
     mu = PointPattern.from_points([param(0.0, 1.0)])
-    assert envelope_value(mu, 0.1, env_const=2.0, beta=1.0) == pytest.approx(0.8)
-    assert envelope_value(PointPattern.empty(), 0.1, 2.0, 1.0) == -math.inf
+    assert gen.envelope_value(mu, 0.1) == pytest.approx(0.8)
+    assert gen.envelope_value(PointPattern.empty(), 0.1) == -math.inf
     mu2 = PointPattern.from_points([param(0.0, 1.0), param(0.1, 0.5)])
-    assert envelope_value(mu2, 0.1, 2.0, 1.0) == pytest.approx(0.8)
+    assert gen.envelope_value(mu2, 0.1) == pytest.approx(0.8)
 
 
 def test_envelope_boundary_examples():
+    gen = EnvelopeGen(dim=1, env_const=2.0, beta=1.0)
     mu = PointPattern.from_points([param(0.0, 1.0), param(0.1, 0.5)])
-    bd = envelope_boundary(mu, env_const=2.0, beta=1.0)
+    bd = gen.boundary(mu)
     assert set(bd.support()) == {param(0.0, 1.0)}
     single = PointPattern.from_points([param(0.3, 0.2)])
-    assert envelope_boundary(single, 2.0, 1.0) == single
+    assert gen.boundary(single) == single
     far = PointPattern.from_points([param(0.0, 1.0), param(10.0, 1.0)])
-    assert envelope_boundary(far, 2.0, 1.0) == far
+    assert gen.boundary(far) == far
+    assert gen.boundary(PointPattern.empty()).is_empty
 
 
 def test_envelope_boundary_atoms_touch_envelope():
@@ -243,13 +244,13 @@ def _square_lines():
 
 
 def test_polytope_boundary_square():
+    gen = HalfPlaneGen(window_radius=5.0)
     mu = PointPattern.from_points(_square_lines())
-    bd = polytope_boundary(mu, window_radius=5.0)
-    assert bd == mu
+    assert gen.boundary(mu) == mu
     extra = mu.add(line(0.3, 3.0))
-    bd2 = polytope_boundary(extra, window_radius=5.0)
+    bd2 = gen.boundary(extra)
     assert set(bd2.support()) == set(mu.support())
-    assert polytope_boundary(PointPattern.empty(), 5.0).is_empty
+    assert gen.boundary(PointPattern.empty()).is_empty
 
 
 def test_halfplane_support_function():

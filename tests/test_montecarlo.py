@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import hullforge.montecarlo as mc
 from hullforge.core import ConfigurationError, DomainError
+from hullforge.corpora import run_axiom_battery
 
 
 def test_config_validation():
@@ -27,15 +28,70 @@ def test_run_replications_deterministic():
     assert np.array_equal(a.samples[50.0]["values"], b.samples[50.0]["values"])
 
 
-def test_run_replications_thread_invariance():
-    base = mc.ExperimentConfig(scenario="coordmin", replications=300, base_seed=5, t_grid=(2.0,))
-    threaded = mc.ExperimentConfig(
-        scenario="coordmin", replications=300, base_seed=5, t_grid=(2.0,), threads=3
-    )
-    a = mc.run_replications(base)
-    b = mc.run_replications(threaded)
-    assert np.array_equal(a.samples[2.0]["values"], b.samples[2.0]["values"])
-    assert a.rows[0].mean == b.rows[0].mean
+def _run_replications(threads):
+    cfg = mc.ExperimentConfig(scenario="coordmin", replications=300, base_seed=5,
+                              t_grid=(2.0,), threads=threads)
+    summary = mc.run_replications(cfg)
+    return summary.rows, summary.samples[2.0]["values"].tobytes()
+
+
+def _nested(threads):
+    cfg = mc.ExperimentConfig(scenario="convex_square", replications=10, base_seed=4,
+                              t_grid=(15.0,), nested_probes=70, nested_replicas=6,
+                              threads=threads)
+    nested = mc.nested_h_integral(cfg, lambda x: 1.0 + x.coords[0])
+    return nested.estimate, nested.se
+
+
+def _markov(threads):
+    cfg = mc.ExperimentConfig(scenario="convex_square", replications=150, base_seed=3,
+                              t_grid=(15.0,), threads=threads)
+    report = mc.markov_two_sample(cfg)
+    return report.statistics, report.pvalues
+
+
+def _paired(threads):
+    cfg = mc.ExperimentConfig(scenario="hoelder_d1", replications=130, base_seed=2,
+                              t_grid=(10.0,), threads=threads)
+    run = mc.paired_estimates(cfg, targets=(7.5, 70.0 / 12.0))
+    return run.values_f.tobytes(), run.values_g.tobytes(), run.ks_resid_max
+
+
+def _battery(threads):
+    report = run_axiom_battery("broken_lexdrop", 300, 6, 0, threads)
+    return report.summary_rows(), report.counterexamples
+
+
+# every loop that goes through montecarlo.replicate; each size gives at least
+# two chunks, so threads=3 runs them in a process pool on a multi-CPU machine
+@pytest.mark.parametrize("loop", [_run_replications, _nested, _markov, _paired, _battery],
+                         ids=lambda fn: fn.__name__.lstrip("_"))
+def test_thread_invariance(loop):
+    assert loop(1) == loop(3)
+
+
+def test_chunk_bounds_depend_on_n_alone():
+    assert mc.chunk_bounds(0) == []
+    assert mc.chunk_bounds(10) == [(0, 10)]
+    assert mc.chunk_bounds(70) == [(0, 32), (32, 64), (64, 70)]
+    assert mc.chunk_bounds(300) == [(0, 75), (75, 150), (150, 225), (225, 300)]
+    for n in range(1, 400):
+        bounds = mc.chunk_bounds(n)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert len(bounds) <= 5
+
+
+@pytest.mark.parametrize("threads, chunks, cpus, want", [
+    (1, 4, 8, 1),
+    (2, 4, 8, 2),
+    (8, 3, 16, 3),
+    (8, 5, 2, 2),
+    (3, 0, 2, 1),
+    (4, 4, None, 1),
+])
+def test_worker_count_clamps_to_chunks_and_cpus(threads, chunks, cpus, want):
+    assert mc.worker_count(threads, chunks, cpus) == want
 
 
 def test_normality_diagnostics_oracle_values():
