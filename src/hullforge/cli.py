@@ -207,24 +207,22 @@ def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
     return passed, summary
 
 
-def _grid_rows(cfg, seed, threads):
+def _grid_rows(config: montecarlo.ExperimentConfig):
     """Run one t at a time so callers can flush partial output on interrupt."""
-    base = _experiment_config(cfg, "estimate", seed, threads)
-    for t_index, t in enumerate(base.grid()):
-        single = dataclasses.replace(base, t_grid=(t,))
-        summary = montecarlo.run_replications(single, t_offset=t_index)
-        yield summary.rows[0], summary.samples[t]
+    for t_index, t in enumerate(config.grid()):
+        single = dataclasses.replace(config, t_grid=(t,))
+        yield montecarlo.run_replications(single, t_offset=t_index).rows[0]
 
 
 def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "estimate", seed, threads)  # checked before any output
+    config = _experiment_config(cfg, "estimate", seed, threads)
     writer = _IncrementalCsv(
         out / f"{cfg['name']}.csv",
         ["t", "mean", "se", "ci_lo", "ci_hi", "target", "pass"],
     )
     rows = []
     try:
-        for row, _ in _grid_rows(cfg, seed, threads):
+        for row in _grid_rows(config):
             writer.row((row.t, row.mean, row.se, row.ci_lo, row.ci_hi, row.target,
                         row.unbiased_pass))
             rows.append(row)

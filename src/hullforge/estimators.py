@@ -26,7 +26,6 @@ import numpy as np
 from . import generators, sampling
 from .core import (
     ConfigurationError,
-    EuclidPoint,
     HullGenerator,
     PointPattern,
     SpacePoint,
@@ -38,21 +37,26 @@ from .core import (
 
 
 class Integrand:
-    """A function on the ground space, with band antiderivatives where needed."""
+    """A function on the ground space, with the array primitives its pairings need.
+
+    ``value`` evaluates f at a point; the exact hull-integral rules in
+    ``generators`` call the three primitives on numpy arrays.
+    """
 
     def value(self, p: SpacePoint) -> float:
         raise NotImplementedError
 
-    def depth_primitive(self, v: float) -> float:
-        """int_0^v f(t) dt for level-only integrands on param space."""
+    def depth_primitive(self, v: np.ndarray) -> np.ndarray:
+        """int_0^v f(t) dt, elementwise, for level-only integrands on param space."""
         raise ConfigurationError(f"{type(self).__name__} has no depth primitive")
 
-    def depth_primitive_grid(self, v: np.ndarray) -> np.ndarray:
-        return np.array([self.depth_primitive(x) for x in v])
-
-    def radial_primitive(self, a: float, b: float) -> float:
-        """int_a^b f(u) du for offset-only integrands on line space."""
+    def radial_primitive(self, a: np.ndarray, b: float) -> np.ndarray:
+        """int_a^b f(u) du, elementwise, for offset-only integrands on line space."""
         raise ConfigurationError(f"{type(self).__name__} has no radial primitive")
+
+    def tail_integral(self, z: float) -> float:
+        """int_z^inf f(x) dx for integrands on a half line."""
+        raise ConfigurationError(f"{type(self).__name__} has no tail integral")
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,10 @@ class Constant(Integrand):
         return self.c
 
     def depth_primitive(self, v):
-        return self.c * max(v, 0.0)
-
-    def depth_primitive_grid(self, v):
         return self.c * np.clip(v, 0.0, None)
 
     def radial_primitive(self, a, b):
-        return self.c * max(b - a, 0.0)
+        return self.c * np.clip(b - a, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,6 @@ class Indicator(Integrand):
         return 1.0 if pt.level >= 0.0 else 0.0
 
     def depth_primitive(self, v):
-        return max(v, 0.0)
-
-    def depth_primitive_grid(self, v):
         return np.clip(v, 0.0, None)
 
 
@@ -119,9 +117,6 @@ class PowerDepth(Integrand):
         return self.p * u ** (self.p - 1.0) if u > 0.0 else 0.0
 
     def depth_primitive(self, v):
-        return max(v, 0.0) ** self.p
-
-    def depth_primitive_grid(self, v):
         return np.clip(v, 0.0, None) ** self.p
 
 
@@ -140,132 +135,33 @@ class RadialPower(Integrand):
         return self.weight * self.beta * pt.offset ** (self.beta - 1.0)
 
     def radial_primitive(self, a, b):
-        if b <= a:
-            return 0.0
-        return self.weight * (b**self.beta - a**self.beta)
+        return np.where(b <= a, 0.0, self.weight * (b**self.beta - a**self.beta))
 
 
 @dataclass(frozen=True)
 class CustomIntegrand(Integrand):
     name: str
     fn: Callable[[SpacePoint], float]
-    depth_fn: Callable[[float], float] | None = None
 
     def value(self, p):
         return self.fn(p)
 
-    def depth_primitive(self, v):
-        if self.depth_fn is None:
-            raise ConfigurationError(f"custom integrand {self.name} has no primitive")
-        return self.depth_fn(v)
-
 
 # ---------------------------------------------------------------------------
-# hull integrals: the f-weighted variant of the exact hull-mass routines
-
-
-# Gauss degree-5 rule on the reference triangle (weights sum to 1).
-_TRI_W = np.array(
-    [0.225]
-    + [0.13239415278850618] * 3
-    + [0.12593918054482715] * 3
-)
-_A1, _B1 = 0.059715871789769820, 0.47014206410511508
-_A2, _B2 = 0.79742698535308731, 0.10128650732345633
-_TRI_P = np.array(
-    [
-        [1 / 3, 1 / 3],
-        [_A1, _B1],
-        [_B1, _A1],
-        [_B1, _B1],
-        [_A2, _B2],
-        [_B2, _A2],
-        [_B2, _B2],
-    ]
-)
-
-
-def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
-    """Integral of f over triangle abc, degree-5 rule on a subdivided mesh."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    c = np.asarray(c)
-    total = 0.0
-    for i in range(subdiv):
-        for j in range(subdiv - i):
-            corners = []
-            p00 = a + (b - a) * (i / subdiv) + (c - a) * (j / subdiv)
-            p10 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * (j / subdiv)
-            p01 = a + (b - a) * (i / subdiv) + (c - a) * ((j + 1) / subdiv)
-            corners.append((p00, p10, p01))
-            if j < subdiv - i - 1:
-                p11 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * ((j + 1) / subdiv)
-                corners.append((p10, p11, p01))
-            for u, v, w in corners:
-                area = 0.5 * abs(
-                    (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
-                )
-                pts = u + _TRI_P[:, :1] * (v - u) + _TRI_P[:, 1:] * (w - u)
-                vals = np.array([f(p) for p in pts])
-                total += area * float(_TRI_W @ vals)
-    return total
+# hull integrals
 
 
 def hull_integral(
     gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> float:
-    """int f d(lambda restricted to the hull of mu), exact per pairing."""
-    gen.check_pattern(mu)
-    if mu.is_empty:
-        return 0.0
+    """int f d(lambda restricted to the hull of mu), from the pairing table.
 
+    A constant scales the hull mass; any other integrand goes to
+    ``generators.hull_integral``, whose rule calls its primitives.
+    """
     if isinstance(f, Constant):
         return f.c * generators.hull_mass(gen, mu, model)
-
-    if isinstance(gen, generators.ConvexHullGen) and isinstance(
-        model, (sampling.UniformBox, sampling.UniformDisk, sampling.UniformPolygon)
-    ):
-        if gen.dim != 2:
-            raise ConfigurationError("weighted convex hull integrals support d = 2 only")
-        distinct = list(dict.fromkeys(p.coords for p in mu.support()))
-        poly = generators._extreme_2d(distinct)
-        if len(poly) < 3:
-            return 0.0
-        total = 0.0
-        anchor = poly[0]
-        for i in range(1, len(poly) - 1):
-            total += _triangle_quad(
-                lambda q: f.value(EuclidPoint((float(q[0]), float(q[1])))),
-                anchor,
-                poly[i],
-                poly[i + 1],
-            )
-        return model.rate * total
-
-    if isinstance(gen, generators.ParetoGen) and isinstance(model, sampling.HalfLine):
-        if gen.dim != 1 or not isinstance(f, PowerTail):
-            raise ConfigurationError("half-line hull integrals support the power-tail integrand")
-        zeta = min(p.coords[0] for p in mu.support())
-        return model.rate * f.tail_integral(zeta)
-
-    if isinstance(gen, generators.EnvelopeGen) and isinstance(model, sampling.HoelderBand):
-        sites, cell = model.grid_sites()
-        env = gen.envelope_at(mu, sites)
-        phi = model.phi_at(sites)
-        depth = np.clip(env, 0.0, phi)
-        return model.rate * float(f.depth_primitive_grid(depth).sum()) * cell
-
-    if isinstance(gen, generators.HalfPlaneGen) and isinstance(model, sampling.LinesBand):
-        angles = generators._theta_grid()
-        h = gen.hull_support(mu, angles)
-        lo = np.minimum(np.maximum(model.h_inner, h), model.h_outer)
-        vals = np.array([f.radial_primitive(a, model.h_outer) for a in lo])
-        return model.rate * float(vals.sum()) * (2.0 * math.pi / len(angles))
-
-    raise ConfigurationError(
-        f"unsupported hull-integral pairing: {type(gen).__name__} / "
-        f"{type(model).__name__} / {type(f).__name__}"
-    )
+    return generators.hull_integral(gen, model, f, mu)
 
 
 def envelope_grid_error(gen, model, f: Integrand, mu: PointPattern) -> float:
@@ -371,7 +267,7 @@ def hull_estimate_k(
     bd = gen.boundary(mu)
 
     if pair_factor is None:
-        lam = generators.hull_mass(gen, mu, model) if not mu.is_empty else 0.0
+        lam = generators.hull_mass(gen, mu, model)
         m_count = bd.total_mass
         total = 0.0
         for i in range(k + 1):

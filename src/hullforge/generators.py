@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -364,6 +363,20 @@ class CoordMinGen(HullGenerator):
         p1, p2 = self._argmins(mu)
         return _lex_xy(x) > _lex_xy(p1) and _lex_yx(x) > _lex_yx(p2)
 
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Leave-one-out indicators: the (x, y)- and (y, x)-lexicographic minima.
+
+        H_z(mu - d_z) is 1 iff z is one of the two minima of mu, whatever its
+        multiplicity.  The minima come from ``np.lexsort``, not ``_argmins``.
+        """
+        self.check_pattern(mu)
+        x = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, 2)
+        alone = np.zeros(len(x), dtype=bool)
+        if len(x):
+            alone[np.lexsort((x[:, 1], x[:, 0]))[0]] = True  # primary key x, then y
+            alone[np.lexsort((x[:, 0], x[:, 1]))[0]] = True  # primary key y, then x
+        return tuple(alone.tolist())
+
 
 # ---------------------------------------------------------------------------
 # Pareto (coordinatewise-minimal) generator
@@ -507,7 +520,28 @@ class EnvelopeGen(HullGenerator):
 
     def contributing_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom: does removing all its copies change the envelope?"""
-        return _envelope_mask(self, mu)
+        sites, levels = self._arrays(mu)
+        if self.dim == 1 and self.beta == 1.0:
+            s = sites[:, 0]
+            order = np.argsort(s, kind="stable")
+            ss, uu = s[order], levels[order]
+            n = len(ss)
+            rise = uu + self.env_const * ss
+            fall = uu - self.env_const * ss
+            left = np.full(n, -np.inf)
+            right = np.full(n, -np.inf)
+            if n > 1:
+                left[1:] = np.maximum.accumulate(rise[:-1])
+                right[:-1] = np.maximum.accumulate(fall[::-1])[::-1][1:]
+            others = np.maximum(left - self.env_const * ss, right + self.env_const * ss)
+            dominated_sorted = uu <= others
+            dominated = np.empty(n, dtype=bool)
+            dominated[order] = dominated_sorted
+        else:
+            vals = self.kernel_values(sites, levels, sites)
+            np.fill_diagonal(vals, -np.inf)
+            dominated = levels <= vals.max(axis=1)
+        return tuple(bool(not d) for d in dominated)
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Removing one copy leaves H at the atom equal to the all-copies test.
@@ -548,32 +582,6 @@ class EnvelopeGen(HullGenerator):
             else:
                 out.append(p.level <= e)
         return out
-
-
-@lru_cache(maxsize=8)
-def _envelope_mask(gen: EnvelopeGen, mu: PointPattern) -> tuple[bool, ...]:
-    sites, levels = gen._arrays(mu)
-    if gen.dim == 1 and gen.beta == 1.0:
-        s = sites[:, 0]
-        order = np.argsort(s, kind="stable")
-        ss, uu = s[order], levels[order]
-        n = len(ss)
-        rise = uu + gen.env_const * ss
-        fall = uu - gen.env_const * ss
-        left = np.full(n, -np.inf)
-        right = np.full(n, -np.inf)
-        if n > 1:
-            left[1:] = np.maximum.accumulate(rise[:-1])
-            right[:-1] = np.maximum.accumulate(fall[::-1])[::-1][1:]
-        others = np.maximum(left - gen.env_const * ss, right + gen.env_const * ss)
-        dominated_sorted = uu <= others
-        dominated = np.empty(n, dtype=bool)
-        dominated[order] = dominated_sorted
-    else:
-        vals = gen.kernel_values(sites, levels, sites)
-        np.fill_diagonal(vals, -np.inf)
-        dominated = levels <= vals.max(axis=1)
-    return tuple(bool(not d) for d in dominated)
 
 
 # ---------------------------------------------------------------------------
@@ -805,71 +813,158 @@ class DiskHullGen(HullGenerator):
 
 
 # ---------------------------------------------------------------------------
-# exact hull mass per (generator, intensity) pairing
+# exact hull integrals per (generator, intensity) pairing
+#
+# Each rule returns int f d(lambda restricted to the hull of a non-empty mu),
+# where f is None for f == 1, the hull mass.  Weighted rules call the
+# integrand's array primitives.  Vertex-type exclusions from the hull carry
+# zero mass under the diffuse models used here and are ignored.
 
 
-def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
-    """Intensity mass of the hull region, computed exactly per pairing.
+def _constants_only(gen: HullGenerator, f) -> None:
+    if f is not None:
+        raise ConfigurationError(
+            f"{type(gen).__name__} hull integrals support constant integrands only"
+        )
 
-    Vertex-type exclusions from the hull carry zero mass under the diffuse
-    models used here and are ignored.
+
+# Gauss degree-5 rule on the reference triangle (weights sum to 1).
+_TRI_W = np.array([0.225] + [0.13239415278850618] * 3 + [0.12593918054482715] * 3)
+_A1, _B1 = 0.059715871789769820, 0.47014206410511508
+_A2, _B2 = 0.79742698535308731, 0.10128650732345633
+_TRI_P = np.array([[1 / 3, 1 / 3], [_A1, _B1], [_B1, _A1], [_B1, _B1],
+                   [_A2, _B2], [_B2, _A2], [_B2, _B2]])
+
+
+def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
+    """Integral of f over triangle abc, degree-5 rule on a subdivided mesh."""
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    total = 0.0
+    for i in range(subdiv):
+        for j in range(subdiv - i):
+            corners = []
+            p00 = a + (b - a) * (i / subdiv) + (c - a) * (j / subdiv)
+            p10 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * (j / subdiv)
+            p01 = a + (b - a) * (i / subdiv) + (c - a) * ((j + 1) / subdiv)
+            corners.append((p00, p10, p01))
+            if j < subdiv - i - 1:
+                p11 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * ((j + 1) / subdiv)
+                corners.append((p10, p11, p01))
+            for u, v, w in corners:
+                area = 0.5 * abs(
+                    (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
+                )
+                pts = u + _TRI_P[:, :1] * (v - u) + _TRI_P[:, 1:] * (w - u)
+                vals = np.array([f(p) for p in pts])
+                total += area * float(_TRI_W @ vals)
+    return total
+
+
+def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern) -> float:
+    if f is None:
+        # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
+        return model.rate * gen.hull_volume(mu)
+    if gen.dim != 2:
+        raise ConfigurationError("weighted convex hull integrals support d = 2 only")
+    poly = _extreme_2d(list(dict.fromkeys(p.coords for p in mu.support())))
+    total = 0.0
+    for i in range(1, len(poly) - 1):
+        total += _triangle_quad(
+            lambda q: f.value(EuclidPoint((float(q[0]), float(q[1])))),
+            poly[0],
+            poly[i],
+            poly[i + 1],
+        )
+    return model.rate * total
+
+
+def _coordmin_rule(gen: CoordMinGen, model, f, mu: PointPattern) -> float:
+    _constants_only(gen, f)
+    p1, p2 = gen._argmins(mu)
+    (lx, ly), (hx, hy) = model.lo, model.hi
+    w = max(0.0, hx - max(lx, p1.coords[0]))
+    h = max(0.0, hy - max(ly, p2.coords[1]))
+    return model.rate * w * h
+
+
+def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern) -> float:
+    _constants_only(gen, f)
+    if gen.dim == 1:
+        zeta = min(p.coords[0] for p in mu.support())
+        return model.rate * max(0.0, model.hi[0] - max(model.lo[0], zeta))
+    if gen.dim == 2:
+        return model.rate * _staircase_area(mu, model.lo, model.hi)
+    raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
+
+
+def _pareto_halfline_rule(gen: ParetoGen, model, f, mu: PointPattern) -> float:
+    if f is None:
+        raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
+    if gen.dim != 1:
+        raise ConfigurationError("half-line hull integrals need a 1-D pareto generator")
+    zeta = min(p.coords[0] for p in mu.support())
+    return model.rate * f.tail_integral(zeta)
+
+
+def _band_rule(gen: EnvelopeGen, model, f, mu: PointPattern) -> float:
+    sites, cell = model.grid_sites()
+    depth = np.clip(gen.envelope_at(mu, sites), 0.0, model.phi_at(sites))
+    vals = depth if f is None else f.depth_primitive(depth)
+    return model.rate * float(vals.sum()) * cell
+
+
+#: cell midpoints of the angular quadrature on line space
+_THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
+
+
+def _lines_rule(gen: HalfPlaneGen, model, f, mu: PointPattern) -> float:
+    h = gen.hull_support(mu, _THETA_GRID)
+    lo = np.minimum(np.maximum(model.h_inner, h), model.h_outer)
+    vals = model.h_outer - lo if f is None else f.radial_primitive(lo, model.h_outer)
+    return model.rate * float(vals.sum()) * (2.0 * math.pi / len(_THETA_GRID))
+
+
+def _annulus_rule(gen: DiskHullGen, model, f, mu: PointPattern) -> float:
+    _constants_only(gen, f)
+    if abs(model.r_inner - gen.anchor_radius) > EPS_GEOM:
+        raise ConfigurationError("annulus inner radius must match the anchor disk")
+    return model.rate * (gen.hull_area(mu) - math.pi * gen.anchor_radius**2)
+
+
+#: (generator type, model type) -> exact hull-integral rule
+_PAIRINGS = {
+    (ConvexHullGen, sampling.UniformBox): _convex_rule,
+    (ConvexHullGen, sampling.UniformDisk): _convex_rule,
+    (ConvexHullGen, sampling.UniformPolygon): _convex_rule,
+    (CoordMinGen, sampling.UniformBox): _coordmin_rule,
+    (ParetoGen, sampling.UniformBox): _pareto_box_rule,
+    (ParetoGen, sampling.HalfLine): _pareto_halfline_rule,
+    (EnvelopeGen, sampling.HoelderBand): _band_rule,
+    (HalfPlaneGen, sampling.LinesBand): _lines_rule,
+    (DiskHullGen, sampling.UniformAnnulus): _annulus_rule,
+}
+
+
+def hull_integral(gen: HullGenerator, model, f, mu: PointPattern) -> float:
+    """int f d(lambda restricted to the hull of mu), exact per pairing.
+
+    ``f`` is None for f == 1.  The empty pattern has an empty hull, whatever
+    the pairing.
     """
     gen.check_pattern(mu)
     if mu.is_empty:
         return 0.0
-
-    if isinstance(gen, ConvexHullGen) and isinstance(
-        model, (sampling.UniformBox, sampling.UniformDisk, sampling.UniformPolygon)
-    ):
-        # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
-        return model.rate * gen.hull_volume(mu)
-
-    if isinstance(gen, CoordMinGen) and isinstance(model, sampling.UniformBox):
-        p1, p2 = gen._argmins(mu)
-        (lx, ly), (hx, hy) = model.lo, model.hi
-        w = max(0.0, hx - max(lx, p1.coords[0]))
-        h = max(0.0, hy - max(ly, p2.coords[1]))
-        return model.rate * w * h
-
-    if isinstance(gen, ParetoGen) and isinstance(model, sampling.UniformBox):
-        if gen.dim == 1:
-            zeta = min(p.coords[0] for p in mu.support())
-            return model.rate * max(0.0, model.hi[0] - max(model.lo[0], zeta))
-        if gen.dim == 2:
-            return model.rate * _staircase_area(mu, model.lo, model.hi)
-        raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
-
-    if isinstance(gen, ParetoGen) and isinstance(model, sampling.HalfLine):
-        raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
-
-    if isinstance(gen, EnvelopeGen) and isinstance(model, sampling.HoelderBand):
-        sites, cell = model.grid_sites()
-        env = gen.envelope_at(mu, sites)
-        phi = model.phi_at(sites)
-        depth = np.clip(env, 0.0, phi)
-        return model.rate * float(depth.sum()) * cell
-
-    if isinstance(gen, HalfPlaneGen) and isinstance(model, sampling.LinesBand):
-        angles = _theta_grid()
-        h = gen.hull_support(mu, angles)
-        gap = np.clip(model.h_outer - np.maximum(model.h_inner, h), 0.0, None)
-        return model.rate * float(gap.sum()) * (2.0 * math.pi / len(angles))
-
-    if isinstance(gen, DiskHullGen) and isinstance(model, sampling.UniformAnnulus):
-        if abs(model.r_inner - gen.anchor_radius) > EPS_GEOM:
-            raise ConfigurationError("annulus inner radius must match the anchor disk")
-        return model.rate * (gen.hull_area(mu) - math.pi * gen.anchor_radius**2)
-
-    raise ConfigurationError(
-        f"unsupported hull-mass pairing: {type(gen).__name__} with {type(model).__name__}"
-    )
+    rule = _PAIRINGS.get((type(gen), type(model)))
+    if rule is None:
+        raise ConfigurationError(
+            f"unsupported hull-integral pairing: {type(gen).__name__} with {type(model).__name__}"
+        )
+    return rule(gen, model, f, mu)
 
 
-THETA_GRID_SIZE = 4096
-
-
-def _theta_grid(n: int = THETA_GRID_SIZE) -> np.ndarray:
-    return (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
+    """Intensity mass of the hull region: the f == 1 row of ``hull_integral``."""
+    return hull_integral(gen, model, None, mu)
 
 
 def _staircase_area(mu: PointPattern, lo, hi) -> float:

@@ -385,7 +385,7 @@ def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
     bd = gen.boundary(pattern)
     interior = pattern - bd
     fsum = sum(m * f.value(p) for p, m in interior.entries)
-    mass = generators.hull_mass(gen, pattern, model) if not pattern.is_empty else 0.0
+    mass = generators.hull_mass(gen, pattern, model)
     return float(interior.total_mass), float(fsum), mass
 
 
@@ -407,7 +407,7 @@ def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
         else:
             fresh = sampling.trimmed_resample(model, gen, eta2, root.child(13).stream(i))
         fsum = sum(m * f.value(p) for p, m in fresh.entries)
-        mass = generators.hull_mass(gen, eta2, model) if not eta2.is_empty else 0.0
+        mass = generators.hull_mass(gen, eta2, model)
         out.append((stats_a, (float(fresh.total_mass), float(fsum), mass)))
     return out
 

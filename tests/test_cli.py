@@ -74,13 +74,12 @@ def test_seed_override_changes_output(tmp_path):
 def test_grid_rows_match_whole_grid_run():
     # Point-at-a-time rows must draw from the same per-t streams as one run
     # over the whole grid; a constant offset would reuse t_grid[0]'s streams.
-    cfg = {"scenario": "pareto_square", "replications": 150, "seed": 5,
-           "t_grid": [10, 20, 40]}
-    rows = [row for row, _ in _grid_rows(cfg, None, 1)]
-    whole = montecarlo.run_replications(montecarlo.ExperimentConfig(
+    config = montecarlo.ExperimentConfig(
         scenario="pareto_square", replications=150, base_seed=5,
         t_grid=(10.0, 20.0, 40.0),
-    ))
+    )
+    rows = list(_grid_rows(config))
+    whole = montecarlo.run_replications(config)
     assert len(rows) == len(whole.rows) == 3
     for got, want in zip(rows, whole.rows):
         for field in dataclasses.fields(want):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from hullforge import (
     ConvexHullGen,
     CoordMinGen,
+    DiskHullGen,
     ParetoGen,
     PointPattern,
     euclid,
@@ -28,15 +29,26 @@ from hullforge.estimators import (
     envelope_grid_error,
     hull_integral,
 )
-from hullforge.generators import EnvelopeGen
-from hullforge.montecarlo import _hoelder_band, get_scenario
-from hullforge.sampling import HalfLine, RngStream, UniformBox, sample_poisson
+from hullforge.generators import EnvelopeGen, hull_mass
+from hullforge.montecarlo import _hoelder_band, get_scenario, scenario_names
+from hullforge.sampling import (
+    HalfLine,
+    HoelderBand,
+    LinesBand,
+    RngStream,
+    UniformAnnulus,
+    UniformBox,
+    UniformDisk,
+    UniformPolygon,
+    sample_poisson,
+)
 
 
 SQUARE5 = PointPattern.from_points(
     [euclid(0, 0), euclid(1, 0), euclid(0, 1), euclid(1, 1), euclid(0.5, 0.5)]
 )
 BOX5 = UniformBox((0, 0), (1, 1), rate=5.0)
+XY = CustomIntegrand("xy", lambda p: p.coords[0] * p.coords[1])
 
 
 # -- integrand primitives -----------------------------------------------------
@@ -52,22 +64,29 @@ BOX5 = UniformBox((0, 0), (1, 1), rate=5.0)
     ],
 )
 def test_depth_primitive_matches_quadrature(f, lo):
-    for v in (0.1, 0.35, 0.8, 1.7):
-        num, _ = quad(lambda u: f.value(param(0.0, u)), lo, v, epsrel=1e-10)
-        assert f.depth_primitive(v) == pytest.approx(num, rel=1e-8)
-    grid = np.array([0.1, 0.35, 0.8])
-    assert f.depth_primitive_grid(grid) == pytest.approx(
-        [f.depth_primitive(v) for v in grid]
-    )
+    v = np.array([0.1, 0.35, 0.8, 1.7])
+    num = [quad(lambda u: f.value(param(0.0, u)), lo, x, epsrel=1e-10)[0] for x in v]
+    assert f.depth_primitive(v) == pytest.approx(num, rel=1e-8)
+    assert f.depth_primitive(np.array([-0.5, 0.0])).tolist() == [0.0, 0.0]
 
 
 def test_radial_primitive_matches_quadrature():
-    f = RadialPower(beta=1.0, weight=1.0)
-    num, _ = quad(lambda u: 1.0, 1.2, 1.9)
-    assert f.radial_primitive(1.2, 1.9) == pytest.approx(num, rel=1e-10)
-    g = RadialPower(beta=2.0, weight=0.5)
-    num, _ = quad(lambda u: 0.5 * 2.0 * u, 1.2, 1.9)
-    assert g.radial_primitive(1.2, 1.9) == pytest.approx(num, rel=1e-10)
+    a = np.array([1.2, 1.5, 1.9, 2.4])
+    b = 1.9
+    for f, density in (
+        (RadialPower(beta=1.0, weight=1.0), lambda u: 1.0),
+        (RadialPower(beta=2.0, weight=0.5), lambda u: 0.5 * 2.0 * u),
+        (Constant(0.7), lambda u: 0.7),
+    ):
+        num = [quad(density, x, b)[0] if x < b else 0.0 for x in a]
+        assert f.radial_primitive(a, b) == pytest.approx(num, rel=1e-10)
+
+
+def test_tail_integral_only_on_tail_integrands():
+    z = np.array([1.0, 2.0, 4.0])
+    assert PowerTail(2.0).tail_integral(z).tolist() == [1.0, 0.5, 0.25]
+    with pytest.raises(ConfigurationError):
+        Indicator().tail_integral(z)
 
 
 # -- hull estimate ------------------------------------------------------------
@@ -96,9 +115,59 @@ def test_hull_estimate_empty_pattern():
     assert est.boundary_count == 0
 
 
-def test_unsupported_pairing_raises():
+UNSUPPORTED = {
+    "unknown-pair": (ConvexHullGen(2), HalfLine(1.0), Indicator(), SQUARE5),
+    "coordmin-weighted": (CoordMinGen(), BOX5, XY, SQUARE5),
+    "pareto-box-weighted": (ParetoGen(2), BOX5, XY, SQUARE5),
+    "convex3-weighted": (
+        ConvexHullGen(3),
+        UniformBox((0, 0, 0), (1, 1, 1), rate=2.0),
+        CustomIntegrand("x", lambda p: p.coords[0]),
+        PointPattern.from_points([euclid(0, 0, 0), euclid(1, 0, 0), euclid(0, 1, 0),
+                                  euclid(0, 0, 1)]),
+    ),
+    "diskhull-weighted": (
+        DiskHullGen(0.3),
+        UniformAnnulus(0.3, 1.0, rate=2.0),
+        XY,
+        PointPattern.from_points([euclid(0.5, 0.0), euclid(0.0, -0.6)]),
+    ),
+    "halfline-mass": (ParetoGen(1), HalfLine(1.0), Constant(1.0),
+                      PointPattern.from_points([euclid(2.0), euclid(3.0)])),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSUPPORTED))
+def test_unsupported_pairing_raises(case):
+    gen, model, f, mu = UNSUPPORTED[case]
     with pytest.raises(ConfigurationError):
-        hull_integral(ConvexHullGen(2), HalfLine(1.0), Indicator(), SQUARE5)
+        hull_integral(gen, model, f, mu)
+
+
+FLAT_MODELS = [
+    (ConvexHullGen(2), UniformDisk((0.0, 0.0), 1.0, rate=20.0)),
+    (ConvexHullGen(2), UniformPolygon(((0, 0), (2, 0), (1, 1.5)), rate=10.0)),
+    (ParetoGen(1), UniformBox((0.0,), (2.0,), rate=3.0)),
+]
+
+
+def test_flat_integrands_match_hull_mass():
+    # Monte Carlo's complement (total mass - hull mass) reads the hull mass off
+    # the hull term of these integrands; that needs exact equality, not approx.
+    scenarios = [get_scenario(name) for name in scenario_names()]
+    pairings = [(s.gen, s.make_model(2.0 * s.default_t)) for s in scenarios] + FLAT_MODELS
+    pairings = [(g, m) for g, m in pairings if not isinstance(m, HalfLine)]  # infinite mass
+    assert len({(type(g), type(m)) for g, m in pairings}) == 8  # every table row but one
+    for gen, model in pairings:
+        for i in range(12):
+            mu = sample_poisson(model, RngStream(31).stream(i))
+            mass = hull_mass(gen, mu, model)
+            for c in (1.0, 0.37, 1.0 / 7.0):
+                assert hull_integral(gen, model, Constant(c), mu) == c * mass, model
+            if isinstance(model, HoelderBand):
+                assert hull_integral(gen, model, Indicator(), mu) == mass
+            if isinstance(model, LinesBand):
+                assert hull_integral(gen, model, RadialPower(1.0, 1.0), mu) == mass
 
 
 def test_weighted_convex_integral_matches_grid():

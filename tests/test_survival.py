@@ -15,7 +15,7 @@ from hullforge import PointPattern, euclid, line, param
 from hullforge import generators
 from hullforge.core import h_indicator
 from hullforge.corpora import GENERATOR_SUITE
-from hullforge.generators import ConvexHullGen, ParetoGen
+from hullforge.generators import ConvexHullGen, CoordMinGen, ParetoGen
 
 
 def oracle(gen, mu):
@@ -123,6 +123,15 @@ def test_convex2_mask_matches_loop_on_lattices(coords):
     assert gen.survival_mask(mu) == oracle(gen, mu)
 
 
+@settings(max_examples=300, deadline=None)
+@given(lattice_2d)
+def test_coordmin_mask_matches_loop_on_lattices(coords):
+    # a 4 x 4 lattice ties on both coordinates, where the lexicographic order decides
+    gen = CoordMinGen()
+    mu = PointPattern.from_points([euclid(x, y) for x, y in coords])
+    assert gen.survival_mask(mu) == oracle(gen, mu)
+
+
 # Coordinates k/64 in [-4, 4]: collinearity is exact or the triangle area is at
 # least 2**-13, far outside the 1e-9 tolerance shell.  Inside that shell the
 # loop widens by length near segment ends and the gap kernel by area, so they
@@ -157,16 +166,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_convex2_and_pareto_masks_do_not_use_the_boundary_map(monkeypatch):
-    convex, pareto = ConvexHullGen(2), ParetoGen(2)
+    # the coordmin mask is held to the same rule: no _argmins, no boundary
+    convex, pareto, coordmin = ConvexHullGen(2), ParetoGen(2), CoordMinGen()
     mu = PointPattern.from_points([euclid(0, 0), euclid(1, 0), euclid(0, 1), euclid(1, 1),
                                    euclid(0.5, 0.5), euclid(0.5, 0.5), euclid(0.5, 0.0)])
-    want = (oracle(convex, mu), oracle(pareto, mu))
+    gens = (convex, pareto, coordmin)
+    want = tuple(oracle(gen, mu) for gen in gens)
     monkeypatch.setattr(generators, "_extreme_2d", _refuse)
     monkeypatch.setattr(generators, "_extreme_points", _refuse)
     monkeypatch.setattr(ParetoGen, "_minimal", _refuse)
-    monkeypatch.setattr(ConvexHullGen, "boundary", _refuse)
-    monkeypatch.setattr(ParetoGen, "boundary", _refuse)
-    assert (convex.survival_mask(mu), pareto.survival_mask(mu)) == want
+    monkeypatch.setattr(CoordMinGen, "_argmins", _refuse)
+    for cls in (ConvexHullGen, ParetoGen, CoordMinGen):
+        monkeypatch.setattr(cls, "boundary", _refuse)
+    assert tuple(gen.survival_mask(mu) for gen in gens) == want
     with pytest.raises(AssertionError):
         convex.boundary(mu)
 
