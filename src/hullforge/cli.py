@@ -129,6 +129,14 @@ def _number(cfg: dict, key: str, default: int | None = None) -> int:
         raise ConfigurationError(f"{key!r} must be an integer, got {cfg[key]!r}") from exc
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    """``cfg[key]`` as a JSON boolean, false when absent."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _positive(key: str, value) -> float:
     try:
         x = float(value)
@@ -167,7 +175,7 @@ def _experiment_config(
         nested_probes=_number(cfg, "nested_probes", 512),
         nested_replicas=_number(cfg, "nested_replicas", 200),
         threads=threads,
-        negative_control=bool(cfg.get("negative_control", False)),
+        negative_control=_flag(cfg, "negative_control"),
     )
 
 
@@ -247,6 +255,7 @@ def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
 
 def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
     config = _experiment_config(cfg, "variance", seed, threads)
+    covariance = _flag(cfg, "covariance")
     t = config.grid()[0]
     summary = montecarlo.run_replications(config)
     values = summary.samples[t]["values"]
@@ -274,7 +283,7 @@ def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
         "overlaps": pairs,
     }
     passed = all(pairs.values())
-    if cfg.get("covariance", False):
+    if covariance:
         paired = montecarlo.paired_estimates(config, t)
         g = scen.covariate(t)
         nested_fg = montecarlo.nested_h_integral(

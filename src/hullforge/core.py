@@ -21,7 +21,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 # Relative tolerance for geometric predicates (point-on-segment, point-in-hull,
 # collinearity).  Point *equality* is always exact; the tolerance only widens
@@ -224,10 +224,6 @@ class PointPattern:
         counts[point] = have - count
         return PointPattern.from_counts(counts)
 
-    def remove_all(self, point: SpacePoint) -> "PointPattern":
-        counts = {p: m for p, m in self.entries if p != point}
-        return PointPattern.from_counts(counts)
-
     def __add__(self, other: "PointPattern") -> "PointPattern":
         counts = dict(self.entries)
         for p, m in other.entries:
@@ -246,21 +242,22 @@ class PointPattern:
     def __le__(self, other: "PointPattern") -> bool:
         return all(other.multiplicity(p) >= m for p, m in self.entries)
 
-    def restrict(self, keep: Callable[[SpacePoint], bool]) -> "PointPattern":
-        return PointPattern.from_counts({p: m for p, m in self.entries if keep(p)})
-
 
 class HullGenerator(ABC):
     """Contract every concrete hull implementation fulfils.
 
-    ``boundary`` must be a valid generator (H1)-(H4); ``hull_contains`` must
-    agree with the definitional form ``boundary(mu + d_x) == boundary(mu)``.
+    ``boundary_mask`` is the one primitive: a bool per support atom saying
+    whether it is a boundary atom.  ``boundary`` is derived from it and must
+    be a valid generator (H1)-(H4); ``hull_contains`` must agree with the
+    definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
+    per-pattern call of the estimators is ``generators.evaluate``, which reads
+    the mask, the hull mass and the hull integral from one geometry pass.
     ``survival_mask`` gives the leave-one-out indicators H_z(mu - d_z) that
     the error representation sums; its default is the definitional loop over
     ``hull_contains``.  An override must equal that loop and must not call
-    ``boundary`` or its kernels, so that the representation still
+    ``boundary_mask`` or its kernels, so that the representation still
     cross-checks two independent computations (``EnvelopeGen``, which
-    reuses its contribution mask, is the one exception).  Implementations
+    reuses its boundary mask, is the one exception).  Implementations
     are stateless and safe to share.
     """
 
@@ -280,8 +277,19 @@ class HullGenerator(ABC):
             )
 
     @abstractmethod
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Per support atom, in ``mu.entries`` order: is it a boundary atom?
+
+        ``mu`` is non-empty and already checked against this generator's space.
+        """
+
     def boundary(self, mu: PointPattern) -> PointPattern:
-        """The generator: retained points keep their full multiplicity."""
+        """The generator: the masked entries, full multiplicity and canonical order kept."""
+        self.check_pattern(mu)
+        if mu.is_empty:
+            return mu
+        kept = tuple(e for e, keep in zip(mu.entries, self.boundary_mask(mu)) if keep)
+        return PointPattern(kept, mu.space_tag) if kept else PointPattern.empty()
 
     @abstractmethod
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:

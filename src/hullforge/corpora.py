@@ -85,11 +85,9 @@ class LexDropGen(HullGenerator):
     def __post_init__(self):
         object.__setattr__(self, "space_tag", ("euclid", 2))
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        if mu.is_empty:
-            return mu
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         first = min(mu.support(), key=lambda p: p.coords)
-        return mu.restrict(lambda p: p != first)
+        return tuple(p != first for p in mu.support())
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         return self.hull_contains_definitional(mu, x)

@@ -151,17 +151,25 @@ class CustomIntegrand(Integrand):
 # hull integrals
 
 
+def _evaluate(
+    gen: HullGenerator, model, f: Integrand | None, mu: PointPattern
+) -> tuple[tuple[bool, ...], float, float]:
+    """``generators.evaluate`` for an integrand: (boundary mask, hull mass, hull integral).
+
+    A constant scales the hull mass; any other integrand goes to the pairing
+    rule, which calls its primitives.
+    """
+    if isinstance(f, Constant):
+        mask, mass, _ = generators.evaluate(gen, model, None, mu)
+        return mask, mass, f.c * mass
+    return generators.evaluate(gen, model, f, mu)
+
+
 def hull_integral(
     gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> float:
-    """int f d(lambda restricted to the hull of mu), from the pairing table.
-
-    A constant scales the hull mass; any other integrand goes to
-    ``generators.hull_integral``, whose rule calls its primitives.
-    """
-    if isinstance(f, Constant):
-        return f.c * generators.hull_mass(gen, mu, model)
-    return generators.hull_integral(gen, model, f, mu)
+    """int f d(lambda restricted to the hull of mu), from the pairing table."""
+    return _evaluate(gen, model, f, mu)[2]
 
 
 def envelope_grid_error(gen, model, f: Integrand, mu: PointPattern) -> float:
@@ -182,10 +190,14 @@ def envelope_grid_error(gen, model, f: Integrand, mu: PointPattern) -> float:
 
 @dataclass(frozen=True)
 class HullEstimate:
-    """Estimator value with its two-term decomposition and variance estimate."""
+    """Estimator value with its two-term decomposition, variance estimate and hull mass.
+
+    ``hull_mass`` is nan where the pairing has no finite mass (the half line).
+    """
 
     value: float
     hull_term: float
+    hull_mass: float
     boundary_term: float
     variance_estimate: float
     boundary_count: int
@@ -195,21 +207,21 @@ def hull_estimate(
     gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> HullEstimate:
     """Unbiased estimate of int f d(lambda): hull integral + boundary f-sum."""
-    gen.check_pattern(mu)
-    bd = gen.boundary(mu)
+    mask, mass, h_term = _evaluate(gen, model, f, mu)
+    bd = [e for e, keep in zip(mu.entries, mask) if keep]
     b_term = 0.0
     var_est = 0.0
-    for p, m in bd.entries:
+    for p, m in bd:
         fv = f.value(p)
         b_term += m * fv
         var_est += m * fv * fv
-    h_term = hull_integral(gen, model, f, mu)
     return HullEstimate(
         value=h_term + b_term,
         hull_term=h_term,
+        hull_mass=mass,
         boundary_term=b_term,
         variance_estimate=var_est,
-        boundary_count=bd.total_mass,
+        boundary_count=sum(m for _, m in bd),
     )
 
 
@@ -227,9 +239,9 @@ def ks_error(
     ``gen.survival_mask``: the definitional membership loop by default, or a
     generator's own leave-one-out kernel (angular gaps for planar convex
     hulls, a domination matrix for Pareto), which do not call the boundary
-    map.  Agreement with ``hull_estimate - f_true`` therefore cross-checks
-    two kernels; only the envelope generator reuses its boundary's
-    contribution mask.  The lambda integral of f off the hull is
+    mask.  Agreement with ``hull_estimate - f_true`` therefore cross-checks
+    two kernels; only the envelope generator reuses its boundary mask.  The
+    lambda integral of f off the hull is
     evaluated as f_true minus the hull integral, which pins the identity to
     float precision and isolates Monte Carlo error to sampling.
     """
@@ -263,12 +275,13 @@ def hull_estimate_k(
     """
     if k < 1:
         raise ConfigurationError("order k must be >= 1")
-    gen.check_pattern(mu)
-    bd = gen.boundary(mu)
+    if pair_factor is not None and k != 2:
+        raise ConfigurationError("product-form estimators support k = 2 only")
+    mask, lam, a = _evaluate(gen, model, pair_factor, mu)
+    bd = [e for e, keep in zip(mu.entries, mask) if keep]
 
     if pair_factor is None:
-        lam = generators.hull_mass(gen, mu, model)
-        m_count = bd.total_mass
+        m_count = sum(m for _, m in bd)
         total = 0.0
         for i in range(k + 1):
             falling = 1.0
@@ -279,14 +292,10 @@ def hull_estimate_k(
             total += math.comb(k, i) * lam**i * falling
         return total
 
-    if k != 2:
-        raise ConfigurationError("product-form estimators support k = 2 only")
-    g = pair_factor
-    a = hull_integral(gen, model, g, mu)
     b = 0.0
     diag = 0.0
-    for p, m in bd.entries:
-        gv = g.value(p)
+    for p, m in bd:
+        gv = pair_factor.value(p)
         b += m * gv
         diag += m * gv * gv
     return a * a + 2.0 * a * b + (b * b - diag)

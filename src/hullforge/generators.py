@@ -1,9 +1,13 @@
-"""Concrete hull generators and their geometry kernels.
+"""Concrete hull generators, their geometry kernels and the exact hull integrals.
 
-Each generator implements the thinning map ``boundary`` and the membership
-predicate ``hull_contains``; the two are kept mutually consistent so that the
-definitional identity ``hull_contains(mu, x) == (boundary(mu + d_x) ==
-boundary(mu))`` holds everywhere outside degenerate tolerance shells.
+Each generator implements the primitive ``boundary_mask`` (one bool per
+support atom) and the membership predicate ``hull_contains``; the thinning
+map ``boundary`` is derived from the mask in ``core``.  The two are kept
+mutually consistent so that the definitional identity ``hull_contains(mu, x)
+== (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
+tolerance shells.  ``evaluate`` is the per-pattern call: one geometry pass of
+a (generator, model) pairing gives the mask, the hull mass and the hull
+integral together.
 
 Geometric predicates use the relative tolerance ``EPS_GEOM``: a point within
 tolerance of the hull boundary, but not coinciding with a vertex, counts as
@@ -204,13 +208,15 @@ class ConvexHullGen(HullGenerator):
             raise ConfigurationError("convex hull generator supports d in {2, 3}")
         object.__setattr__(self, "space_tag", ("euclid", self.dim))
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
-        support = [p.coords for p in mu.support()]
-        ext = set(_extreme_points(list(dict.fromkeys(support)), self.dim))
-        return mu.restrict(lambda p: p.coords in ext)
+    def _extreme(self, mu: PointPattern) -> tuple[tuple[bool, ...], list[tuple]]:
+        """(vertex mask in support order, extreme points; a CCW polygon in the plane)."""
+        coords = [p.coords for p in mu.support()]
+        ext = _extreme_points(coords, self.dim)
+        keep = set(ext)
+        return tuple(c in keep for c in coords), ext
+
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        return self._extreme(mu)[0]
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
@@ -291,23 +297,6 @@ class ConvexHullGen(HullGenerator):
             bool(ins) and (p.coords not in ext_set) for ins, p in zip(inside, points)
         ]
 
-    def hull_volume(self, mu: PointPattern) -> float:
-        """Lebesgue volume of the hull region (vertex exclusions are null)."""
-        if mu.is_empty:
-            return 0.0
-        distinct = list(dict.fromkeys(p.coords for p in mu.support()))
-        if self.dim == 2:
-            poly = _extreme_2d(distinct)
-            return _polygon_area(poly)
-        coords = np.asarray(distinct, dtype=float)
-        rank, _, _ = _affine_rank(coords, EPS_GEOM * _coord_scale(distinct))
-        if rank < 3:
-            return 0.0
-        try:
-            return float(_SciPyHull(coords).volume)
-        except QhullError:
-            return 0.0
-
 
 def _polygon_area(poly) -> float:
     if len(poly) < 3:
@@ -318,6 +307,19 @@ def _polygon_area(poly) -> float:
         b = poly[(i + 1) % len(poly)]
         s += a[0] * b[1] - b[0] * a[1]
     return 0.5 * s
+
+
+def _volume_3d(mu: PointPattern) -> float:
+    """Lebesgue volume of the hull of a 3-D pattern; 0 when it is flat."""
+    distinct = [p.coords for p in mu.support()]
+    coords = np.asarray(distinct, dtype=float)
+    rank, _, _ = _affine_rank(coords, EPS_GEOM * _coord_scale(distinct))
+    if rank < 3:
+        return 0.0
+    try:
+        return float(_SciPyHull(coords).volume)
+    except QhullError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +349,9 @@ class CoordMinGen(HullGenerator):
         support = mu.support()
         return min(support, key=_lex_xy), min(support, key=_lex_yx)
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
-        p1, p2 = self._argmins(mu)
-        keep = {p1, p2}
-        return mu.restrict(lambda p: p in keep)
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        keep = set(self._argmins(mu))
+        return tuple(p in keep for p in mu.support())
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
@@ -410,12 +408,9 @@ class ParetoGen(HullGenerator):
                 out.add(p)
         return out
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         minimal = self._minimal(mu)
-        return mu.restrict(lambda p: p in minimal)
+        return tuple(p in minimal for p in mu.support())
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
@@ -518,7 +513,7 @@ class EnvelopeGen(HullGenerator):
         q = np.asarray([site if hasattr(site, "__len__") else (site,)], dtype=float)
         return float(self.envelope_at(mu, q)[0])
 
-    def contributing_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom: does removing all its copies change the envelope?"""
         sites, levels = self._arrays(mu)
         if self.dim == 1 and self.beta == 1.0:
@@ -546,18 +541,11 @@ class EnvelopeGen(HullGenerator):
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Removing one copy leaves H at the atom equal to the all-copies test.
 
-        The contribution mask compares each atom with the envelope of the
-        others, which is what H_z(mu - d_z) asks, so it serves directly.
+        The boundary mask compares each atom with the envelope of the others,
+        which is what H_z(mu - d_z) asks, so it serves directly.
         """
         self.check_pattern(mu)
-        return self.contributing_mask(mu) if not mu.is_empty else ()
-
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
-        keep = {p for p, c in zip(mu.support(), self.contributing_mask(mu)) if c}
-        return mu.restrict(lambda p: p in keep)
+        return self.boundary_mask(mu) if not mu.is_empty else ()
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
@@ -571,17 +559,10 @@ class EnvelopeGen(HullGenerator):
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
         if mu.is_empty:
             return [False] * len(points)
-        bd_support = set(self.boundary(mu).support())
-        in_mu = {p for p, _ in mu.entries}
-        q = np.asarray([p.site for p in points], dtype=float)
-        env = self.envelope_at(mu, q)
-        out = []
-        for p, e in zip(points, env):
-            if p in in_mu:
-                out.append(p not in bd_support)
-            else:
-                out.append(p.level <= e)
-        return out
+        on_boundary = dict(zip(mu.support(), self.boundary_mask(mu)))
+        env = self.envelope_at(mu, np.asarray([p.site for p in points], dtype=float))
+        return [not on_boundary[p] if p in on_boundary else p.level <= e
+                for p, e in zip(points, env)]
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +626,8 @@ class HalfPlaneGen(HullGenerator):
             keep[i] = ok and hi - lo > tol_len
         return keep
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
-        dirs, offs = self._arrays(mu)
-        keep = self._edge_mask(dirs, offs)
-        kept = {p for p, k in zip(mu.support(), keep) if k}
-        return mu.restrict(lambda p: p in kept)
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        return tuple(self._edge_mask(*self._arrays(mu)).tolist())
 
     def _feasible_vertices(self, dirs: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """Corner candidates of the clipped body (always includes the origin)."""
@@ -702,16 +677,10 @@ class HalfPlaneGen(HullGenerator):
         return x.offset >= h
 
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
-        bd = set(self.boundary(mu).support()) if not mu.is_empty else set()
-        in_mu = {p for p, _ in mu.entries}
+        on_boundary = dict(zip(mu.support(), self.boundary_mask(mu)))
         h = self.hull_support(mu, np.asarray([p.angle for p in points]))
-        out = []
-        for p, hv in zip(points, h):
-            if p in in_mu:
-                out.append(p not in bd)
-            else:
-                out.append(p.offset >= hv)
-        return out
+        return [not on_boundary[p] if p in on_boundary else p.offset >= hv
+                for p, hv in zip(points, h)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,17 +724,9 @@ class DiskHullGen(HullGenerator):
                 return False
         return hi - lo > EPS_GEOM
 
-    def boundary(self, mu: PointPattern) -> PointPattern:
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return mu
+    def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         support = [p.coords for p in mu.support()]
-        keep = set()
-        for p in mu.support():
-            others = [c for c in support if c != p.coords]
-            if self._separable(p.coords, others):
-                keep.add(p)
-        return mu.restrict(lambda p: p in keep)
+        return tuple(self._separable(q, [c for c in support if c != q]) for q in support)
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
@@ -774,13 +735,12 @@ class DiskHullGen(HullGenerator):
         others = [c for c in support if c != x.coords]
         return not self._separable(x.coords, others)
 
-    def hull_area(self, mu: PointPattern) -> float:
-        """Area of conv(disk U support), by walking segments and arcs."""
+    def hull_area(self, ext: Sequence[tuple[float, float]]) -> float:
+        """Area of conv(disk U ext) for the extreme points ext, by walking segments and arcs."""
         r0 = self.anchor_radius
-        ext = [p.coords for p in self.boundary(mu).support()]
         if not ext:
             return math.pi * r0 * r0
-        ext.sort(key=lambda p: math.atan2(p[1], p[0]))
+        ext = sorted(ext, key=lambda p: math.atan2(p[1], p[0]))
         area = 0.0
         n = len(ext)
         for i in range(n):
@@ -815,8 +775,9 @@ class DiskHullGen(HullGenerator):
 # ---------------------------------------------------------------------------
 # exact hull integrals per (generator, intensity) pairing
 #
-# Each rule returns int f d(lambda restricted to the hull of a non-empty mu),
-# where f is None for f == 1, the hull mass.  Weighted rules call the
+# Each rule returns (boundary mask, hull mass, int f d(lambda restricted to the
+# hull)) of a non-empty mu, reading all three from one geometry pass; f is None
+# for f == 1, when the integral is the mass.  Weighted rules call the
 # integrand's array primitives.  Vertex-type exclusions from the hull carry
 # zero mass under the diffuse models used here and are ignored.
 
@@ -826,6 +787,11 @@ def _constants_only(gen: HullGenerator, f) -> None:
         raise ConfigurationError(
             f"{type(gen).__name__} hull integrals support constant integrands only"
         )
+
+
+def _kept(mu: PointPattern, mask: tuple[bool, ...]) -> list[tuple[float, ...]]:
+    """Coordinates of the masked atoms, in support order."""
+    return [p.coords for p, keep in zip(mu.support(), mask) if keep]
 
 
 # Gauss degree-5 rule on the reference triangle (weights sum to 1).
@@ -860,13 +826,14 @@ def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
     return total
 
 
-def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern) -> float:
-    if f is None:
-        # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
-        return model.rate * gen.hull_volume(mu)
-    if gen.dim != 2:
+def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern):
+    if gen.dim != 2 and f is not None:
         raise ConfigurationError("weighted convex hull integrals support d = 2 only")
-    poly = _extreme_2d(list(dict.fromkeys(p.coords for p in mu.support())))
+    mask, poly = gen._extreme(mu)
+    # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
+    mass = model.rate * (_polygon_area(poly) if gen.dim == 2 else _volume_3d(mu))
+    if f is None:
+        return mask, mass, mass
     total = 0.0
     for i in range(1, len(poly) - 1):
         total += _triangle_quad(
@@ -875,60 +842,73 @@ def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern) -> float:
             poly[i],
             poly[i + 1],
         )
-    return model.rate * total
+    return mask, mass, model.rate * total
 
 
-def _coordmin_rule(gen: CoordMinGen, model, f, mu: PointPattern) -> float:
+def _coordmin_rule(gen: CoordMinGen, model, f, mu: PointPattern):
     _constants_only(gen, f)
-    p1, p2 = gen._argmins(mu)
+    mask = gen.boundary_mask(mu)
+    minima = _kept(mu, mask)
     (lx, ly), (hx, hy) = model.lo, model.hi
-    w = max(0.0, hx - max(lx, p1.coords[0]))
-    h = max(0.0, hy - max(ly, p2.coords[1]))
-    return model.rate * w * h
+    w = max(0.0, hx - max(lx, min(c[0] for c in minima)))
+    h = max(0.0, hy - max(ly, min(c[1] for c in minima)))
+    mass = model.rate * w * h
+    return mask, mass, mass
 
 
-def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern) -> float:
+def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern):
     _constants_only(gen, f)
+    if gen.dim > 2:
+        raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
+    mask = gen.boundary_mask(mu)
+    minimal = _kept(mu, mask)
     if gen.dim == 1:
-        zeta = min(p.coords[0] for p in mu.support())
-        return model.rate * max(0.0, model.hi[0] - max(model.lo[0], zeta))
-    if gen.dim == 2:
-        return model.rate * _staircase_area(mu, model.lo, model.hi)
-    raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
+        mass = model.rate * max(0.0, model.hi[0] - max(model.lo[0], minimal[0][0]))
+    else:
+        mass = model.rate * _staircase_area(minimal, model.lo, model.hi)
+    return mask, mass, mass
 
 
-def _pareto_halfline_rule(gen: ParetoGen, model, f, mu: PointPattern) -> float:
+def _pareto_halfline_rule(gen: ParetoGen, model, f, mu: PointPattern):
     if f is None:
         raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
     if gen.dim != 1:
         raise ConfigurationError("half-line hull integrals need a 1-D pareto generator")
-    zeta = min(p.coords[0] for p in mu.support())
-    return model.rate * f.tail_integral(zeta)
+    mask = gen.boundary_mask(mu)
+    zeta = _kept(mu, mask)[0][0]  # in 1-D the one minimal atom is the minimum
+    return mask, math.nan, model.rate * f.tail_integral(zeta)
 
 
-def _band_rule(gen: EnvelopeGen, model, f, mu: PointPattern) -> float:
+def _band_rule(gen: EnvelopeGen, model, f, mu: PointPattern):
     sites, cell = model.grid_sites()
     depth = np.clip(gen.envelope_at(mu, sites), 0.0, model.phi_at(sites))
-    vals = depth if f is None else f.depth_primitive(depth)
-    return model.rate * float(vals.sum()) * cell
+    mass = model.rate * float(depth.sum()) * cell
+    term = mass if f is None else model.rate * float(f.depth_primitive(depth).sum()) * cell
+    return gen.boundary_mask(mu), mass, term
 
 
 #: cell midpoints of the angular quadrature on line space
 _THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
 
 
-def _lines_rule(gen: HalfPlaneGen, model, f, mu: PointPattern) -> float:
+def _lines_rule(gen: HalfPlaneGen, model, f, mu: PointPattern):
     h = gen.hull_support(mu, _THETA_GRID)
     lo = np.minimum(np.maximum(model.h_inner, h), model.h_outer)
-    vals = model.h_outer - lo if f is None else f.radial_primitive(lo, model.h_outer)
-    return model.rate * float(vals.sum()) * (2.0 * math.pi / len(_THETA_GRID))
+    cell = 2.0 * math.pi / len(_THETA_GRID)
+    mass = model.rate * float((model.h_outer - lo).sum()) * cell
+    term = mass
+    if f is not None:
+        term = model.rate * float(f.radial_primitive(lo, model.h_outer).sum()) * cell
+    return gen.boundary_mask(mu), mass, term
 
 
-def _annulus_rule(gen: DiskHullGen, model, f, mu: PointPattern) -> float:
+def _annulus_rule(gen: DiskHullGen, model, f, mu: PointPattern):
     _constants_only(gen, f)
     if abs(model.r_inner - gen.anchor_radius) > EPS_GEOM:
         raise ConfigurationError("annulus inner radius must match the anchor disk")
-    return model.rate * (gen.hull_area(mu) - math.pi * gen.anchor_radius**2)
+    mask = gen.boundary_mask(mu)
+    mass = model.rate * (gen.hull_area(_kept(mu, mask)) - math.pi * gen.anchor_radius**2)
+    return mask, mass, mass
 
 
 #: (generator type, model type) -> exact hull-integral rule
@@ -945,15 +925,20 @@ _PAIRINGS = {
 }
 
 
-def hull_integral(gen: HullGenerator, model, f, mu: PointPattern) -> float:
-    """int f d(lambda restricted to the hull of mu), exact per pairing.
+def evaluate(
+    gen: HullGenerator, model, f, mu: PointPattern
+) -> tuple[tuple[bool, ...], float, float]:
+    """(boundary mask, hull mass, int f d(lambda restricted to the hull of mu)).
 
-    ``f`` is None for f == 1.  The empty pattern has an empty hull, whatever
-    the pairing.
+    The per-pattern call: the pairing rule reads all three from one geometry
+    pass, exactly.  ``f`` is None for f == 1.  The mask is
+    ``gen.boundary_mask(mu)``; the mass is nan on the half line, whose hull
+    has no finite mass.  The empty pattern has an empty hull, whatever the
+    pairing.
     """
     gen.check_pattern(mu)
     if mu.is_empty:
-        return 0.0
+        return (), 0.0, 0.0
     rule = _PAIRINGS.get((type(gen), type(model)))
     if rule is None:
         raise ConfigurationError(
@@ -963,15 +948,13 @@ def hull_integral(gen: HullGenerator, model, f, mu: PointPattern) -> float:
 
 
 def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
-    """Intensity mass of the hull region: the f == 1 row of ``hull_integral``."""
-    return hull_integral(gen, model, None, mu)
+    """Intensity mass of the hull region: the f == 1 reading of ``evaluate``."""
+    return evaluate(gen, model, None, mu)[1]
 
 
-def _staircase_area(mu: PointPattern, lo, hi) -> float:
+def _staircase_area(minimal: list[tuple[float, float]], lo, hi) -> float:
     """Area of the union of upper-right quadrants of the minimal points, in a box."""
-    minimal = sorted(
-        {p.coords for p in ParetoGen(dim=2)._minimal(mu)}, key=lambda c: (c[0], -c[1])
-    )
+    minimal = sorted(minimal, key=lambda c: (c[0], -c[1]))
     (lx, ly), (hx, hy) = lo, hi
     area = 0.0
     frontier: list[tuple[float, float]] = []

@@ -186,6 +186,11 @@ class ExperimentConfig:
             raise ConfigurationError("need at least 2 replications")
         if self.threads < 1:
             raise ConfigurationError(f"need at least 1 thread, got {self.threads}")
+        if self.nested_probes < 2 or self.nested_replicas < 1:
+            raise ConfigurationError(
+                "need at least 2 nested probes and 1 nested replica, got "
+                f"{self.nested_probes} and {self.nested_replicas}"
+            )
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
         get_scenario(self.scenario)
@@ -239,17 +244,6 @@ class ReplicationSummary:
 _Z99 = 2.5758293035489004  # 99% two-sided normal quantile
 
 
-def _hull_mass_scale(f: estimators.Integrand) -> float | None:
-    """hull mass / hull term ratio when the integrand is flat on the band."""
-    if isinstance(f, estimators.Constant):
-        return 1.0 / f.c
-    if isinstance(f, estimators.Indicator):
-        return 1.0
-    if isinstance(f, estimators.RadialPower) and f.beta == 1.0 and f.weight == 1.0:
-        return 1.0
-    return None
-
-
 def chunk_bounds(n: int) -> list[tuple[int, int]]:
     """Split [0, n) into contiguous chunks whose layout depends on n alone."""
     size = max(32, n // 4)
@@ -285,7 +279,6 @@ def _replicate_chunk(args, lo: int, hi: int) -> list[tuple[float, float, int, fl
     model = scen.make_model(t)
     f = scen.make_integrand(t)
     target = scen.target(t)
-    scale = _hull_mass_scale(f)
     out = []
     for rep in range(lo, hi):
         stream = sampling.RngStream(base_seed).child(stream_tag).stream(rep)
@@ -293,9 +286,7 @@ def _replicate_chunk(args, lo: int, hi: int) -> list[tuple[float, float, int, fl
         est = estimators.hull_estimate(scen.gen, model, f, pattern)
         ks = estimators.ks_error(scen.gen, model, f, pattern, target, hull_term=est.hull_term)
         resid = abs(est.value - target - ks)
-        complement = (
-            model.total_mass - scale * est.hull_term if scale is not None else math.nan
-        )
+        complement = model.total_mass - est.hull_mass  # nan where the hull mass is
         out.append((est.value, est.variance_estimate, est.boundary_count, complement, resid))
     return out
 
@@ -382,11 +373,11 @@ class MarkovReport:
 
 
 def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
-    bd = gen.boundary(pattern)
-    interior = pattern - bd
-    fsum = sum(m * f.value(p) for p, m in interior.entries)
-    mass = generators.hull_mass(gen, pattern, model)
-    return float(interior.total_mass), float(fsum), mass
+    """(interior count, interior f-sum, hull mass); the interior is the atoms off the mask."""
+    mask, mass, _ = generators.evaluate(gen, model, None, pattern)
+    interior = [(p, m) for (p, m), keep in zip(pattern.entries, mask) if not keep]
+    fsum = sum(m * f.value(p) for p, m in interior)
+    return float(sum(m for _, m in interior)), float(fsum), mass
 
 
 def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:

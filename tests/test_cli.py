@@ -121,6 +121,16 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
     pytest.param("variance", {"scenario": "convex_square", "t": 15.0}, id="no-replications"),
     pytest.param("variance", {"scenario": "convex_square", "replications": 10,
                               "nested_probes": "x"}, id="nested_probes-x"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10,
+                              "nested_probes": 0}, id="nested_probes-0"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10,
+                              "nested_probes": 1}, id="nested_probes-1"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10,
+                              "nested_replicas": 0}, id="nested_replicas-0"),
+    pytest.param("variance", {"scenario": "hoelder_d1", "replications": 10,
+                              "covariance": "no"}, id="covariance-string"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": 10,
+                            "negative_control": "false"}, id="negative_control-string"),
     pytest.param("markov", {"pairs": 10}, id="markov-no-scenario"),
     pytest.param("markov", {"scenario": "convex_square", "pairs": [10]}, id="pairs-list"),
     pytest.param("clt", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4[:3]},

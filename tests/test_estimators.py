@@ -29,6 +29,7 @@ from hullforge.estimators import (
     envelope_grid_error,
     hull_integral,
 )
+from hullforge import generators
 from hullforge.generators import EnvelopeGen, hull_mass
 from hullforge.montecarlo import _hoelder_band, get_scenario, scenario_names
 from hullforge.sampling import (
@@ -152,8 +153,7 @@ FLAT_MODELS = [
 
 
 def test_flat_integrands_match_hull_mass():
-    # Monte Carlo's complement (total mass - hull mass) reads the hull mass off
-    # the hull term of these integrands; that needs exact equality, not approx.
+    # a flat integrand's hull term is the hull mass times its value, exactly
     scenarios = [get_scenario(name) for name in scenario_names()]
     pairings = [(s.gen, s.make_model(2.0 * s.default_t)) for s in scenarios] + FLAT_MODELS
     pairings = [(g, m) for g, m in pairings if not isinstance(m, HalfLine)]  # infinite mass
@@ -168,6 +168,37 @@ def test_flat_integrands_match_hull_mass():
                 assert hull_integral(gen, model, Indicator(), mu) == mass
             if isinstance(model, LinesBand):
                 assert hull_integral(gen, model, RadialPower(1.0, 1.0), mu) == mass
+
+
+def _spy(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record each call; returns the list of calls."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("scenario, t, owner, kernel", [
+    pytest.param("convex_square", 50.0, generators, "_extreme_2d", id="convex_square"),
+    pytest.param("pareto_square", 20.0, ParetoGen, "_minimal", id="pareto_square"),
+    pytest.param("disk_support_sanity", 8.0, DiskHullGen, "_separable", id="disk_support_sanity"),
+])
+def test_hull_estimate_reads_the_geometry_once(monkeypatch, scenario, t, owner, kernel):
+    # one pass gives the boundary mask, the hull mass and the hull term; the
+    # disk-hull kernel runs once per atom
+    scen = get_scenario(scenario)
+    model, f = scen.make_model(t), scen.make_integrand(t)
+    mu = sample_poisson(model, RngStream(41))
+    assert len(mu.entries) >= 3
+    calls = _spy(monkeypatch, owner, kernel)
+    est = hull_estimate(scen.gen, model, f, mu)
+    assert len(calls) == (len(mu.entries) if owner is DiskHullGen else 1)
+    assert est.hull_mass == hull_mass(scen.gen, mu, model)
+    assert est.boundary_count == scen.gen.boundary(mu).total_mass
 
 
 def test_weighted_convex_integral_matches_grid():

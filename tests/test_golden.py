@@ -2,8 +2,10 @@
 
 Each case runs one subcommand on a small config at a fixed seed and hashes
 the CSV and the summary JSON it writes.  The digests were recorded before
-the hull integrals moved into one (generator, model) pairing table, so a
-refactor that claims "no behaviour change" is checked here byte for byte.
+the hull integrals moved into one (generator, model) pairing table; the
+three ``markov-*`` cases and ``axioms-rest`` were recorded before the boundary
+became a per-atom mask read in one geometry pass.  A refactor that claims
+"no behaviour change" is checked here byte for byte.
 Regenerate a digest only with a change that means to alter that output.
 """
 
@@ -33,10 +35,19 @@ CASES = {
         "scenario": "hoelder_d1", "replications": 120, "seed": 4, "t": 8.0,
         "nested_probes": 24, "nested_replicas": 12, "covariance": True}),
     "markov": ("markov", {"scenario": "hoelder_d1", "pairs": 150, "seed": 5, "t": 2.0}),
+    "markov-convex_square": ("markov", {"scenario": "convex_square", "pairs": 150, "seed": 8,
+                                        "t": 20.0}),
+    "markov-pareto_square": ("markov", {"scenario": "pareto_square", "pairs": 150, "seed": 8,
+                                        "t": 20.0}),
+    "markov-disk_support_sanity": ("markov", {"scenario": "disk_support_sanity", "pairs": 150,
+                                              "seed": 8, "t": 8.0}),
     "rates": ("rates", {"scenario": "hoelder_d1", "replications": 40, "seed": 6,
                         "t_grid": [4, 8, 16, 32]}),
     "axioms": ("axioms", {"generators": ["convex2", "pareto", "envelope", "halfplane"],
                           "patterns": 40, "max_points": 8, "seed": 7}),
+    "axioms-rest": ("axioms", {
+        "generators": ["convex3", "coordmin", "diskhull", "broken_lexdrop"],
+        "patterns": 40, "max_points": 8, "seed": 9}),
 }
 
 GOLDEN = {
@@ -49,8 +60,12 @@ GOLDEN = {
     "estimate-disk_support_sanity": "9d793ed7fcd696e465e62ef7115db212fc749f264f3bbfdfda07f95bac745894",
     "variance-covariance": "a8d067fbad65ba0358075298a50efe7f303ff0a4952f698447aaa9d76be4090f",
     "markov": "52ff42d263a3e27925ab7993797c62217d0248fc7ed5bad87ea89f0b4816d17c",
+    "markov-convex_square": "4aabfd2985c2e69c9067e1c08c14a1db74c2a110657899f0f4a39b4388291d22",
+    "markov-pareto_square": "449868fce218dbf173ce1e84ba8ac26cec5042749f7a8ed30108f388f82bb3c7",
+    "markov-disk_support_sanity": "98bc7a1124fb5293f8bb62b9cfa4824f1766213572066947e644ea458a20a40f",
     "rates": "0c4f42048f46c4d47fd9f3eaecfdc7ed208688201205f82c91827477adc8252f",
     "axioms": "ce133b456c930157eb4f36d65bfcf68937e86ebe0afe9deeefa33bb66518514a",
+    "axioms-rest": "d8dbfe110621c970584a566fa47cdc66048924e04876fa010e889f3ea57d23a2",
 }
 
 

@@ -5,8 +5,10 @@ import pytest
 from scipy.stats import norm
 
 import hullforge.montecarlo as mc
+from hullforge import sampling
 from hullforge.core import ConfigurationError, DomainError
 from hullforge.corpora import run_axiom_battery
+from hullforge.generators import hull_mass
 
 
 def test_config_validation():
@@ -18,6 +20,21 @@ def test_config_validation():
         mc.ExperimentConfig(scenario="convex_square", replications=10, t_grid=(2.0, 1.0))
     cfg = mc.ExperimentConfig(scenario="convex_square", replications=10)
     assert cfg.grid() == (50.0,)
+
+
+@pytest.mark.parametrize("scenario, t", [("convex_square", 20.0), ("pareto_square", 20.0),
+                                         ("hoelder_d1", 16.0), ("halfline_min", 1.0)])
+def test_complement_is_total_minus_hull_mass(scenario, t):
+    cfg = mc.ExperimentConfig(scenario=scenario, replications=40, base_seed=8, t_grid=(t,))
+    got = mc.run_replications(cfg).samples[t]["complement_mass"]
+    scen = mc.get_scenario(scenario)
+    model = scen.make_model(t)
+    if scenario == "halfline_min":  # the hull of a half-line pattern has no finite mass
+        assert np.isnan(got).all()
+        return
+    streams = sampling.RngStream(8).child(0)
+    patterns = [sampling.sample_poisson(model, streams.stream(i)) for i in range(40)]
+    assert got.tolist() == [model.total_mass - hull_mass(scen.gen, mu, model) for mu in patterns]
 
 
 def test_run_replications_deterministic():

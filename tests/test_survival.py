@@ -166,7 +166,8 @@ def _refuse(*args, **kwargs):
 
 
 def test_convex2_and_pareto_masks_do_not_use_the_boundary_map(monkeypatch):
-    # the coordmin mask is held to the same rule: no _argmins, no boundary
+    # the coordmin mask is held to the same rule: no _argmins, no boundary;
+    # no mask reaches boundary_mask or the shared one-pass kernels either
     convex, pareto, coordmin = ConvexHullGen(2), ParetoGen(2), CoordMinGen()
     mu = PointPattern.from_points([euclid(0, 0), euclid(1, 0), euclid(0, 1), euclid(1, 1),
                                    euclid(0.5, 0.5), euclid(0.5, 0.5), euclid(0.5, 0.0)])
@@ -176,11 +177,16 @@ def test_convex2_and_pareto_masks_do_not_use_the_boundary_map(monkeypatch):
     monkeypatch.setattr(generators, "_extreme_points", _refuse)
     monkeypatch.setattr(ParetoGen, "_minimal", _refuse)
     monkeypatch.setattr(CoordMinGen, "_argmins", _refuse)
+    monkeypatch.setattr(ConvexHullGen, "_extreme", _refuse)
+    monkeypatch.setattr(generators, "evaluate", _refuse)
     for cls in (ConvexHullGen, ParetoGen, CoordMinGen):
         monkeypatch.setattr(cls, "boundary", _refuse)
+        monkeypatch.setattr(cls, "boundary_mask", _refuse)
     assert tuple(gen.survival_mask(mu) for gen in gens) == want
-    with pytest.raises(AssertionError):
-        convex.boundary(mu)
+    for gen in gens:
+        for patched in (gen.boundary, gen.boundary_mask):
+            with pytest.raises(AssertionError):
+                patched(mu)
 
 
 def test_convex_tolerance_shell_counts_as_inside():
