@@ -61,14 +61,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 class _IncrementalCsv:
     """CSV writer that flushes after every row, so interrupts keep partial output."""
 
@@ -84,6 +76,13 @@ class _IncrementalCsv:
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    writer = _IncrementalCsv(path, header)
+    for row in rows:
+        writer.row(row)
+    writer.close()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -185,8 +184,12 @@ def _experiment_config(
 
 def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
     names = cfg.get("generators", [n for n in corpora.GENERATOR_SUITE if n != "broken_lexdrop"])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigurationError(f"'generators' must be a list of generator names, got {names!r}")
     count = _number(cfg, "patterns", 1000)
     max_points = _number(cfg, "max_points", 12)
+    if min(count, max_points) < 0:
+        raise ConfigurationError(f"'patterns' and 'max_points' must be >= 0, got {count}, {max_points}")
     base_seed = seed if seed is not None else _number(cfg, "seed", 0)
     if count == 0:
         print("warning: corpus size 0, axiom checks pass vacuously", file=sys.stderr)
@@ -318,17 +321,29 @@ def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
     }
 
 
-def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "clt", seed, threads)
+def _slope_run(cfg: dict, command: str, seed: int | None, threads: int, band: list):
+    """(config, scenario, summary, slope band) of a run whose log-log slope is checked.
+
+    The band is two numbers lo <= hi; the scenario must have analytic bounds.
+    """
+    config = _experiment_config(cfg, command, seed, threads)
+    band = cfg.get("slope_band", band)
+    if not (isinstance(band, list) and len(band) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in band)
+            and band[0] <= band[1]):
+        raise ConfigurationError(f"'slope_band' must be two numbers lo <= hi, got {band!r}")
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
-        raise ConfigurationError(f"scenario {scen.name} has no analytic bound terms")
-    summary = montecarlo.run_replications(config)
+        raise ConfigurationError(f"scenario {scen.name} has no analytic bounds")
+    return config, scen, montecarlo.run_replications(config), band
+
+
+def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
+    config, scen, summary, (lo, hi) = _slope_run(cfg, "clt", seed, threads, [-0.40, -0.10])
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))
     bound = sum(terms)
     w1_last = summary.rows[-1].w1
-    lo, hi = cfg.get("slope_band", [-0.40, -0.10])
     slope_ok = (
         summary.w1_slope is not None and lo <= summary.w1_slope <= hi
     )
@@ -351,12 +366,7 @@ def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool,
 
 
 def cmd_rates(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "rates", seed, threads)
-    scen = montecarlo.get_scenario(config.scenario)
-    if scen.hoelder_params is None:
-        raise ConfigurationError(f"scenario {scen.name} has no analytic variance bounds")
-    summary = montecarlo.run_replications(config)
-    lo, hi = cfg.get("slope_band", [0.40, 0.60])
+    config, scen, summary, (lo, hi) = _slope_run(cfg, "rates", seed, threads, [0.40, 0.60])
     slope_ok = (
         summary.variance_slope is not None and lo <= summary.variance_slope <= hi
     )

@@ -1,5 +1,9 @@
 """Counting measures, the hull-generator contract, and difference-operator calculus.
 
+A pattern stores one coordinate row per distinct atom, in lexicographic
+order, with its multiplicity; kernels read the rows or their array, and
+point objects are views built on demand by ``point_from_row``.
+
 A generator is a thinning map ``mu -> boundary(mu)`` on finite counting
 measures satisfying four axioms:
 
@@ -20,8 +24,14 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 # Relative tolerance for geometric predicates (point-on-segment, point-in-hull,
 # collinearity).  Point *equality* is always exact; the tolerance only widens
@@ -41,83 +51,98 @@ class ConfigurationError(ValueError):
     """Unsupported pairing or unresolvable experiment configuration."""
 
 
-def _check_finite(values: Iterable[float]) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise DomainError(f"coordinates must be finite, got {v!r}")
+def checked_rows(space_tag: tuple, coords) -> list[tuple[float, ...]]:
+    """The rows of an (n, k) coordinate array, in order, as tuples of floats.
+
+    The one validity check of the ground spaces, for whole arrays and for
+    the point constructors alike: dimension 1..3, a row width that fits the
+    space, finite values, and for lines an angle in [0, 2*pi) and an offset
+    >= 0.
+    """
+    kind = space_tag[0]
+    if kind != "line" and not 1 <= space_tag[1] <= 3:
+        name = "euclidean points" if kind == "euclid" else "param sites"
+        raise DomainError(f"{name} support dimension 1..3, got {space_tag[1]}")
+    width = 2 if kind == "line" else space_tag[1] + (kind == "param")
+    arr = np.asarray(coords, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise DomainError(f"rows of space {space_tag} have width {width}, got shape {arr.shape}")
+    checks = [(arr, np.isfinite(arr), "coordinates must be finite")]
+    if kind == "line":
+        ang, off = arr[:, 0], arr[:, 1]
+        checks += [(ang, (0.0 <= ang) & (ang < 2.0 * math.pi), "angle must lie in [0, 2*pi)"),
+                   (off, off >= 0.0, "offset must be >= 0")]
+    for values, ok, message in checks:
+        if not ok.all():
+            raise DomainError(f"{message}, got {values[~ok][0].item()!r}")
+    return list(map(tuple, arr.tolist()))
 
 
 @dataclass(frozen=True)
 class EuclidPoint:
-    """Point of R^d, d <= 3."""
+    """Point of R^d, d <= 3; its row is its coordinates."""
 
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if not 1 <= len(coords) <= 3:
-            raise DomainError(f"euclidean points support dimension 1..3, got {len(coords)}")
-        _check_finite(coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", checked_rows(self.space_tag, [self.coords])[0])
 
     @property
     def space_tag(self) -> tuple:
         return ("euclid", len(self.coords))
 
-    def _sort_key(self) -> tuple:
-        return (0, self.coords)
+    @property
+    def row(self) -> tuple[float, ...]:
+        return self.coords
 
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """Atom (s, u) of a parametric function family: site s in R^d, level u."""
+    """Atom (s, u) of a parametric function family: site s in R^d, level u.
+
+    Its row is the site followed by the level.
+    """
 
     site: tuple[float, ...]
     level: float
 
     def __post_init__(self) -> None:
-        site = tuple(float(c) for c in self.site)
-        if not 1 <= len(site) <= 3:
-            raise DomainError(f"param sites support dimension 1..3, got {len(site)}")
-        _check_finite(site)
-        _check_finite((self.level,))
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "level", float(self.level))
+        (*site, level), = checked_rows(self.space_tag, [(*self.site, self.level)])
+        object.__setattr__(self, "site", tuple(site))
+        object.__setattr__(self, "level", level)
 
     @property
     def space_tag(self) -> tuple:
         return ("param", len(self.site))
 
-    def _sort_key(self) -> tuple:
-        return (1, self.site, self.level)
+    @property
+    def row(self) -> tuple[float, ...]:
+        return self.site + (self.level,)
 
 
 @dataclass(frozen=True)
 class LinePoint:
     """Planar line with unit normal angle theta in [0, 2*pi) and offset >= 0.
 
-    Also reused as the (direction, radius) parameterisation of planar points
-    that anchor a disk-supported hull.
+    Its row is (angle, offset).  Also reused as the (direction, radius)
+    parameterisation of planar points that anchor a disk-supported hull.
     """
 
     angle: float
     offset: float
 
     def __post_init__(self) -> None:
-        _check_finite((self.angle, self.offset))
-        if not 0.0 <= self.angle < 2.0 * math.pi:
-            raise DomainError(f"angle must lie in [0, 2*pi), got {self.angle!r}")
-        if self.offset < 0.0:
-            raise DomainError(f"offset must be >= 0, got {self.offset!r}")
-        object.__setattr__(self, "angle", float(self.angle))
-        object.__setattr__(self, "offset", float(self.offset))
+        (angle, offset), = checked_rows(self.space_tag, [(self.angle, self.offset)])
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def space_tag(self) -> tuple:
         return ("line",)
 
-    def _sort_key(self) -> tuple:
-        return (2, self.angle, self.offset)
+    @property
+    def row(self) -> tuple[float, float]:
+        return (self.angle, self.offset)
 
 
 SpacePoint = Union[EuclidPoint, ParamPoint, LinePoint]
@@ -137,70 +162,96 @@ def line(angle: float, offset: float) -> LinePoint:
     return LinePoint(angle, offset)
 
 
+#: space kind -> (point type, its fields from a row)
+_VIEWS = {
+    "euclid": (EuclidPoint, lambda r: {"coords": r}),
+    "param": (ParamPoint, lambda r: {"site": r[:-1], "level": r[-1]}),
+    "line": (LinePoint, lambda r: {"angle": r[0], "offset": r[1]}),
+}
+
+
+def point_from_row(space_tag: tuple, row: tuple[float, ...]) -> SpacePoint:
+    """The point object of a checked row: equal to the constructed point, without the check."""
+    cls, fields = _VIEWS[space_tag[0]]
+    p = object.__new__(cls)
+    p.__dict__.update(fields(row))
+    return p
+
+
 @dataclass(frozen=True)
 class PointPattern:
-    """Finite counting measure: distinct points with positive multiplicities.
+    """Finite counting measure stored as coordinate rows with multiplicities.
 
-    Entries are kept sorted by a canonical key, so two patterns are equal iff
-    they define the same multiset.  ``space_tag`` is None only for the empty
-    pattern.
+    ``rows`` holds one tuple of floats per distinct atom in lexicographic
+    order and ``mults`` one positive int per row, so two patterns are equal
+    iff they define the same multiset.  ``space_tag`` is None only for the
+    empty pattern.  Point objects are views: ``support()`` and ``entries``
+    build them lazily, once per pattern; ``coords`` is the rows as a
+    read-only (n, k) array for the kernels.
     """
 
-    entries: tuple[tuple[SpacePoint, int], ...]
+    rows: tuple[tuple[float, ...], ...]
+    mults: tuple[int, ...]
     space_tag: tuple | None
 
     @staticmethod
     def empty() -> "PointPattern":
-        return PointPattern((), None)
+        return _EMPTY
 
     @staticmethod
     def from_points(points: Iterable[SpacePoint]) -> "PointPattern":
-        counts: dict[SpacePoint, int] = {}
+        points = list(points)
+        tag = points[0].space_tag if points else None
         for p in points:
-            counts[p] = counts.get(p, 0) + 1
-        return PointPattern.from_counts(counts)
-
-    @staticmethod
-    def from_counts(counts: dict[SpacePoint, int]) -> "PointPattern":
-        entries = tuple(
-            (p, int(m))
-            for p, m in sorted(counts.items(), key=lambda e: e[0]._sort_key())
-            if m > 0
-        )
-        if not entries:
-            return PointPattern.empty()
-        tag = entries[0][0].space_tag
-        for p, m in entries:
             if p.space_tag != tag:
                 raise SpaceMismatchError(f"mixed ground spaces {tag} vs {p.space_tag}")
-            if m <= 0:
-                raise DomainError("multiplicities must be positive")
-        return PointPattern(entries, tag)
+        return _canonical(tag, Counter(p.row for p in points))
+
+    @staticmethod
+    def from_array(space_tag: tuple, coords) -> "PointPattern":
+        """The pattern of the rows of an (n, k) array; see ``checked_rows``."""
+        return _canonical(space_tag, Counter(checked_rows(space_tag, coords)))
+
+    # -- views --------------------------------------------------------------
+
+    @cached_property
+    def entries(self) -> tuple[tuple[SpacePoint, int], ...]:
+        return tuple(self.entries_where([True] * len(self.rows)))
+
+    def support(self) -> tuple[SpacePoint, ...]:
+        return tuple(p for p, _ in self.entries)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        width = len(self.rows[0]) if self.rows else 0
+        arr = np.array(self.rows, dtype=float).reshape(len(self.rows), width)
+        arr.flags.writeable = False
+        return arr
+
+    def entries_where(self, mask: Iterable[bool]) -> list[tuple[SpacePoint, int]]:
+        """(point, multiplicity) of the atoms where ``mask`` is true; only those are built."""
+        tag = self.space_tag
+        return [(point_from_row(tag, r), m) for r, m in compress(zip(self.rows, self.mults), mask)]
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def total_mass(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self.mults)
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
-
-    def support(self) -> tuple[SpacePoint, ...]:
-        return tuple(p for p, _ in self.entries)
+        return not self.rows
 
     def multiplicity(self, point: SpacePoint) -> int:
-        for p, m in self.entries:
-            if p == point:
-                return m
-        return 0
+        if point.space_tag != self.space_tag:
+            return 0
+        row = point.row
+        i = bisect_left(self.rows, row)
+        return self.mults[i] if i < len(self.rows) and self.rows[i] == row else 0
 
     def __contains__(self, point: SpacePoint) -> bool:
         return self.multiplicity(point) > 0
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def check_space(self, point: SpacePoint) -> None:
         if self.space_tag is not None and point.space_tag != self.space_tag:
@@ -210,37 +261,61 @@ class PointPattern:
 
     # -- measure algebra ----------------------------------------------------
 
+    def with_mults(self, mults: Iterable[int]) -> "PointPattern":
+        """The same atoms with new multiplicities, one per row; atoms given 0 drop out."""
+        return _canonical(self.space_tag, dict(zip(self.rows, mults)))
+
+    def _plus(self, rows: Iterable[tuple], deltas: Iterable[int]) -> dict:
+        """Row -> count map of this pattern with ``deltas`` added at ``rows``."""
+        counts = dict(zip(self.rows, self.mults))
+        for r, d in zip(rows, deltas):
+            counts[r] = counts.get(r, 0) + d
+        return counts
+
     def add(self, point: SpacePoint, count: int = 1) -> "PointPattern":
         self.check_space(point)
-        counts = dict(self.entries)
-        counts[point] = counts.get(point, 0) + count
-        return PointPattern.from_counts(counts)
+        return _canonical(point.space_tag, self._plus([point.row], [count]))
 
     def remove(self, point: SpacePoint, count: int = 1) -> "PointPattern":
-        have = self.multiplicity(point)
-        if have < count:
+        if self.multiplicity(point) < count:
             raise DomainError("cannot remove more mass than present")
-        counts = dict(self.entries)
-        counts[point] = have - count
-        return PointPattern.from_counts(counts)
+        return _canonical(self.space_tag, self._plus([point.row], [-count]))
 
     def __add__(self, other: "PointPattern") -> "PointPattern":
-        counts = dict(self.entries)
-        for p, m in other.entries:
-            counts[p] = counts.get(p, 0) + m
-        return PointPattern.from_counts(counts)
+        if self.is_empty or other.is_empty:
+            return other if self.is_empty else self
+        if other.space_tag != self.space_tag:
+            raise SpaceMismatchError(f"mixed ground spaces {self.space_tag} vs {other.space_tag}")
+        return _canonical(self.space_tag, self._plus(other.rows, other.mults))
 
     def __sub__(self, other: "PointPattern") -> "PointPattern":
-        counts = dict(self.entries)
-        for p, m in other.entries:
-            have = counts.get(p, 0)
-            if have < m:
-                raise DomainError("subtraction would give a signed measure")
-            counts[p] = have - m
-        return PointPattern.from_counts(counts)
+        if other.is_empty:
+            return self
+        counts = self._plus(other.rows, (-m for m in other.mults))
+        if other.space_tag != self.space_tag or min(counts.values()) < 0:
+            raise DomainError("subtraction would give a signed measure")
+        return _canonical(self.space_tag, counts)
 
     def __le__(self, other: "PointPattern") -> bool:
-        return all(other.multiplicity(p) >= m for p, m in self.entries)
+        if self.is_empty or other.space_tag != self.space_tag:
+            return self.is_empty
+        have = dict(zip(other.rows, other.mults))
+        return all(have.get(r, 0) >= m for r, m in zip(self.rows, self.mults))
+
+
+_EMPTY = PointPattern((), (), None)
+
+
+def _canonical(space_tag: tuple | None, counts: dict) -> PointPattern:
+    """The pattern of a row -> count map: rows sorted, non-positive counts dropped.
+
+    Every constructor and every algebra operation ends here.  Rows that
+    compare equal (0.0 and -0.0) are one key of ``counts``, so they merge.
+    """
+    rows = sorted(r for r, m in counts.items() if m > 0)
+    if not rows:
+        return _EMPTY
+    return PointPattern(tuple(rows), tuple(counts[r] for r in rows), space_tag)
 
 
 class HullGenerator(ABC):
@@ -278,7 +353,7 @@ class HullGenerator(ABC):
 
     @abstractmethod
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        """Per support atom, in ``mu.entries`` order: is it a boundary atom?
+        """Per support atom, in ``mu.rows`` order: is it a boundary atom?
 
         ``mu`` is non-empty and already checked against this generator's space.
         """
@@ -288,8 +363,7 @@ class HullGenerator(ABC):
         self.check_pattern(mu)
         if mu.is_empty:
             return mu
-        kept = tuple(e for e, keep in zip(mu.entries, self.boundary_mask(mu)) if keep)
-        return PointPattern(kept, mu.space_tag) if kept else PointPattern.empty()
+        return mu.with_mults(m if keep else 0 for m, keep in zip(mu.mults, self.boundary_mask(mu)))
 
     @abstractmethod
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
@@ -304,14 +378,14 @@ class HullGenerator(ABC):
         return [self.hull_contains(mu, p) for p in points]
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        """H_z(mu - d_z) == 1 per support atom z, in ``mu.entries`` order.
+        """H_z(mu - d_z) == 1 per support atom z, in ``mu.rows`` order.
 
         One copy of z is removed, so an atom of multiplicity m >= 2 is tested
         against a pattern that still holds m - 1 copies of it.  The default is
         the definitional loop (a pattern rebuild and a membership query per
         atom); concrete generators override it with vectorized kernels.
         """
-        return tuple(not self.hull_contains(mu.remove(p), p) for p, _ in mu.entries)
+        return tuple(not self.hull_contains(mu.remove(p), p) for p in mu.support())
 
 
 def h_indicator(gen: HullGenerator, mu: PointPattern, x: SpacePoint) -> int:
@@ -433,8 +507,7 @@ def _sub_patterns_exhaustive(mu: PointPattern) -> list[PointPattern]:
 
 
 def _sub_pattern_random(mu: PointPattern, rng: random.Random) -> PointPattern:
-    counts = {p: rng.randint(0, m) for p, m in mu.entries}
-    return PointPattern.from_counts(counts)
+    return mu.with_mults([rng.randint(0, m) for m in mu.mults])
 
 
 def _random_psi(probes: Sequence[SpacePoint], rng: random.Random) -> PointPattern:

@@ -16,6 +16,16 @@ def _with_duplicates(pts: list[SpacePoint], rng: random.Random) -> list[SpacePoi
     return pts
 
 
+def _corpus(count: int, max_points: int, seed: int, draw, draw_probe):
+    """``count`` patterns of up to ``max_points`` draws (some with a duplicate), and 32 probes."""
+    rng = random.Random(seed)
+    pats = []
+    for _ in range(count):
+        pts = [draw(rng) for _ in range(rng.randint(0, max_points))]
+        pats.append(PointPattern.from_points(_with_duplicates(pts, rng)))
+    return pats, [draw_probe(rng) for _ in range(32)]
+
+
 def euclid_corpus(
     dim: int,
     count: int,
@@ -24,54 +34,30 @@ def euclid_corpus(
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> tuple[list[PointPattern], list[SpacePoint]]:
-    rng = random.Random(seed)
-    pats = []
-    for _ in range(count):
-        k = rng.randint(0, max_points)
-        pts = [euclid(*[rng.uniform(lo, hi) for _ in range(dim)]) for _ in range(k)]
-        pats.append(PointPattern.from_points(_with_duplicates(pts, rng)))
+    def box(a, b):
+        return lambda rng: euclid(*[rng.uniform(a, b) for _ in range(dim)])
+
     pad = 0.2 * (hi - lo)
-    probes = [
-        euclid(*[rng.uniform(lo - pad, hi + pad) for _ in range(dim)]) for _ in range(32)
-    ]
-    return pats, probes
+    return _corpus(count, max_points, seed, box(lo, hi), box(lo - pad, hi + pad))
 
 
 def param_corpus(
     dim: int, count: int, max_points: int, seed: int
 ) -> tuple[list[PointPattern], list[SpacePoint]]:
-    rng = random.Random(seed)
-    pats = []
-    for _ in range(count):
-        k = rng.randint(0, max_points)
-        pts = [
-            param(tuple(rng.uniform(0, 1) for _ in range(dim)), rng.uniform(0, 1))
-            for _ in range(k)
-        ]
-        pats.append(PointPattern.from_points(_with_duplicates(pts, rng)))
-    probes = [
-        param(tuple(rng.uniform(-0.2, 1.2) for _ in range(dim)), rng.uniform(-0.5, 1.2))
-        for _ in range(32)
-    ]
-    return pats, probes
+    def box(a, b, u_lo):
+        return lambda rng: param(tuple(rng.uniform(a, b) for _ in range(dim)),
+                                 rng.uniform(u_lo, b))
+
+    return _corpus(count, max_points, seed, box(0, 1, 0), box(-0.2, 1.2, -0.5))
 
 
 def line_corpus(
     count: int, max_points: int, seed: int, window: float
 ) -> tuple[list[PointPattern], list[SpacePoint]]:
-    rng = random.Random(seed)
-    pats = []
-    for _ in range(count):
-        k = rng.randint(0, max_points)
-        pts = [
-            line(rng.uniform(0, 2 * math.pi), rng.uniform(0, 1.2 * window))
-            for _ in range(k)
-        ]
-        pats.append(PointPattern.from_points(_with_duplicates(pts, rng)))
-    probes = [
-        line(rng.uniform(0, 2 * math.pi), rng.uniform(0, 1.3 * window)) for _ in range(32)
-    ]
-    return pats, probes
+    def band(reach):
+        return lambda rng: line(rng.uniform(0, 2 * math.pi), rng.uniform(0, reach * window))
+
+    return _corpus(count, max_points, seed, band(1.2), band(1.3))
 
 
 @dataclass(frozen=True)
@@ -86,8 +72,8 @@ class LexDropGen(HullGenerator):
         object.__setattr__(self, "space_tag", ("euclid", 2))
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        first = min(mu.support(), key=lambda p: p.coords)
-        return tuple(p != first for p in mu.support())
+        # rows are in lexicographic order, so the first one is dropped
+        return (False,) + (True,) * (len(mu.rows) - 1)
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         return self.hull_contains_definitional(mu, x)

@@ -208,7 +208,7 @@ def hull_estimate(
 ) -> HullEstimate:
     """Unbiased estimate of int f d(lambda): hull integral + boundary f-sum."""
     mask, mass, h_term = _evaluate(gen, model, f, mu)
-    bd = [e for e, keep in zip(mu.entries, mask) if keep]
+    bd = mu.entries_where(mask)
     b_term = 0.0
     var_est = 0.0
     for p, m in bd:
@@ -247,9 +247,8 @@ def ks_error(
     """
     gen.check_pattern(mu)
     atom_sum = 0.0
-    for (p, m), h in zip(mu.entries, gen.survival_mask(mu)):
-        if h:
-            atom_sum += m * f.value(p)
+    for p, m in mu.entries_where(gen.survival_mask(mu)):
+        atom_sum += m * f.value(p)
     h_term = hull_integral(gen, model, f, mu) if hull_term is None else hull_term
     return atom_sum - (f_true - h_term)
 
@@ -277,25 +276,16 @@ def hull_estimate_k(
         raise ConfigurationError("order k must be >= 1")
     if pair_factor is not None and k != 2:
         raise ConfigurationError("product-form estimators support k = 2 only")
-    mask, lam, a = _evaluate(gen, model, pair_factor, mu)
-    bd = [e for e, keep in zip(mu.entries, mask) if keep]
-
-    if pair_factor is None:
-        m_count = sum(m for _, m in bd)
-        total = 0.0
-        for i in range(k + 1):
-            falling = 1.0
-            for j in range(k - i):
-                falling *= m_count - j
-                if falling == 0.0:
-                    break
-            total += math.comb(k, i) * lam**i * falling
-        return total
-
-    b = 0.0
-    diag = 0.0
-    for p, m in bd:
-        gv = pair_factor.value(p)
-        b += m * gv
-        diag += m * gv * gv
-    return a * a + 2.0 * a * b + (b * b - diag)
+    est = hull_estimate(gen, model, pair_factor or Constant(1.0), mu)
+    if pair_factor is not None:
+        a, b = est.hull_term, est.boundary_term
+        return a * a + 2.0 * a * b + (b * b - est.variance_estimate)
+    total = 0.0
+    for i in range(k + 1):
+        falling = 1.0
+        for j in range(k - i):
+            falling *= est.boundary_count - j
+            if falling == 0.0:
+                break
+        total += math.comb(k, i) * est.hull_mass**i * falling
+    return total

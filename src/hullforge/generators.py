@@ -1,7 +1,9 @@
 """Concrete hull generators, their geometry kernels and the exact hull integrals.
 
 Each generator implements the primitive ``boundary_mask`` (one bool per
-support atom) and the membership predicate ``hull_contains``; the thinning
+support atom) and the membership predicate ``hull_contains``.  Kernels read
+a pattern's coordinate rows (``mu.rows``) or its ``mu.coords`` array; the
+thinning
 map ``boundary`` is derived from the mask in ``core``.  The two are kept
 mutually consistent so that the definitional identity ``hull_contains(mu, x)
 == (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull as _SciPyHull
@@ -169,29 +173,66 @@ def convex_hull_vertices(points: Sequence[Sequence[float]]) -> list[int]:
 
 
 def _extreme_points(distinct: list[tuple], dim: int) -> list[tuple]:
-    if len(distinct) <= 2:
-        return list(distinct)
     if dim == 2:
-        return _extreme_2d(distinct)
-    coords = np.asarray(distinct, dtype=float)
-    scale = _coord_scale(distinct)
-    rank, c, basis = _affine_rank(coords, EPS_GEOM * scale)
-    if rank == 3:
-        try:
-            hull = _SciPyHull(coords)
-        except QhullError:
-            rank, basis = 2, basis[:2]  # numerically flat; use the planar path
+        return list(distinct) if len(distinct) <= 2 else _extreme_2d(distinct)
+    return _Solid(distinct).ext
+
+
+class _Solid:
+    """The convex hull of distinct points of R^3, from one affine-rank pass.
+
+    At full rank qhull runs once, and the extreme points, the facet
+    equations and the volume all come from that one build; a flat set is
+    handled in its affine span.  The rank tolerance is relative to the
+    points' own scale.
+    """
+
+    def __init__(self, distinct: list[tuple]):
+        self.scale = _coord_scale(distinct)
+        coords = np.asarray(distinct, dtype=float)
+        self.rank, self.c, self.basis = _affine_rank(coords, EPS_GEOM * self.scale)
+        self.qhull, self.volume = None, 0.0
+        if self.rank == 3:
+            try:
+                self.qhull = _SciPyHull(coords)
+            except QhullError:
+                self.rank, self.basis = 2, self.basis[:2]  # numerically flat; use the planar path
+            else:
+                self.volume = float(self.qhull.volume)
+        self.proj = (coords - self.c) @ self.basis.T
+        if self.rank == 2:
+            self.flat = _extreme_2d([tuple(p) for p in self.proj])
+        if len(distinct) <= 2:
+            self.ext = list(distinct)
+        elif self.rank == 0:
+            self.ext = [distinct[0]]
+        elif self.qhull is not None:
+            self.ext = [distinct[i] for i in self.qhull.vertices]
+        elif self.rank == 1:
+            t = self.proj[:, 0]
+            self.ext = [distinct[int(np.argmin(t))], distinct[int(np.argmax(t))]]
         else:
-            return [distinct[i] for i in hull.vertices]
-    if rank == 0:
-        return [distinct[0]]
-    proj = (coords - c) @ basis.T
-    if rank == 1:
-        t = proj[:, 0]
-        return [distinct[int(np.argmin(t))], distinct[int(np.argmax(t))]]
-    flat = _extreme_2d([tuple(p) for p in proj])
-    back = {tuple(p): distinct[i] for i, p in enumerate(proj)}
-    return [back[p] for p in flat]
+            back = {tuple(p): distinct[i] for i, p in enumerate(self.proj)}
+            self.ext = [back[p] for p in self.flat]
+
+    def contains(self, q: tuple) -> bool:
+        """Is q in the hull, widened by EPS_GEOM at the scale of the points and q?"""
+        tol = EPS_GEOM * max(self.scale, _coord_scale([q]))
+        qv = np.asarray(q, dtype=float)
+        if self.qhull is not None:
+            eq = self.qhull.equations
+            return bool(np.all(eq[:, :3] @ qv + eq[:, 3] <= tol))
+        if self.rank == 0:
+            return False
+        resid = qv - self.c
+        off = resid - self.basis.T @ (self.basis @ resid)
+        if np.linalg.norm(off) > tol:
+            return False
+        qp = self.basis @ resid
+        if self.rank == 1:
+            t = self.proj[:, 0]
+            return float(t.min()) - tol <= qp[0] <= float(t.max()) + tol
+        return _point_in_polygon(self.flat, tuple(qp))
 
 
 @dataclass(frozen=True)
@@ -208,56 +249,31 @@ class ConvexHullGen(HullGenerator):
             raise ConfigurationError("convex hull generator supports d in {2, 3}")
         object.__setattr__(self, "space_tag", ("euclid", self.dim))
 
-    def _extreme(self, mu: PointPattern) -> tuple[tuple[bool, ...], list[tuple]]:
-        """(vertex mask in support order, extreme points; a CCW polygon in the plane)."""
-        coords = [p.coords for p in mu.support()]
-        ext = _extreme_points(coords, self.dim)
+    def _extreme(self, mu: PointPattern) -> tuple[tuple[bool, ...], list[tuple], _Solid | None]:
+        """(vertex mask in support order, extreme points, the 3-D hull or None).
+
+        In the plane the extreme points are a CCW polygon.
+        """
+        rows = list(mu.rows)
+        solid = _Solid(rows) if self.dim == 3 else None
+        ext = solid.ext if solid else _extreme_points(rows, 2)
         keep = set(ext)
-        return tuple(c in keep for c in coords), ext
+        return tuple(r in keep for r in rows), ext, solid
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         return self._extreme(mu)[0]
 
+    @staticmethod
+    def _membership(ext: list[tuple], solid: _Solid | None) -> Callable[[tuple], bool]:
+        """Hull membership of a coordinate row, vertices excluded, from ``_extreme``'s output."""
+        inside = solid.contains if solid else partial(_point_in_polygon, ext)
+        vertices = set(ext)
+        return lambda q: q not in vertices and inside(q)
+
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
         self.check_point(x)
-        if mu.is_empty:
-            return False
-        distinct = list(dict.fromkeys(p.coords for p in mu.support()))
-        ext = _extreme_points(distinct, self.dim)
-        if x.coords in set(ext):
-            return False
-        if self.dim == 2:
-            return _point_in_polygon(ext, x.coords)
-        return self._contains_3d(distinct, ext, x.coords)
-
-    def _contains_3d(self, distinct, ext, q) -> bool:
-        coords = np.asarray(distinct, dtype=float)
-        scale = max(_coord_scale(distinct), _coord_scale([q]))
-        tol = EPS_GEOM * scale
-        rank, c, basis = _affine_rank(coords, EPS_GEOM * scale)
-        qv = np.asarray(q, dtype=float)
-        if rank == 3:
-            try:
-                hull = _SciPyHull(coords)
-            except QhullError:
-                rank, basis = 2, basis[:2]
-            else:
-                eq = hull.equations
-                return bool(np.all(eq[:, :3] @ qv + eq[:, 3] <= tol))
-        if rank == 0:
-            return False
-        resid = qv - c
-        off = resid - basis.T @ (basis @ resid)
-        if np.linalg.norm(off) > tol:
-            return False
-        proj = (coords - c) @ basis.T
-        qp = basis @ resid
-        if rank == 1:
-            t = proj[:, 0]
-            return float(t.min()) - tol <= qp[0] <= float(t.max()) + tol
-        flat = _extreme_2d([tuple(p) for p in proj])
-        return _point_in_polygon(flat, tuple(qp))
+        return not mu.is_empty and self._membership(*self._extreme(mu)[1:])(x.coords)
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators; planar patterns use the angular-gap kernel.
@@ -269,22 +285,15 @@ class ConvexHullGen(HullGenerator):
         if self.dim != 2:
             return super().survival_mask(mu)
         self.check_pattern(mu)
-        pts = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, 2)
-        return tuple(_outside_others_2d(pts).tolist())
+        return tuple(_outside_others_2d(mu.coords.reshape(-1, 2)).tolist())
 
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
         if mu.is_empty:
             return [False] * len(points)
-        if self.dim != 2:
-            return [self.hull_contains(mu, p) for p in points]
-        distinct = list(dict.fromkeys(p.coords for p in mu.support()))
-        ext = _extreme_points(distinct, self.dim)
-        ext_set = set(ext)
-        if len(ext) < 3:
-            return [
-                (p.coords not in ext_set) and _point_in_polygon(ext, p.coords)
-                for p in points
-            ]
+        _, ext, solid = self._extreme(mu)
+        if solid or len(ext) < 3:
+            inside = self._membership(ext, solid)
+            return [inside(p.coords) for p in points]
         poly = np.asarray(ext)
         edges = np.roll(poly, -1, axis=0) - poly
         q = np.asarray([p.coords for p in points], dtype=float)
@@ -293,9 +302,8 @@ class ConvexHullGen(HullGenerator):
         rel = q[:, None, :] - poly[None, :, :]
         cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
         inside = np.all(cross >= -tol, axis=1)
-        return [
-            bool(ins) and (p.coords not in ext_set) for ins, p in zip(inside, points)
-        ]
+        vertices = set(ext)
+        return [bool(ins) and (p.coords not in vertices) for ins, p in zip(inside, points)]
 
 
 def _polygon_area(poly) -> float:
@@ -309,29 +317,8 @@ def _polygon_area(poly) -> float:
     return 0.5 * s
 
 
-def _volume_3d(mu: PointPattern) -> float:
-    """Lebesgue volume of the hull of a 3-D pattern; 0 when it is flat."""
-    distinct = [p.coords for p in mu.support()]
-    coords = np.asarray(distinct, dtype=float)
-    rank, _, _ = _affine_rank(coords, EPS_GEOM * _coord_scale(distinct))
-    if rank < 3:
-        return 0.0
-    try:
-        return float(_SciPyHull(coords).volume)
-    except QhullError:
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # coordinatewise-minimum generator (planar)
-
-
-def _lex_xy(p: EuclidPoint):
-    return (p.coords[0], p.coords[1])
-
-
-def _lex_yx(p: EuclidPoint):
-    return (p.coords[1], p.coords[0])
 
 
 @dataclass(frozen=True)
@@ -345,21 +332,25 @@ class CoordMinGen(HullGenerator):
     def __post_init__(self) -> None:
         object.__setattr__(self, "space_tag", ("euclid", 2))
 
-    def _argmins(self, mu: PointPattern):
-        support = mu.support()
-        return min(support, key=_lex_xy), min(support, key=_lex_yx)
+    def _argmins(self, mu: PointPattern) -> tuple[tuple, tuple]:
+        """The rows of the (x, y)- and the (y, x)-lexicographic minimum.
+
+        Rows are in (x, y) order, so the first row is the former.
+        """
+        return mu.rows[0], min(mu.rows, key=lambda r: (r[1], r[0]))
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         keep = set(self._argmins(mu))
-        return tuple(p in keep for p in mu.support())
+        return tuple(r in keep for r in mu.rows)
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
         self.check_point(x)
         if mu.is_empty:
             return False
-        p1, p2 = self._argmins(mu)
-        return _lex_xy(x) > _lex_xy(p1) and _lex_yx(x) > _lex_yx(p2)
+        (ax, ay), (bx, by) = self._argmins(mu)
+        qx, qy = x.coords
+        return (qx, qy) > (ax, ay) and (qy, qx) > (by, bx)
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators: the (x, y)- and (y, x)-lexicographic minima.
@@ -368,7 +359,7 @@ class CoordMinGen(HullGenerator):
         multiplicity.  The minima come from ``np.lexsort``, not ``_argmins``.
         """
         self.check_pattern(mu)
-        x = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, 2)
+        x = mu.coords.reshape(-1, 2)
         alone = np.zeros(len(x), dtype=bool)
         if len(x):
             alone[np.lexsort((x[:, 1], x[:, 0]))[0]] = True  # primary key x, then y
@@ -396,30 +387,25 @@ class ParetoGen(HullGenerator):
             raise ConfigurationError("pareto generator supports d in 1..3")
         object.__setattr__(self, "space_tag", ("euclid", self.dim))
 
-    @staticmethod
-    def _leq(p: SpacePoint, q: SpacePoint) -> bool:
-        return all(a <= b for a, b in zip(p.coords, q.coords))
-
-    def _minimal(self, mu: PointPattern) -> set[SpacePoint]:
-        support = mu.support()
-        out = set()
-        for p in support:
-            if not any(q != p and self._leq(q, p) for q in support):
-                out.add(p)
-        return out
+    def _minimal(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Per row: is no other row coordinatewise <= it?"""
+        rows = mu.rows
+        return tuple(
+            not any(q != r and all(a <= b for a, b in zip(q, r)) for q in rows) for r in rows
+        )
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        minimal = self._minimal(mu)
-        return tuple(p in minimal for p in mu.support())
+        return self._minimal(mu)
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
         self.check_point(x)
         if mu.is_empty:
             return False
-        if x in self._minimal(mu):
+        q = x.coords
+        if q in set(compress(mu.rows, self._minimal(mu))):
             return False
-        return any(self._leq(p, x) for p in mu.support())
+        return any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from a domination matrix.
@@ -428,7 +414,7 @@ class ParetoGen(HullGenerator):
         (copies of z do not count).  In 1-D that is the minimum atom alone.
         """
         self.check_pattern(mu)
-        x = np.asarray([p.coords for p in mu.support()], dtype=float).reshape(-1, self.dim)
+        x = mu.coords.reshape(-1, self.dim)
         if self.dim == 1:
             alone = x[:, 0] == x[:, 0].min(initial=math.inf)
         else:
@@ -462,11 +448,6 @@ class EnvelopeGen(HullGenerator):
             raise ConfigurationError("envelope generator supports base d in {1, 2}")
         object.__setattr__(self, "space_tag", ("param", self.dim))
 
-    def _arrays(self, mu: PointPattern):
-        sites = np.asarray([p.site for p in mu.support()], dtype=float)
-        levels = np.asarray([p.level for p in mu.support()], dtype=float)
-        return sites, levels
-
     def kernel_values(
         self, sites: np.ndarray, levels: np.ndarray, query: np.ndarray
     ) -> np.ndarray:
@@ -484,7 +465,7 @@ class EnvelopeGen(HullGenerator):
         """Envelope values on query sites; -inf where the pattern is empty."""
         if mu.is_empty:
             return np.full(len(query), -np.inf)
-        sites, levels = self._arrays(mu)
+        sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
             return self._envelope_line(sites[:, 0], levels, query[:, 0])
         return self.kernel_values(sites, levels, query).max(axis=1)
@@ -494,11 +475,8 @@ class EnvelopeGen(HullGenerator):
 
         For sites left of a query the cone value is (u + R s) - R q, right of
         it (u - R s) + R q, so prefix/suffix maxima of the two transforms give
-        the envelope exactly.
+        the envelope exactly.  The sites are sorted, as a pattern's rows are.
         """
-        order = np.argsort(s, kind="stable")
-        s = s[order]
-        u = u[order]
         rise = np.maximum.accumulate(u + self.env_const * s)
         fall = np.maximum.accumulate((u - self.env_const * s)[::-1])[::-1]
         idx = np.searchsorted(s, q, side="right")
@@ -515,11 +493,10 @@ class EnvelopeGen(HullGenerator):
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom: does removing all its copies change the envelope?"""
-        sites, levels = self._arrays(mu)
+        sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
-            s = sites[:, 0]
-            order = np.argsort(s, kind="stable")
-            ss, uu = s[order], levels[order]
+            # the sweeps of _envelope_line, each atom left out; rows come sorted by site
+            ss, uu = sites[:, 0], levels
             n = len(ss)
             rise = uu + self.env_const * ss
             fall = uu - self.env_const * ss
@@ -528,15 +505,12 @@ class EnvelopeGen(HullGenerator):
             if n > 1:
                 left[1:] = np.maximum.accumulate(rise[:-1])
                 right[:-1] = np.maximum.accumulate(fall[::-1])[::-1][1:]
-            others = np.maximum(left - self.env_const * ss, right + self.env_const * ss)
-            dominated_sorted = uu <= others
-            dominated = np.empty(n, dtype=bool)
-            dominated[order] = dominated_sorted
+            dominated = uu <= np.maximum(left - self.env_const * ss, right + self.env_const * ss)
         else:
             vals = self.kernel_values(sites, levels, sites)
             np.fill_diagonal(vals, -np.inf)
             dominated = levels <= vals.max(axis=1)
-        return tuple(bool(not d) for d in dominated)
+        return tuple((~dominated).tolist())
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Removing one copy leaves H at the atom equal to the all-copies test.
@@ -553,15 +527,15 @@ class EnvelopeGen(HullGenerator):
         if mu.is_empty:
             return False
         if x in mu:
-            return x not in self.boundary(mu)
+            return not self.boundary_mask(mu)[mu.rows.index(x.row)]
         return x.level <= self.envelope_value(mu, x.site)
 
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
         if mu.is_empty:
             return [False] * len(points)
-        on_boundary = dict(zip(mu.support(), self.boundary_mask(mu)))
+        on_boundary = dict(zip(mu.rows, self.boundary_mask(mu)))
         env = self.envelope_at(mu, np.asarray([p.site for p in points], dtype=float))
-        return [not on_boundary[p] if p in on_boundary else p.level <= e
+        return [not on_boundary[p.row] if p.row in on_boundary else p.level <= e
                 for p, e in zip(points, env)]
 
 
@@ -587,47 +561,31 @@ class HalfPlaneGen(HullGenerator):
             raise ConfigurationError("window radius must be positive")
         object.__setattr__(self, "space_tag", ("line",))
 
-    def _arrays(self, mu: PointPattern):
-        angs = np.asarray([p.angle for p in mu.support()], dtype=float)
-        offs = np.asarray([p.offset for p in mu.support()], dtype=float)
-        dirs = np.column_stack([np.cos(angs), np.sin(angs)])
-        return dirs, offs
-
     def _edge_mask(self, dirs: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        """Which support lines keep a positive-length edge on the clipped body."""
+        """Which support lines keep a positive-length edge on the clipped body.
+
+        Line i meets the window in the chord t in [-half_i, half_i] along its
+        direction (-sin, cos); each other line j cuts it to a_ij t <= b_ij, and
+        a line parallel to it (|a_ij| tiny) with b_ij < 0 empties it.
+        """
         W = self.window_radius
-        n = len(offs)
-        tol_len = EPS_GEOM * max(1.0, W)
-        keep = np.zeros(n, dtype=bool)
-        for i in range(n):
-            d2 = W * W - offs[i] * offs[i]
-            if d2 <= 0.0:
-                continue
-            lo, hi = -math.sqrt(d2), math.sqrt(d2)
-            si = dirs[i]
-            perp = (-si[1], si[0])
-            ok = True
-            for j in range(n):
-                if j == i:
-                    continue
-                a = dirs[j, 0] * perp[0] + dirs[j, 1] * perp[1]
-                b = offs[j] - offs[i] * (dirs[j, 0] * si[0] + dirs[j, 1] * si[1])
-                if abs(a) < 1e-14 * max(1.0, W):
-                    if b < 0.0:
-                        ok = False
-                        break
-                elif a > 0.0:
-                    hi = min(hi, b / a)
-                else:
-                    lo = max(lo, b / a)
-                if hi - lo <= tol_len:
-                    ok = False
-                    break
-            keep[i] = ok and hi - lo > tol_len
-        return keep
+        d2 = W * W - offs * offs
+        half = np.sqrt(np.maximum(d2, 0.0))
+        a = dirs[None, :, 0] * -dirs[:, None, 1] + dirs[None, :, 1] * dirs[:, None, 0]
+        b = offs[None, :] - offs[:, None] * (
+            dirs[None, :, 0] * dirs[:, None, 0] + dirs[None, :, 1] * dirs[:, None, 1])
+        other = ~np.eye(len(offs), dtype=bool)
+        par = np.abs(a) < 1e-14 * max(1.0, W)
+        with np.errstate(all="ignore"):  # parallel pairs divide by ~0; they are masked out
+            cut = b / a
+        up = np.where(other & ~par & (a > 0.0), cut, np.inf).min(axis=1, initial=np.inf)
+        down = np.where(other & ~par & (a < 0.0), cut, -np.inf).max(axis=1, initial=-np.inf)
+        blocked = (other & par & (b < 0.0)).any(axis=1)
+        length = np.minimum(half, up) - np.maximum(-half, down)
+        return (d2 > 0.0) & ~blocked & (length > EPS_GEOM * max(1.0, W))
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        return tuple(self._edge_mask(*self._arrays(mu)).tolist())
+        return tuple(self._edge_mask(_normals(mu), mu.coords[:, 1]).tolist())
 
     def _feasible_vertices(self, dirs: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """Corner candidates of the clipped body (always includes the origin)."""
@@ -662,7 +620,7 @@ class HalfPlaneGen(HullGenerator):
         S = np.column_stack([np.cos(angles), np.sin(angles)])
         if mu.is_empty:
             return np.full(len(angles), W)
-        dirs, offs = self._arrays(mu)
+        dirs, offs = _normals(mu), mu.coords[:, 1]
         verts = self._feasible_vertices(dirs, offs)
         h = (verts @ S.T).max(axis=0)
         arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
@@ -672,15 +630,22 @@ class HalfPlaneGen(HullGenerator):
         self.check_pattern(mu)
         self.check_point(x)
         if x in mu:
-            return x not in self.boundary(mu)
+            return not self.boundary_mask(mu)[mu.rows.index(x.row)]
         h = self.hull_support(mu, np.asarray([x.angle]))[0]
         return x.offset >= h
 
     def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
-        on_boundary = dict(zip(mu.support(), self.boundary_mask(mu)))
+        on_boundary = dict(zip(mu.rows, self.boundary_mask(mu))) if mu.rows else {}
         h = self.hull_support(mu, np.asarray([p.angle for p in points]))
-        return [not on_boundary[p] if p in on_boundary else p.offset >= hv
+        return [not on_boundary[p.row] if p.row in on_boundary else p.offset >= hv
                 for p, hv in zip(points, h)]
+
+
+def _normals(mu: PointPattern) -> np.ndarray:
+    """Unit normals (cos, sin) of the angles of a line pattern, one row per atom."""
+    angs = mu.coords[:, 0]
+    return np.column_stack([np.cos(angs), np.sin(angs)])
+
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +690,14 @@ class DiskHullGen(HullGenerator):
         return hi - lo > EPS_GEOM
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        support = [p.coords for p in mu.support()]
-        return tuple(self._separable(q, [c for c in support if c != q]) for q in support)
+        rows = mu.rows
+        return tuple(self._separable(q, [r for r in rows if r != q]) for q in rows)
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         self.check_pattern(mu)
         self.check_point(x)
-        support = [p.coords for p in mu.support()]
-        others = [c for c in support if c != x.coords]
-        return not self._separable(x.coords, others)
+        q = x.coords
+        return not self._separable(q, [r for r in mu.rows if r != q])
 
     def hull_area(self, ext: Sequence[tuple[float, float]]) -> float:
         """Area of conv(disk U ext) for the extreme points ext, by walking segments and arcs."""
@@ -789,11 +753,6 @@ def _constants_only(gen: HullGenerator, f) -> None:
         )
 
 
-def _kept(mu: PointPattern, mask: tuple[bool, ...]) -> list[tuple[float, ...]]:
-    """Coordinates of the masked atoms, in support order."""
-    return [p.coords for p, keep in zip(mu.support(), mask) if keep]
-
-
 # Gauss degree-5 rule on the reference triangle (weights sum to 1).
 _TRI_W = np.array([0.225] + [0.13239415278850618] * 3 + [0.12593918054482715] * 3)
 _A1, _B1 = 0.059715871789769820, 0.47014206410511508
@@ -829,9 +788,9 @@ def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
 def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern):
     if gen.dim != 2 and f is not None:
         raise ConfigurationError("weighted convex hull integrals support d = 2 only")
-    mask, poly = gen._extreme(mu)
+    mask, poly, solid = gen._extreme(mu)
     # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
-    mass = model.rate * (_polygon_area(poly) if gen.dim == 2 else _volume_3d(mu))
+    mass = model.rate * (solid.volume if solid else _polygon_area(poly))
     if f is None:
         return mask, mass, mass
     total = 0.0
@@ -848,7 +807,7 @@ def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern):
 def _coordmin_rule(gen: CoordMinGen, model, f, mu: PointPattern):
     _constants_only(gen, f)
     mask = gen.boundary_mask(mu)
-    minima = _kept(mu, mask)
+    minima = list(compress(mu.rows, mask))
     (lx, ly), (hx, hy) = model.lo, model.hi
     w = max(0.0, hx - max(lx, min(c[0] for c in minima)))
     h = max(0.0, hy - max(ly, min(c[1] for c in minima)))
@@ -861,7 +820,7 @@ def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern):
     if gen.dim > 2:
         raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
     mask = gen.boundary_mask(mu)
-    minimal = _kept(mu, mask)
+    minimal = list(compress(mu.rows, mask))
     if gen.dim == 1:
         mass = model.rate * max(0.0, model.hi[0] - max(model.lo[0], minimal[0][0]))
     else:
@@ -875,7 +834,7 @@ def _pareto_halfline_rule(gen: ParetoGen, model, f, mu: PointPattern):
     if gen.dim != 1:
         raise ConfigurationError("half-line hull integrals need a 1-D pareto generator")
     mask = gen.boundary_mask(mu)
-    zeta = _kept(mu, mask)[0][0]  # in 1-D the one minimal atom is the minimum
+    zeta = next(compress(mu.rows, mask))[0]  # in 1-D the one minimal atom is the minimum
     return mask, math.nan, model.rate * f.tail_integral(zeta)
 
 
@@ -907,7 +866,7 @@ def _annulus_rule(gen: DiskHullGen, model, f, mu: PointPattern):
     if abs(model.r_inner - gen.anchor_radius) > EPS_GEOM:
         raise ConfigurationError("annulus inner radius must match the anchor disk")
     mask = gen.boundary_mask(mu)
-    mass = model.rate * (gen.hull_area(_kept(mu, mask)) - math.pi * gen.anchor_radius**2)
+    mass = model.rate * (gen.hull_area(list(compress(mu.rows, mask))) - math.pi * gen.anchor_radius**2)
     return mask, mass, mass
 
 

@@ -375,7 +375,7 @@ class MarkovReport:
 def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
     """(interior count, interior f-sum, hull mass); the interior is the atoms off the mask."""
     mask, mass, _ = generators.evaluate(gen, model, None, pattern)
-    interior = [(p, m) for (p, m), keep in zip(pattern.entries, mask) if not keep]
+    interior = pattern.entries_where(not keep for keep in mask)
     fsum = sum(m * f.value(p) for p, m in interior)
     return float(sum(m for _, m in interior)), float(fsum), mass
 

@@ -4,6 +4,12 @@ Every sampler is a pure function of an :class:`RngStream` value, so a fixed
 (model, base seed, stream index) triple reproduces the same pattern bit for
 bit on any machine and under any degree of parallelism.  The harness assigns
 one stream per replication.
+
+The sampler primitive of each model is ``sample_coords``: n i.i.d. draws as an
+(n, k) array of coordinate rows in its ``space_tag``.  The base class turns
+those rows into a pattern (``sample_pattern``, through
+``PointPattern.from_array``) or into point objects (``sample_points``), so no
+model builds points itself.
 """
 
 from __future__ import annotations
@@ -17,11 +23,10 @@ import numpy as np
 from .core import (
     ConfigurationError,
     DomainError,
-    EuclidPoint,
-    LinePoint,
-    ParamPoint,
     PointPattern,
     SpacePoint,
+    checked_rows,
+    point_from_row,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -70,18 +75,30 @@ class IntensityModel:
     """Region + density + total mass; drives sampling and hull integrals."""
 
     rate: float
+    #: ground space of the sampled rows
+    space_tag: tuple
 
     @property
     def total_mass(self) -> float:
         raise NotImplementedError
 
-    def sample_points(self, n: int, rng: np.random.Generator) -> list[SpacePoint]:
-        """n i.i.d. draws from the normalized intensity."""
+    def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. draws from the normalized intensity, as (n, k) coordinate rows."""
         raise NotImplementedError
+
+    def sample_points(self, n: int, rng: np.random.Generator) -> list[SpacePoint]:
+        """The draws of ``sample_coords`` as point objects, in draw order."""
+        rows = checked_rows(self.space_tag, self.sample_coords(n, rng))
+        return [point_from_row(self.space_tag, r) for r in rows]
 
     def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
         n = int(rng.poisson(self.total_mass))
-        return PointPattern.from_points(self.sample_points(n, rng))
+        return PointPattern.from_array(self.space_tag, self.sample_coords(n, rng))
+
+
+def _unit_circle(ang: np.ndarray) -> np.ndarray:
+    """Rows (cos, sin) of the angles, from ``math``: libm values on every platform."""
+    return np.array([(math.cos(a), math.sin(a)) for a in ang.tolist()]).reshape(len(ang), 2)
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,10 @@ class UniformBox(IntensityModel):
         return len(self.lo)
 
     @property
+    def space_tag(self) -> tuple:
+        return ("euclid", self.dim)
+
+    @property
     def volume(self) -> float:
         return self._volume
 
@@ -113,9 +134,8 @@ class UniformBox(IntensityModel):
     def total_mass(self) -> float:
         return self._mass
 
-    def sample_points(self, n, rng):
-        pts = rng.uniform(self.lo, self.hi, size=(n, self.dim))
-        return [EuclidPoint(tuple(row)) for row in pts]
+    def sample_coords(self, n, rng):
+        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
 
 @dataclass(frozen=True)
@@ -125,6 +145,7 @@ class UniformDisk(IntensityModel):
     center: tuple[float, float]
     radius: float
     rate: float = 1.0
+    space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
         if self.radius <= 0 or self.rate < 0:
@@ -134,14 +155,10 @@ class UniformDisk(IntensityModel):
     def total_mass(self) -> float:
         return self.rate * math.pi * self.radius**2
 
-    def sample_points(self, n, rng):
+    def sample_coords(self, n, rng):
         r = self.radius * np.sqrt(rng.uniform(size=n))
         ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        cx, cy = self.center
-        return [
-            EuclidPoint((cx + ri * math.cos(a), cy + ri * math.sin(a)))
-            for ri, a in zip(r, ang)
-        ]
+        return np.asarray(self.center, dtype=float) + r[:, None] * _unit_circle(ang)
 
 
 @dataclass(frozen=True)
@@ -150,6 +167,7 @@ class UniformPolygon(IntensityModel):
 
     vertices: tuple[tuple[float, float], ...]
     rate: float = 1.0
+    space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
@@ -168,29 +186,26 @@ class UniformPolygon(IntensityModel):
     def total_mass(self) -> float:
         return self.rate * self.area
 
-    def _contains(self, x: float, y: float) -> bool:
+    def _inside(self, pts: np.ndarray) -> np.ndarray:
+        """Per row: on the left of (or on) every edge?"""
+        x, y = pts[:, 0], pts[:, 1]
+        ok = np.ones(len(pts), dtype=bool)
         v = self.vertices
-        for i in range(len(v)):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % len(v)]
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0:
-                return False
-        return True
+        for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+            ok &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0
+        return ok
 
-    def sample_points(self, n, rng):
+    def sample_coords(self, n, rng):
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         lo = (min(xs), min(ys))
         hi = (max(xs), max(ys))
-        out: list[SpacePoint] = []
-        while len(out) < n:
-            cand = rng.uniform(lo, hi, size=(max(n - len(out), 8), 2))
-            for x, y in cand:
-                if self._contains(x, y):
-                    out.append(EuclidPoint((float(x), float(y))))
-                    if len(out) == n:
-                        break
-        return out
+        parts, have = [np.empty((0, 2))], 0
+        while have < n:  # accepted rows of each batch, until n
+            cand = rng.uniform(lo, hi, size=(max(n - have, 8), 2))
+            parts.append(cand[self._inside(cand)][: n - have])
+            have += len(parts[-1])
+        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,7 @@ class UniformAnnulus(IntensityModel):
     r_inner: float
     r_outer: float
     rate: float = 1.0
+    space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
         if not 0 <= self.r_inner < self.r_outer:
@@ -209,13 +225,11 @@ class UniformAnnulus(IntensityModel):
     def total_mass(self) -> float:
         return self.rate * math.pi * (self.r_outer**2 - self.r_inner**2)
 
-    def sample_points(self, n, rng):
+    def sample_coords(self, n, rng):
         u = rng.uniform(size=n)
         r = np.sqrt(self.r_inner**2 + u * (self.r_outer**2 - self.r_inner**2))
         ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return [
-            EuclidPoint((ri * math.cos(a), ri * math.sin(a))) for ri, a in zip(r, ang)
-        ]
+        return r[:, None] * _unit_circle(ang)
 
 
 @dataclass(frozen=True)
@@ -252,6 +266,10 @@ class HoelderBand(IntensityModel):
         return len(self.lo)
 
     @property
+    def space_tag(self) -> tuple:
+        return ("param", self.dim)
+
+    @property
     def total_mass(self) -> float:
         return self.rate * self.phi_integral
 
@@ -274,21 +292,19 @@ class HoelderBand(IntensityModel):
         cell = (ex[1] - ex[0]) * (ey[1] - ey[0])
         return np.column_stack([gx.ravel(), gy.ravel()]), cell
 
-    def sample_points(self, n, rng):
+    def sample_coords(self, n, rng):
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        out: list[SpacePoint] = []
-        while len(out) < n:
-            batch = max(2 * (n - len(out)), 16)
+        parts, have = [np.empty((0, self.dim + 1))], 0
+        while have < n:  # accepted rows of each batch, until n
+            batch = max(2 * (n - have), 16)
             s = rng.uniform(lo, hi, size=(batch, self.dim))
             p = self.phi_at(s)
             accept = rng.uniform(0.0, self.phi_sup, size=batch) < p
             u = rng.uniform(size=batch) * p
-            kept_s = s[accept]
-            kept_u = u[accept]
-            for site, ui in zip(kept_s[: n - len(out)], kept_u[: n - len(out)]):
-                out.append(ParamPoint(tuple(site), float(ui)))
-        return out
+            parts.append(np.column_stack([s[accept], u[accept]])[: n - have])
+            have += len(parts[-1])
+        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -303,6 +319,7 @@ class LinesBand(IntensityModel):
     h_inner: float
     h_outer: float
     rate: float = 1.0
+    space_tag = ("line",)
 
     def __post_init__(self) -> None:
         if not 0 <= self.h_inner < self.h_outer:
@@ -316,10 +333,10 @@ class LinesBand(IntensityModel):
     def total_mass(self) -> float:
         return self.rate * 2.0 * math.pi * self.gap
 
-    def sample_points(self, n, rng):
+    def sample_coords(self, n, rng):
         ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
         u = rng.uniform(self.h_inner, self.h_outer, size=n)
-        return [LinePoint(float(a), float(ui)) for a, ui in zip(ang, u)]
+        return np.column_stack([ang, u])
 
 
 @dataclass(frozen=True)
@@ -334,6 +351,7 @@ class HalfLine(IntensityModel):
     start: float
     rate: float = 1.0
     horizon: float = 50.0
+    space_tag = ("euclid", 1)
 
     def __post_init__(self) -> None:
         if self.rate <= 0 or self.horizon <= 0:
@@ -344,21 +362,20 @@ class HalfLine(IntensityModel):
         # mass of the simulated (truncated) window
         return self.rate * self.horizon
 
-    def sample_points(self, n, rng):
-        xs = self.start + rng.uniform(0.0, self.horizon, size=n)
-        return [EuclidPoint((float(x),)) for x in xs]
+    def sample_coords(self, n, rng):
+        return (self.start + rng.uniform(0.0, self.horizon, size=n))[:, None]
 
     def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
         # exponential gaps, i.e. a unit-rate renewal construction
         end = self.start + self.horizon
-        pts = []
+        xs = []
         x = self.start
         while True:
             x += rng.exponential(1.0 / self.rate)
             if x > end:
                 break
-            pts.append(EuclidPoint((float(x),)))
-        return PointPattern.from_points(pts)
+            xs.append(x)
+        return PointPattern.from_array(self.space_tag, np.array(xs, dtype=float)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +398,5 @@ def trimmed_resample(model, gen, observed: PointPattern, stream: RngStream) -> P
     fresh = sample_poisson(model, stream)
     if fresh.is_empty:
         return fresh
-    support = [p for p, _ in fresh.entries]
-    mask = gen.hull_contains_many(observed, support)
-    counts = {p: m for (p, m), keep in zip(fresh.entries, mask) if keep}
-    return PointPattern.from_counts(counts)
+    mask = gen.hull_contains_many(observed, fresh.support())
+    return fresh.with_mults(m if keep else 0 for m, keep in zip(fresh.mults, mask))

@@ -144,6 +144,16 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                            "seed": "s"}, id="seed-s"),
     pytest.param("axioms", {"generators": ["coordmin"], "patterns": "many"},
                  id="patterns-many"),
+    pytest.param("axioms", {"generators": 5}, id="generators-number"),
+    pytest.param("axioms", {"generators": [["convex2"]]}, id="generators-nested-list"),
+    pytest.param("axioms", {"generators": ["coordmin"], "max_points": -2},
+                 id="max_points-negative"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": -5}, id="patterns-negative"),
+    *[pytest.param(command, {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
+                             "slope_band": band}, id=f"{command}-slope_band-{name}")
+      for command in ("clt", "rates")
+      for name, band in (("one", [0.1]), ("number", 5), ("strings", ["a", "b"]),
+                         ("reversed", [0.6, 0.4]))],
 ])
 def test_bad_experiment_keys_exit_2(tmp_path, capsys, command, body):
     cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **body})

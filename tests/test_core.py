@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hullforge import (
     first_difference_h,
     h_indicator,
     higher_difference_h,
+    line,
     param,
 )
 from hullforge.core import (
@@ -55,6 +57,106 @@ def test_space_mismatch_raises_in_ops():
     mu = PointPattern.from_points([euclid(0, 0)])
     with pytest.raises(SpaceMismatchError):
         h_indicator(gen, mu, param(0.1, 0.2))
+
+
+# -- the row store ------------------------------------------------------------
+
+# small value pools, so lists repeat atoms; both zeros merge into one atom
+_VALUES = st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.5, 3.0])
+_SPACES = {
+    **{("euclid", d): st.lists(_VALUES, min_size=d, max_size=d).map(lambda c: euclid(*c))
+       for d in (1, 2, 3)},
+    **{("param", d): st.builds(param, st.lists(_VALUES, min_size=d, max_size=d), _VALUES)
+       for d in (1, 2)},
+    ("line",): st.builds(line, st.sampled_from([0.0, -0.0, 1.0, 6.0]),
+                         st.sampled_from([0.0, -0.0, 0.5, 2.0])),
+}
+
+
+def _point_key(p):
+    """The canonical atom order: lexicographic in the point's coordinates."""
+    if hasattr(p, "coords"):
+        return p.coords
+    if hasattr(p, "site"):
+        return (p.site, p.level)
+    return (p.angle, p.offset)
+
+
+def _oracle(points) -> list:
+    """(point, count) pairs in canonical order; equal points merge into the first one."""
+    return sorted(Counter(points).items(), key=lambda e: _point_key(e[0]))
+
+
+def _as_counter(mu) -> Counter:
+    assert all(m > 0 for m in mu.mults) and list(mu.rows) == sorted(set(mu.rows))
+    return Counter(dict(mu.entries))
+
+
+@st.composite
+def _space_lists(draw, n=2):
+    space = draw(st.sampled_from(sorted(_SPACES)))
+    return [draw(st.lists(_SPACES[space], max_size=6)) for _ in range(n)] + [draw(_SPACES[space])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_space_lists())
+def test_row_store_matches_point_order_and_counts(lists):
+    pts, _, _ = lists
+    mu = PointPattern.from_points(pts)
+    assert repr(mu.entries) == repr(tuple(_oracle(pts)))
+    assert mu.support() == tuple(p for p, _ in _oracle(pts))
+    if pts:
+        assert PointPattern.from_array(pts[0].space_tag, [p.row for p in pts]) == mu
+        assert mu.coords.shape == (len(mu.rows), len(pts[0].row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_space_lists(), st.integers(1, 3))
+def test_row_store_algebra_matches_counter(lists, k):
+    pa, pb, x = lists
+    a, b = PointPattern.from_points(pa), PointPattern.from_points(pb)
+    ca, cb = Counter(pa), Counter(pb)
+    assert a.multiplicity(x) == ca[x] and (x in a) == (ca[x] > 0)
+    assert _as_counter(a.add(x, k)) == ca + Counter({x: k})
+    if ca[x] >= k:
+        assert _as_counter(a.remove(x, k)) == ca - Counter({x: k})
+    else:
+        with pytest.raises(DomainError):
+            a.remove(x, k)
+    assert _as_counter(a + b) == ca + cb
+    assert (b <= a) == all(ca[p] >= m for p, m in cb.items())
+    if b <= a:
+        assert _as_counter(a - b) == ca - cb
+    else:
+        with pytest.raises(DomainError):
+            a - b
+
+
+@pytest.mark.parametrize("tag, rows", [
+    (("euclid", 2), [[0.0, 1.0], [float("nan"), 0.0]]),
+    (("euclid", 1), [[float("inf")]]),
+    (("param", 1), [[0.5, -float("inf")]]),
+    (("euclid", 2), [[0.0, 1.0, 2.0]]),
+    (("param", 2), [[0.0, 1.0]]),
+    (("euclid", 4), [[0.0, 1.0, 2.0, 3.0]]),
+    (("line",), [[1.0, 0.5], [2.0 * math.pi, 0.5]]),
+    (("line",), [[-0.1, 0.5]]),
+    (("line",), [[1.0, -1e-300]]),
+])
+def test_from_array_rejects_bad_rows(tag, rows):
+    with pytest.raises(DomainError):
+        PointPattern.from_array(tag, rows)
+
+
+def test_from_array_messages_match_the_point_constructors():
+    for build, tag, row in [(lambda: euclid(0.0, float("nan")), ("euclid", 2), [0.0, float("nan")]),
+                            (lambda: line(7.0, 1.0), ("line",), [7.0, 1.0]),
+                            (lambda: line(1.0, -2.0), ("line",), [1.0, -2.0])]:
+        with pytest.raises(DomainError) as point_error:
+            build()
+        with pytest.raises(DomainError) as array_error:
+            PointPattern.from_array(tag, [row])
+        assert str(point_error.value) == str(array_error.value)
 
 
 # -- the indicator and its difference calculus --------------------------------

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullforge import (
     ConvexHullGen,
@@ -19,6 +21,7 @@ from hullforge import (
     line,
     param,
 )
+from hullforge import generators
 from hullforge.core import ConfigurationError, check_axioms, prime_factorization_holds
 from hullforge.sampling import (
     HoelderBand,
@@ -130,6 +133,31 @@ def test_convex_membership_matches_relint_oracle(dim):
             assert got == want, (pts, q, got, want)
         for p in ext:
             assert not gen.hull_contains(mu, euclid(*p))
+
+
+def test_convex3_membership_builds_one_hull_per_call(monkeypatch):
+    # the vertex test and the facet test read one qhull build, and a batch of
+    # probes shares it
+    builds, real = [], generators._SciPyHull
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "_SciPyHull", spy)
+    gen = ConvexHullGen(3)
+    corners = [euclid(*c) for c in itertools.product((0.0, 1.0), repeat=3)]
+    mu = PointPattern.from_points(corners + [euclid(0.5, 0.5, 0.5)])
+    probes = [euclid(0.2, 0.3, 0.4), euclid(1.5, 0.5, 0.5), corners[0],
+              euclid(0.5, 0.5, 0.5), euclid(1.0, 0.5, 0.5)]
+    want = [True, False, False, True, True]
+    for probe, expect in zip(probes, want):
+        builds.clear()
+        assert gen.hull_contains(mu, probe) is expect
+        assert len(builds) == 1
+    builds.clear()
+    assert gen.hull_contains_many(mu, probes) == want
+    assert len(builds) == 1
 
 
 def test_convex_hull_mass_examples():
@@ -283,6 +311,52 @@ def test_halfplane_duplicate_lines_keep_multiplicity():
     mu = PointPattern.from_points(pts + [pts[0]])
     bd = gen.boundary(mu)
     assert bd.multiplicity(pts[0]) == 2
+
+
+def _edge_mask_loop(W, dirs, offs):
+    """The per-line clipping loop the vectorized edge mask replaced (reference)."""
+    n = len(offs)
+    tol_len = 1e-9 * max(1.0, W)
+    keep = np.zeros(n, dtype=bool)
+    for i in range(n):
+        d2 = W * W - offs[i] * offs[i]
+        if d2 <= 0.0:
+            continue
+        lo, hi = -math.sqrt(d2), math.sqrt(d2)
+        si = dirs[i]
+        perp = (-si[1], si[0])
+        ok = True
+        for j in range(n):
+            if j == i:
+                continue
+            a = dirs[j, 0] * perp[0] + dirs[j, 1] * perp[1]
+            b = offs[j] - offs[i] * (dirs[j, 0] * si[0] + dirs[j, 1] * si[1])
+            if abs(a) < 1e-14 * max(1.0, W):
+                if b < 0.0:
+                    ok = False
+                    break
+            elif a > 0.0:
+                hi = min(hi, b / a)
+            else:
+                lo = max(lo, b / a)
+            if hi - lo <= tol_len:
+                ok = False
+                break
+        keep[i] = ok and hi - lo > tol_len
+    return keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 2.0, 4.0]),
+       st.lists(st.tuples(st.sampled_from([0.0, 1.0, math.pi / 2, math.pi, 3.0, 5.5]),
+                          st.sampled_from([0.0, 0.3, 1.0, 2.0, 4.0])), min_size=1, max_size=9),
+       st.lists(st.tuples(st.floats(0.0, 6.28), st.floats(0.0, 5.0)), max_size=6))
+def test_halfplane_edge_mask_matches_loop(W, lattice, spread):
+    # parallel, coincident and tangent lines come from the lattice values
+    angs, offs = (np.array(c, dtype=float) for c in zip(*(lattice + spread)))
+    dirs = np.column_stack([np.cos(angs), np.sin(angs)])
+    got = HalfPlaneGen(window_radius=W)._edge_mask(dirs, offs)
+    assert got.tolist() == _edge_mask_loop(W, dirs, offs).tolist()
 
 
 # -- disk-anchored hull -------------------------------------------------------

@@ -6,6 +6,9 @@ the hull integrals moved into one (generator, model) pairing table; the
 three ``markov-*`` cases and ``axioms-rest`` were recorded before the boundary
 became a per-atom mask read in one geometry pass.  A refactor that claims
 "no behaviour change" is checked here byte for byte.
+The ``SAMPLER_GOLDEN`` digests hash the entries of three sampled patterns
+per intensity model; they were recorded while every sampler still built its
+point objects one by one, before patterns became coordinate-row stores.
 Regenerate a digest only with a change that means to alter that output.
 """
 
@@ -13,9 +16,22 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hullforge.cli import main
+from hullforge.montecarlo import _hoelder_band
+from hullforge.sampling import (
+    HalfLine,
+    HoelderBand,
+    LinesBand,
+    RngStream,
+    UniformAnnulus,
+    UniformBox,
+    UniformDisk,
+    UniformPolygon,
+    sample_poisson,
+)
 
 
 def _estimate(scenario, t, reps):
@@ -85,3 +101,87 @@ def run_case(tmp_path: Path, case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(tmp_path, case):
     assert run_case(tmp_path, case) == GOLDEN[case]
+
+
+def _phi_tent(sites):
+    return 1.0 - 0.5 * np.abs(sites[:, 0] - 0.5) - 0.25 * sites[:, 1]
+
+
+SAMPLER_MODELS = {
+    "box1": UniformBox((0.0,), (2.0,), rate=20.0),
+    "box2": UniformBox((0.0, -1.0), (1.0, 1.0), rate=20.0),
+    "box3": UniformBox((0.0, 0.0, 0.0), (1.0, 1.0, 2.0), rate=20.0),
+    "disk": UniformDisk((0.5, -0.25), 1.5, rate=6.0),
+    "polygon": UniformPolygon(((0.0, 0.0), (2.0, 0.0), (1.5, 1.0), (0.0, 1.5)), rate=15.0),
+    "annulus": UniformAnnulus(0.3, 1.0, rate=14.0),
+    "band1": _hoelder_band(48.0),
+    "band2": HoelderBand(lo=(0.0, 0.0), hi=(1.0, 1.0), phi=_phi_tent, phi_sup=1.0,
+                         phi_integral=0.75, holder_const=0.5, holder_exp=1.0, rate=48.0),
+    "lines": LinesBand(1.0, 2.0, rate=6.0),
+    "halfline": HalfLine(start=1.0, rate=8.0, horizon=5.0),
+}
+
+SAMPLER_GOLDEN = {
+    "box1": [
+        "02280114ba11992383a797cef80279e9c6c6b345c618f3e6eb96d679b73bf859",
+        "e40f16a28b36cfa0ad528aaa69c4818938022b14828655c3b0a7c52f318c4e09",
+        "0e38ce11ad732f5aace409e1895dec6aa35edd4c422313e3d63455d858b3430c",
+    ],
+    "box2": [
+        "a658efdfb66fad8fd84e3c8f897575ad6de19fc3669a136c407ec98a47f5c389",
+        "d54d0ae220e2ae4ee44ad64fb5f483617aac6038a427b8c41ceeda8ce80a850c",
+        "f56c9cdcaab9522bbbfef44dd03e6d91e87139c9713e9c1c202d29b79ff2890e",
+    ],
+    "box3": [
+        "6c843ce8b51642c6c4e7379e58e74eb15907d899f2b6ba6937cbd1c27c95c749",
+        "612536be48d71a1422c204ae1dce47f5bb2524bbacb1b63ca9e35bb092a14a64",
+        "7410c90bf93d98a70b149262ab0878dca5cdffbb6f8b474b9ed572ad2af23fde",
+    ],
+    "disk": [
+        "6c182aafde637ee6a18acc48c029f5cee93f1198426c2e47dfa02d31107ccf02",
+        "0f0f7dfe3acaacbf31c9cf5ecb4cfbfbf18c5ad977e842ac07d98a86ab97ca0b",
+        "ba4191bdcb88b49e063d63935198e9d825c4d9202360a73989707a54f20cb505",
+    ],
+    "polygon": [
+        "257511247181d9ce54a86ab08eb23abdbfa49b6c956e618cd9c348e0549ba292",
+        "a463e44a33740a2ad4e4fb88e3d6d89251d6a1de16448aae9762d19573c2c7c2",
+        "8a214c5aa664a86c7e45ca31949740a81c35fefa0246f3e28b643b8c58911934",
+    ],
+    "annulus": [
+        "d7bfd992f20944eea67316222bc1760de670b9bffedd3841d3e8eb5db84ea1ce",
+        "bb75e39b314b576051a14d177dce9967b557d7788c3cbde59d9862b3d463aea0",
+        "1ed78f39f93352f502f7e3cf82e4718b30da6fc7cdd95e326186d04011499b26",
+    ],
+    "band1": [
+        "88c87713fff70fc40e0d7b73002b35bb01a2cc57825a08ab227f6935c6b74749",
+        "fad5134043bcd7d6d4792f5e9f801abcbe3db98a2a817ae81dc02e9827f1ff6a",
+        "b69928a761dafe3e8e9f626bb0df09bf660b9cfd656e1c7c9c54ecff4049c336",
+    ],
+    "band2": [
+        "6b6ee1b5e2ca4fe3435cbfa1d036e60e1fb937616237dacb6eea952db5893652",
+        "bd7700956e6019ed91f1b5b9bdf01dcc70e834ca53cba1d97dd373537a9f49d0",
+        "fb778db0fb7c1738447b33d262f25cefae6cceab0ce8e821c4bdf9d4fb424271",
+    ],
+    "lines": [
+        "5ff3b5987fc541fc4a01bf11d7d5cf8070ed76b133b82993eaedda786d253a74",
+        "e76e3931155d04c4915f98fcb52809c4e07827eae2a47cbe74678ca7d732279c",
+        "35580ca44d1513ead1b2f19a5d1d4fdf13acbd7c060c1067e5aca7fa417dfb9e",
+    ],
+    "halfline": [
+        "30386725b33b10ca39673128a8d5029b066962530761e2ce7d7d0de3ec4568d4",
+        "b8d360354ebb1fcacdf15323e2b29533010bd6279dcafc5e0dcb6ab5f66dc697",
+        "fd04c5de642deb5dabb78c7695d0a29bfea6677b7b8cac784a56fd15cb5acf5a",
+    ],
+}
+
+
+def sampler_digest(name: str, seed: int) -> str:
+    """sha256 of the repr of the entries of one sampled pattern."""
+    pattern = sample_poisson(SAMPLER_MODELS[name], RngStream(seed, 7 * seed))
+    return hashlib.sha256(repr(pattern.entries).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+def test_golden_sampler_stream(name, seed):
+    assert sampler_digest(name, seed) == SAMPLER_GOLDEN[name][seed - 1]
