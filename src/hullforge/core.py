@@ -65,6 +65,8 @@ def checked_rows(space_tag: tuple, coords) -> list[tuple[float, ...]]:
         raise DomainError(f"{name} support dimension 1..3, got {space_tag[1]}")
     width = 2 if kind == "line" else space_tag[1] + (kind == "param")
     arr = np.asarray(coords, dtype=float)
+    if arr.shape == (0,):  # an empty list of rows
+        arr = arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise DomainError(f"rows of space {space_tag} have width {width}, got shape {arr.shape}")
     checks = [(arr, np.isfinite(arr), "coordinates must be finite")]

@@ -101,13 +101,12 @@ def _space_lists(draw, n=2):
 @settings(max_examples=150, deadline=None)
 @given(_space_lists())
 def test_row_store_matches_point_order_and_counts(lists):
-    pts, _, _ = lists
+    pts, _, x = lists
     mu = PointPattern.from_points(pts)
     assert repr(mu.entries) == repr(tuple(_oracle(pts)))
     assert mu.support() == tuple(p for p, _ in _oracle(pts))
-    if pts:
-        assert PointPattern.from_array(pts[0].space_tag, [p.row for p in pts]) == mu
-        assert mu.coords.shape == (len(mu.rows), len(pts[0].row))
+    assert PointPattern.from_array(x.space_tag, [p.row for p in pts]) == mu
+    assert mu.coords.shape == (len(mu.rows), len(x.row) if pts else 0)
 
 
 @settings(max_examples=200, deadline=None)
