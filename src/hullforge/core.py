@@ -323,9 +323,12 @@ def _canonical(space_tag: tuple | None, counts: dict) -> PointPattern:
 class HullGenerator(ABC):
     """Contract every concrete hull implementation fulfils.
 
-    ``boundary_mask`` is the one primitive: a bool per support atom saying
-    whether it is a boundary atom.  ``boundary`` is derived from it and must
-    be a valid generator (H1)-(H4); ``hull_contains`` must agree with the
+    Two primitives, each one geometry pass per call: ``boundary_mask``, a
+    bool per support atom saying whether it is a boundary atom, and
+    ``contains_mask``, a bool per query point saying whether it lies in the
+    hull.  ``boundary`` is derived from the first and must be a valid
+    generator (H1)-(H4); ``hull_contains`` and ``hull_contains_many`` check
+    their arguments and read the second, which must agree with the
     definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
     per-pattern call of the estimators is ``generators.evaluate``, which reads
     the mask, the hull mass and the hull integral from one geometry pass.
@@ -368,16 +371,30 @@ class HullGenerator(ABC):
         return mu.with_mults(m if keep else 0 for m, keep in zip(mu.mults, self.boundary_mask(mu)))
 
     @abstractmethod
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """Per query, in order: does adding it leave the boundary of ``mu`` unchanged?
+
+        ``mu`` (possibly empty) and every query are already checked against
+        this generator's space.  An answer depends on ``mu`` and its own
+        query alone, never on the rest of the batch.
+        """
+
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         """True iff adding x leaves the boundary unchanged."""
+        self.check_pattern(mu)
+        self.check_point(x)
+        return self.contains_mask(mu, [x])[0]
+
+    def hull_contains_many(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """``hull_contains`` of each query, from one geometry pass over ``mu``."""
+        self.check_pattern(mu)
+        for x in points:
+            self.check_point(x)
+        return self.contains_mask(mu, points)
 
     def hull_contains_definitional(self, mu: PointPattern, x: SpacePoint) -> bool:
         """Membership computed straight from the definition (slow, for checks)."""
         return self.boundary(mu.add(x)) == self.boundary(mu)
-
-    def hull_contains_many(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
-        """Batch membership; concrete generators override with vectorized kernels."""
-        return [self.hull_contains(mu, p) for p in points]
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """H_z(mu - d_z) == 1 per support atom z, in ``mu.rows`` order.
@@ -392,8 +409,6 @@ class HullGenerator(ABC):
 
 def h_indicator(gen: HullGenerator, mu: PointPattern, x: SpacePoint) -> int:
     """1 if adding x changes the boundary of mu, else 0."""
-    gen.check_pattern(mu)
-    gen.check_point(x)
     return 0 if gen.hull_contains(mu, x) else 1
 
 
@@ -593,15 +608,15 @@ def check_axioms(
         # structural facts: hull(mu) == hull(boundary(mu)); boundary is the
         # restriction of mu to the hull complement; definitional membership
         probe_slice = [probes[rng.randrange(len(probes))] for _ in range(min(4, len(probes)))]
-        for q in probe_slice:
-            ok = gen.hull_contains(mu, q) == gen.hull_contains(bd, q)
-            report.record("hull_of_boundary", ok, mu, f"q={q}")
-            ok = gen.hull_contains(mu, q) == gen.hull_contains_definitional(mu, q)
+        in_mu = gen.hull_contains_many(mu, probe_slice + list(mu.support()))
+        in_bd = gen.hull_contains_many(bd, probe_slice)
+        for q, inside, inside_bd in zip(probe_slice, in_mu, in_bd):
+            report.record("hull_of_boundary", inside == inside_bd, mu, f"q={q}")
+            ok = inside == gen.hull_contains_definitional(mu, q)
             report.record("membership_definition", ok, mu, f"q={q}")
-        for p, m in mu.entries:
-            in_bd = bd.multiplicity(p)
-            expect = 0 if gen.hull_contains(mu, p) else m
-            report.record("boundary_restriction", in_bd == expect, mu, f"x={p}")
+        for (p, m), inside in zip(mu.entries, in_mu[len(probe_slice):]):
+            expect = 0 if inside else m
+            report.record("boundary_restriction", bd.multiplicity(p) == expect, mu, f"x={p}")
 
         # two-point identity and cyclic products over probe tuples
         for _ in range(4):

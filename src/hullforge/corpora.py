@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import core, generators, montecarlo
 from .core import AxiomReport, HullGenerator, PointPattern, SpacePoint, euclid, line, param
@@ -75,15 +76,13 @@ class LexDropGen(HullGenerator):
         # rows are in lexicographic order, so the first one is dropped
         return (False,) + (True,) * (len(mu.rows) - 1)
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        return self.hull_contains_definitional(mu, x)
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        return [self.hull_contains_definitional(mu, x) for x in points]
 
 
 def _battery_chunk(args, lo: int, hi: int) -> list[AxiomReport]:
-    """The battery over patterns [lo, hi) of a rebuilt corpus, as a one-report list."""
-    name, count, max_points, seed = args
-    gen, make_corpus = GENERATOR_SUITE[name]
-    patterns, probes = make_corpus(count, max_points, seed)
+    """The battery over patterns [lo, hi) of the corpus, as a one-report list."""
+    gen, patterns, probes, seed = args
     return [core.check_axioms(gen, patterns[lo:hi], probes, seed=seed + lo)]
 
 
@@ -91,12 +90,14 @@ def run_axiom_battery(name: str, count: int, max_points: int, seed: int,
                       threads: int = 1) -> AxiomReport:
     """Axiom battery over a generator's random corpus, in chunks.
 
-    Each chunk rebuilds the corpus deterministically and checks a disjoint
-    slice with its own RNG; the chunk layout depends on ``count`` alone, so
-    merged counters do not depend on the worker count.
+    The corpus is built once; each chunk checks a disjoint slice with its
+    own RNG.  The chunk layout depends on ``count`` alone, so merged
+    counters do not depend on the worker count.
     """
     report = AxiomReport()
-    args = (name, count, max_points, seed)
+    gen, make_corpus = GENERATOR_SUITE[name]
+    patterns, probes = make_corpus(count, max_points, seed)
+    args = (gen, patterns, probes, seed)
     for part in montecarlo.replicate(_battery_chunk, args, count, threads):
         report.merge(part)
     return report

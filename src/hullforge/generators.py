@@ -1,10 +1,11 @@
 """Concrete hull generators, their geometry kernels and the exact hull integrals.
 
-Each generator implements the primitive ``boundary_mask`` (one bool per
-support atom) and the membership predicate ``hull_contains``.  Kernels read
-a pattern's coordinate rows (``mu.rows``) or its ``mu.coords`` array; the
-thinning
-map ``boundary`` is derived from the mask in ``core``.  The two are kept
+Each generator implements two primitives, each from one geometry pass per
+call: ``boundary_mask`` (one bool per support atom) and ``contains_mask``
+(one bool per query point: is it in the hull?).  Kernels read a pattern's
+coordinate rows (``mu.rows``) or its ``mu.coords`` array; the thinning map
+``boundary`` and the checked queries ``hull_contains`` and
+``hull_contains_many`` are derived in ``core``.  The two primitives are kept
 mutually consistent so that the definitional identity ``hull_contains(mu, x)
 == (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
 tolerance shells.  ``evaluate`` is the per-pattern call: one geometry pass of
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,11 +50,8 @@ def _cross(o, a, b) -> float:
 
 
 def _coord_scale(pts) -> float:
-    m = 1.0
-    for p in pts:
-        for c in p:
-            m = max(m, abs(c))
-    return m
+    """The largest absolute coordinate of the points, and at least 1."""
+    return max([1.0, *map(abs, chain.from_iterable(pts))])
 
 
 def _extreme_2d(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -263,17 +261,14 @@ class ConvexHullGen(HullGenerator):
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         return self._extreme(mu)[0]
 
-    @staticmethod
-    def _membership(ext: list[tuple], solid: _Solid | None) -> Callable[[tuple], bool]:
-        """Hull membership of a coordinate row, vertices excluded, from ``_extreme``'s output."""
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """In the closed hull, widened at the scale of the pattern and the query; no vertex."""
+        if mu.is_empty:
+            return [False] * len(points)
+        _, ext, solid = self._extreme(mu)
         inside = solid.contains if solid else partial(_point_in_polygon, ext)
         vertices = set(ext)
-        return lambda q: q not in vertices and inside(q)
-
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
-        return not mu.is_empty and self._membership(*self._extreme(mu)[1:])(x.coords)
+        return [q not in vertices and inside(q) for q in (x.coords for x in points)]
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators; planar patterns use the angular-gap kernel.
@@ -286,24 +281,6 @@ class ConvexHullGen(HullGenerator):
             return super().survival_mask(mu)
         self.check_pattern(mu)
         return tuple(_outside_others_2d(mu.coords.reshape(-1, 2)).tolist())
-
-    def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
-        if mu.is_empty:
-            return [False] * len(points)
-        _, ext, solid = self._extreme(mu)
-        if solid or len(ext) < 3:
-            inside = self._membership(ext, solid)
-            return [inside(p.coords) for p in points]
-        poly = np.asarray(ext)
-        edges = np.roll(poly, -1, axis=0) - poly
-        q = np.asarray([p.coords for p in points], dtype=float)
-        scale = max(_coord_scale(ext), float(np.abs(q).max(initial=1.0)))
-        tol = EPS_GEOM * scale**2
-        rel = q[:, None, :] - poly[None, :, :]
-        cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-        inside = np.all(cross >= -tol, axis=1)
-        vertices = set(ext)
-        return [bool(ins) and (p.coords not in vertices) for ins, p in zip(inside, points)]
 
 
 def _polygon_area(poly) -> float:
@@ -343,14 +320,13 @@ class CoordMinGen(HullGenerator):
         keep = set(self._argmins(mu))
         return tuple(r in keep for r in mu.rows)
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """Lexicographically above both minima: adding the query moves neither."""
         if mu.is_empty:
-            return False
+            return [False] * len(points)
         (ax, ay), (bx, by) = self._argmins(mu)
-        qx, qy = x.coords
-        return (qx, qy) > (ax, ay) and (qy, qx) > (by, bx)
+        return [(qx, qy) > (ax, ay) and (qy, qx) > (by, bx)
+                for qx, qy in (x.coords for x in points)]
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators: the (x, y)- and (y, x)-lexicographic minima.
@@ -397,15 +373,11 @@ class ParetoGen(HullGenerator):
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         return self._minimal(mu)
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
-        if mu.is_empty:
-            return False
-        q = x.coords
-        if q in set(compress(mu.rows, self._minimal(mu))):
-            return False
-        return any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """Coordinatewise >= some support point, and not a minimal point itself."""
+        minimal = set(compress(mu.rows, self._minimal(mu)))
+        return [q not in minimal and any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
+                for q in (x.coords for x in points)]
 
     def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from a domination matrix.
@@ -487,10 +459,6 @@ class EnvelopeGen(HullGenerator):
         )
         return np.maximum(left, right)
 
-    def envelope_value(self, mu: PointPattern, site) -> float:
-        q = np.asarray([site if hasattr(site, "__len__") else (site,)], dtype=float)
-        return float(self.envelope_at(mu, q)[0])
-
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom: does removing all its copies change the envelope?"""
         sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
@@ -521,22 +489,13 @@ class EnvelopeGen(HullGenerator):
         self.check_pattern(mu)
         return self.boundary_mask(mu) if not mu.is_empty else ()
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
-        if mu.is_empty:
-            return False
-        if x in mu:
-            return not self.boundary_mask(mu)[mu.rows.index(x.row)]
-        return x.level <= self.envelope_value(mu, x.site)
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """An atom: is it dominated?  Any other query: is it on or below the envelope?"""
 
-    def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
-        if mu.is_empty:
-            return [False] * len(points)
-        on_boundary = dict(zip(mu.rows, self.boundary_mask(mu)))
-        env = self.envelope_at(mu, np.asarray([p.site for p in points], dtype=float))
-        return [not on_boundary[p.row] if p.row in on_boundary else p.level <= e
-                for p, e in zip(points, env)]
+        def below(q: np.ndarray) -> np.ndarray:
+            return q[:, -1] <= self.envelope_at(mu, q[:, :-1])
+
+        return _split_atoms(self, mu, points, below)
 
 
 # ---------------------------------------------------------------------------
@@ -626,19 +585,13 @@ class HalfPlaneGen(HullGenerator):
         arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
         return np.where(arc_ok, W, h)
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
-        if x in mu:
-            return not self.boundary_mask(mu)[mu.rows.index(x.row)]
-        h = self.hull_support(mu, np.asarray([x.angle]))[0]
-        return x.offset >= h
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        """An atom: is it off the boundary?  Any other line: does its half-plane hold the body?"""
 
-    def hull_contains_many(self, mu: PointPattern, points) -> list[bool]:
-        on_boundary = dict(zip(mu.rows, self.boundary_mask(mu))) if mu.rows else {}
-        h = self.hull_support(mu, np.asarray([p.angle for p in points]))
-        return [not on_boundary[p.row] if p.row in on_boundary else p.offset >= hv
-                for p, hv in zip(points, h)]
+        def holds_body(q: np.ndarray) -> np.ndarray:
+            return q[:, 1] >= self.hull_support(mu, q[:, 0])
+
+        return _split_atoms(self, mu, points, holds_body)
 
 
 def _normals(mu: PointPattern) -> np.ndarray:
@@ -646,6 +599,19 @@ def _normals(mu: PointPattern) -> np.ndarray:
     angs = mu.coords[:, 0]
     return np.column_stack([np.cos(angs), np.sin(angs)])
 
+
+def _split_atoms(gen: HullGenerator, mu: PointPattern, points: Sequence[SpacePoint],
+                 off_atoms: Callable[[np.ndarray], np.ndarray]) -> list[bool]:
+    """Membership with the queries that are atoms of ``mu`` read from its boundary mask.
+
+    The other queries go to ``off_atoms`` as the rows of one array, in one
+    call; the mask is computed only when some query is an atom.
+    """
+    at = [mu.rows.index(x.row) if x in mu else None for x in points]
+    mask = gen.boundary_mask(mu) if any(i is not None for i in at) else ()
+    rest = np.array([x.row for x, i in zip(points, at) if i is None], dtype=float)
+    answers = iter(off_atoms(rest).tolist() if len(rest) else [])
+    return [next(answers) if i is None else not mask[i] for i in at]
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +659,9 @@ class DiskHullGen(HullGenerator):
         rows = mu.rows
         return tuple(self._separable(q, [r for r in rows if r != q]) for q in rows)
 
-    def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
-        self.check_pattern(mu)
-        self.check_point(x)
-        q = x.coords
-        return not self._separable(q, [r for r in mu.rows if r != q])
+    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+        return [not self._separable(q, [r for r in mu.rows if r != q])
+                for q in (x.coords for x in points)]
 
     def hull_area(self, ext: Sequence[tuple[float, float]]) -> float:
         """Area of conv(disk U ext) for the extreme points ext, by walking segments and arcs."""

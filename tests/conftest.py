@@ -1,8 +1,5 @@
-import random
-
 import pytest
 
-from hullforge import PointPattern, euclid, line, param
 from hullforge.corpora import euclid_corpus, line_corpus, param_corpus
 
 
@@ -26,8 +23,18 @@ def lines_corpus():
     return line_corpus(120, 8, seed=104, window=2.0)
 
 
-def random_planar_pattern(rng: random.Random, max_points: int = 10) -> PointPattern:
-    k = rng.randint(0, max_points)
-    return PointPattern.from_points(
-        [euclid(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(k)]
-    )
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` patches ``owner.name`` to record each call; returns the calls."""
+
+    def install(owner, name) -> list:
+        calls, real = [], getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+        return calls
+
+    return install

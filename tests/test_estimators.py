@@ -170,31 +170,19 @@ def test_flat_integrands_match_hull_mass():
                 assert hull_integral(gen, model, RadialPower(1.0, 1.0), mu) == mass
 
 
-def _spy(monkeypatch, owner, name) -> list:
-    """Patch ``owner.name`` to record each call; returns the list of calls."""
-    calls, real = [], getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("scenario, t, owner, kernel", [
     pytest.param("convex_square", 50.0, generators, "_extreme_2d", id="convex_square"),
     pytest.param("pareto_square", 20.0, ParetoGen, "_minimal", id="pareto_square"),
     pytest.param("disk_support_sanity", 8.0, DiskHullGen, "_separable", id="disk_support_sanity"),
 ])
-def test_hull_estimate_reads_the_geometry_once(monkeypatch, scenario, t, owner, kernel):
+def test_hull_estimate_reads_the_geometry_once(spy, scenario, t, owner, kernel):
     # one pass gives the boundary mask, the hull mass and the hull term; the
     # disk-hull kernel runs once per atom
     scen = get_scenario(scenario)
     model, f = scen.make_model(t), scen.make_integrand(t)
     mu = sample_poisson(model, RngStream(41))
     assert len(mu.entries) >= 3
-    calls = _spy(monkeypatch, owner, kernel)
+    calls = spy(owner, kernel)
     est = hull_estimate(scen.gen, model, f, mu)
     assert len(calls) == (len(mu.entries) if owner is DiskHullGen else 1)
     assert est.hull_mass == hull_mass(scen.gen, mu, model)

@@ -22,7 +22,13 @@ from hullforge import (
     param,
 )
 from hullforge import generators
-from hullforge.core import ConfigurationError, check_axioms, prime_factorization_holds
+from hullforge.core import (
+    ConfigurationError,
+    SpaceMismatchError,
+    check_axioms,
+    prime_factorization_holds,
+)
+from hullforge.corpora import GENERATOR_SUITE, euclid_corpus
 from hullforge.sampling import (
     HoelderBand,
     LinesBand,
@@ -135,16 +141,10 @@ def test_convex_membership_matches_relint_oracle(dim):
             assert not gen.hull_contains(mu, euclid(*p))
 
 
-def test_convex3_membership_builds_one_hull_per_call(monkeypatch):
+def test_convex3_membership_builds_one_hull_per_call(spy):
     # the vertex test and the facet test read one qhull build, and a batch of
     # probes shares it
-    builds, real = [], generators._SciPyHull
-
-    def spy(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(generators, "_SciPyHull", spy)
+    builds = spy(generators, "_SciPyHull")
     gen = ConvexHullGen(3)
     corners = [euclid(*c) for c in itertools.product((0.0, 1.0), repeat=3)]
     mu = PointPattern.from_points(corners + [euclid(0.5, 0.5, 0.5)])
@@ -158,6 +158,66 @@ def test_convex3_membership_builds_one_hull_per_call(monkeypatch):
     builds.clear()
     assert gen.hull_contains_many(mu, probes) == want
     assert len(builds) == 1
+
+
+def test_far_query_in_the_batch_leaves_an_answer_unchanged():
+    # the tolerance of a query is set by the pattern and that query alone
+    gen = ConvexHullGen(2)
+    square = PointPattern.from_points([euclid(0, 0), euclid(1, 0), euclid(1, 1), euclid(0, 1)])
+    below = euclid(0.5, -1e-7)
+    assert not gen.hull_contains(square, below)
+    assert gen.hull_contains_many(square, [below, euclid(1e3, 1e3)]) == [False, False]
+
+
+def _wrong_space_point(space_tag):
+    return euclid(0.5, 0.0) if space_tag == ("euclid", 3) else euclid(0.5, 0.0, 7.0)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SUITE))
+def test_membership_rejects_a_query_from_another_space(name):
+    gen, make_corpus = GENERATOR_SUITE[name]
+    patterns, probes = make_corpus(20, 6, 3)
+    mu = next(mu for mu in patterns if len(mu.rows) >= 2)
+    wrong = _wrong_space_point(gen.space_tag)
+    with pytest.raises(SpaceMismatchError):
+        gen.hull_contains(mu, wrong)
+    with pytest.raises(SpaceMismatchError):
+        gen.hull_contains_many(mu, [probes[0], wrong])
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SUITE))
+def test_batch_membership_equals_single_queries_on_suite_corpus(name):
+    gen, make_corpus = GENERATOR_SUITE[name]
+    patterns, probes = make_corpus(40, 10, 23)
+    for mu in patterns:
+        queries = probes + list(mu.support())
+        assert gen.hull_contains_many(mu, queries) == [gen.hull_contains(mu, q) for q in queries]
+        assert gen.hull_contains_many(mu, []) == []
+
+
+@pytest.mark.parametrize("owner, kernel, gen", [
+    pytest.param(ParetoGen, "_minimal", ParetoGen(2), id="pareto"),
+    pytest.param(CoordMinGen, "_argmins", CoordMinGen(), id="coordmin"),
+    pytest.param(ConvexHullGen, "_extreme", ConvexHullGen(2), id="convex2"),
+])
+def test_batch_membership_reads_the_geometry_once(spy, owner, kernel, gen):
+    patterns, probes = euclid_corpus(2, 20, 8, seed=5)
+    mu = max(patterns, key=lambda mu: len(mu.rows))
+    calls = spy(owner, kernel)
+    gen.hull_contains_many(mu, probes[:5])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["envelope", "halfplane"])
+def test_batch_membership_skips_the_boundary_mask_without_atom_queries(spy, name):
+    gen, make_corpus = GENERATOR_SUITE[name]
+    patterns, probes = make_corpus(20, 8, 5)
+    mu = max(patterns, key=lambda mu: len(mu.rows))
+    calls = spy(type(gen), "boundary_mask")
+    gen.hull_contains_many(mu, probes[:5])
+    assert calls == []
+    gen.hull_contains_many(mu, probes[:5] + [mu.support()[0]])
+    assert len(calls) == 1
 
 
 def test_convex_hull_mass_examples():
@@ -213,10 +273,11 @@ def test_hull_mass_monotone_in_pattern():
 def test_envelope_value_examples():
     gen = EnvelopeGen(dim=1, env_const=2.0, beta=1.0)
     mu = PointPattern.from_points([param(0.0, 1.0)])
-    assert gen.envelope_value(mu, 0.1) == pytest.approx(0.8)
-    assert gen.envelope_value(PointPattern.empty(), 0.1) == -math.inf
+    at = np.array([[0.1]])
+    assert gen.envelope_at(mu, at)[0] == pytest.approx(0.8)
+    assert gen.envelope_at(PointPattern.empty(), at)[0] == -math.inf
     mu2 = PointPattern.from_points([param(0.0, 1.0), param(0.1, 0.5)])
-    assert gen.envelope_value(mu2, 0.1) == pytest.approx(0.8)
+    assert gen.envelope_at(mu2, at)[0] == pytest.approx(0.8)
 
 
 def test_envelope_boundary_examples():
@@ -238,8 +299,9 @@ def test_envelope_boundary_atoms_touch_envelope():
         pts = [param(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(1, 9))]
         mu = PointPattern.from_points(pts)
         bd = gen.boundary(mu)
-        for p in mu.support():
-            on_env = gen.envelope_value(mu, p.site) == pytest.approx(p.level, abs=1e-12)
+        env = gen.envelope_at(mu, np.array([p.site for p in mu.support()]))
+        for p, e in zip(mu.support(), env):
+            on_env = e == pytest.approx(p.level, abs=1e-12)
             assert (p in bd) == on_env
 
 
