@@ -78,9 +78,14 @@ def _extreme_2d(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def _point_in_polygon(poly: list[tuple[float, float]], q: tuple[float, float]) -> bool:
-    """Inside-or-on test against a CCW convex polygon, EPS_GEOM widened."""
-    scale = max(_coord_scale(poly), _coord_scale([q]))
+def _point_in_polygon(poly: list[tuple[float, float]], poly_scale: float,
+                      q: tuple[float, float]) -> bool:
+    """Inside-or-on test against a CCW convex polygon, EPS_GEOM widened.
+
+    The tolerance's scale is the larger of ``poly_scale`` (the polygon's
+    ``_coord_scale``) and q's largest absolute coordinate.
+    """
+    scale = max(poly_scale, abs(q[0]), abs(q[1]))
     tol = EPS_GEOM * scale**2
     n = len(poly)
     if n == 1:
@@ -88,9 +93,7 @@ def _point_in_polygon(poly: list[tuple[float, float]], q: tuple[float, float]) -
     if n == 2:
         return _on_segment(poly[0], poly[1], q, EPS_GEOM * scale)
     for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        if _cross(a, b, q) < -tol:
+        if _cross(poly[i - 1], poly[i], q) < -tol:
             return False
     return True
 
@@ -230,7 +233,7 @@ class _Solid:
         if self.rank == 1:
             t = self.proj[:, 0]
             return float(t.min()) - tol <= qp[0] <= float(t.max()) + tol
-        return _point_in_polygon(self.flat, tuple(qp))
+        return _point_in_polygon(self.flat, _coord_scale(self.flat), tuple(qp))
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,7 @@ class ConvexHullGen(HullGenerator):
         if mu.is_empty:
             return [False] * len(points)
         _, ext, solid = self._extreme(mu)
-        inside = solid.contains if solid else partial(_point_in_polygon, ext)
+        inside = solid.contains if solid else partial(_point_in_polygon, ext, _coord_scale(ext))
         vertices = set(ext)
         return [q not in vertices and inside(q) for q in (x.coords for x in points)]
 
