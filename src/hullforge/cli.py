@@ -117,15 +117,18 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _number(cfg: dict, key: str, default: int | None = None) -> int:
-    """``int(cfg[key])``, or ``default`` when the key is absent and a default is given."""
+    """``cfg[key]`` as a JSON integer, or ``default`` when the key is absent and a default is given.
+
+    A float, a bool or a string is refused, never truncated or parsed.
+    """
     if key not in cfg and default is not None:
         return default
     if key not in cfg:
         raise ConfigurationError(f"config needs {key!r}")
-    try:
-        return int(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key!r} must be an integer, got {cfg[key]!r}") from exc
+    value = cfg[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _flag(cfg: dict, key: str) -> bool:

@@ -336,9 +336,12 @@ class HullGenerator(ABC):
     the error representation sums; its default is the definitional loop over
     ``hull_contains``.  An override must equal that loop and must not call
     ``boundary_mask`` or its kernels, so that the representation still
-    cross-checks two independent computations (``EnvelopeGen``, which
-    reuses its boundary mask, is the one exception).  Implementations
-    are stateless and safe to share.
+    cross-checks two independent computations.  Planar convex, coordmin,
+    Pareto, half-plane and disk hull generators override it;
+    ``EnvelopeGen`` reuses its boundary mask (the one exception), and only
+    3-D convex hulls and the deliberately broken ``corpora.LexDropGen`` keep
+    the loop.  Implementations are stateless and safe
+    to share.
     """
 
     #: ground-space tag all arguments must carry
@@ -402,7 +405,8 @@ class HullGenerator(ABC):
         One copy of z is removed, so an atom of multiplicity m >= 2 is tested
         against a pattern that still holds m - 1 copies of it.  The default is
         the definitional loop (a pattern rebuild and a membership query per
-        atom); concrete generators override it with vectorized kernels.
+        atom); every planar generator overrides it with its own kernel, and
+        3-D convex hulls use the loop.
         """
         return tuple(not self.hull_contains(mu.remove(p), p) for p in mu.support())
 

@@ -236,14 +236,16 @@ def ks_error(
     """Estimation error via the anticipating-integral form.
 
     The atom sum takes H_z(mu - d_z), one copy of z removed, from
-    ``gen.survival_mask``: the definitional membership loop by default, or a
-    generator's own leave-one-out kernel (angular gaps for planar convex
-    hulls, a domination matrix for Pareto), which do not call the boundary
-    mask.  Agreement with ``hull_estimate - f_true`` therefore cross-checks
-    two kernels; only the envelope generator reuses its boundary mask.  The
-    lambda integral of f off the hull is
-    evaluated as f_true minus the hull integral, which pins the identity to
-    float precision and isolates Monte Carlo error to sampling.
+    ``gen.survival_mask``: a generator's own leave-one-out kernel (angular
+    gaps for planar convex hulls, a domination matrix for Pareto, the two
+    lexicographic minima for coordmin, the support function with one line
+    left out for half-planes, a dual angular test for the disk hull), which
+    do not call the boundary mask, or the definitional membership loop for
+    3-D convex hulls.  Agreement with ``hull_estimate - f_true`` therefore
+    cross-checks two kernels; only the envelope generator reuses its
+    boundary mask.  The lambda integral of f off the hull is evaluated as
+    f_true minus the hull integral, which pins the identity to float
+    precision and isolates Monte Carlo error to sampling.
     """
     gen.check_pattern(mu)
     atom_sum = 0.0

@@ -549,37 +549,55 @@ class HalfPlaneGen(HullGenerator):
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         return tuple(self._edge_mask(_normals(mu), mu.coords[:, 1]).tolist())
 
+    def _corners(self, dirs: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Corner candidates of the clipped body, each with the lines defining it.
+
+        The candidates are the origin, the two window-circle points of each
+        line that crosses the window, and the meeting point of each
+        non-parallel pair, ordered by line i (its circle points, then the pairs
+        (i, j > i)).  Returns (C, a, b, P, inside): the (m, 2) points, their
+        two defining lines (-1 for none), P = C @ dirs.T and whether each point
+        lies in the window.  Feasibility is left to the caller.
+        """
+        W = self.window_radius
+        n = len(offs)
+        c, s = dirs[:, 0], dirs[:, 1]
+        d2 = W * W - offs * offs
+        cut = np.flatnonzero(d2 > 0.0)
+        t = np.sqrt(d2[cut])
+        ox, oy, tx, ty = offs[cut] * c[cut], offs[cut] * s[cut], t * -s[cut], t * c[cut]
+        lines = np.arange(n)
+        i, j = np.nonzero(lines[:, None] < lines)
+        det = c[i] * s[j] - s[i] * c[j]
+        meet = np.abs(det) >= 1e-14
+        i, j, det = i[meet], j[meet], det[meet]
+        # sort key (line i, then 0 and 1 for its circle points, 1 + j for the pair (i, j)):
+        # hull_support's matrix product rounds by row position, so the order is kept
+        k = n + 1
+        order = np.argsort(np.concatenate(([-1], cut * k, cut * k + 1, i * k + 1 + j)))
+        px = (offs[i] * s[j] - offs[j] * s[i]) / det
+        py = (c[i] * offs[j] - c[j] * offs[i]) / det
+        C = np.empty((len(order), 2))
+        C[:, 0] = np.concatenate(([0.0], ox + tx, ox - tx, px))[order]
+        C[:, 1] = np.concatenate(([0.0], oy + ty, oy - ty, py))[order]
+        none = np.full(len(cut), -1)
+        a = np.concatenate(([-1], cut, cut, i))[order]
+        b = np.concatenate(([-1], none, none, j))[order]
+        inside = np.sqrt(C[:, 0] * C[:, 0] + C[:, 1] * C[:, 1]) <= W + 1e-12 * max(1.0, W)
+        return C, a, b, C @ dirs.T, inside
+
     def _feasible_vertices(self, dirs: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """Corner candidates of the clipped body (always includes the origin)."""
-        W = self.window_radius
-        slack = 1e-12 * max(1.0, W)
-        n = len(offs)
-        cands = [np.zeros(2)]
-        for i in range(n):
-            d2 = W * W - offs[i] * offs[i]
-            si = dirs[i]
-            perp = np.array([-si[1], si[0]])
-            if d2 > 0:
-                t = math.sqrt(d2)
-                cands.append(offs[i] * si + t * perp)
-                cands.append(offs[i] * si - t * perp)
-            for j in range(i + 1, n):
-                det = si[0] * dirs[j, 1] - si[1] * dirs[j, 0]
-                if abs(det) < 1e-14:
-                    continue
-                x = (offs[i] * dirs[j, 1] - offs[j] * si[1]) / det
-                y = (si[0] * offs[j] - dirs[j, 0] * offs[i]) / det
-                cands.append(np.array([x, y]))
-        C = np.asarray(cands)
-        good = np.linalg.norm(C, axis=1) <= W + slack
-        if n:
-            good &= np.all(C @ dirs.T <= offs[None, :] + slack, axis=1)
-        return C[good]
+        C, _, _, P, inside = self._corners(dirs, offs)
+        return C[inside & np.all(P <= offs + 1e-12 * max(1.0, self.window_radius), axis=1)]
 
     def hull_support(self, mu: PointPattern, angles: np.ndarray) -> np.ndarray:
         """Support function of the clipped body at the query angles."""
         W = self.window_radius
-        S = np.column_stack([np.cos(angles), np.sin(angles)])
+        if angles is _THETA_GRID:
+            S = _THETA_UNIT
+        else:
+            S = np.column_stack([np.cos(angles), np.sin(angles)])
         if mu.is_empty:
             return np.full(len(angles), W)
         dirs, offs = _normals(mu), mu.coords[:, 1]
@@ -587,6 +605,46 @@ class HalfPlaneGen(HullGenerator):
         h = (verts @ S.T).max(axis=0)
         arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
         return np.where(arc_ok, W, h)
+
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Leave-one-out indicators from the corner candidates of all lines at once.
+
+        A single line z counts iff it cuts the body of the other lines,
+        u_z < h_{-z}(theta_z): h_{-z} is the largest <c, s_z> over the
+        candidates not defined by z that violate no line but z (the vertices
+        ``hull_support`` would find without z), or W where the window arc at
+        theta_z lies inside every other line.  A copy of z stays
+        behind, so a line of multiplicity >= 2 counts iff it keeps a
+        positive-length edge on the whole body: its feasible candidates
+        spread along it by more than the edge tolerance.  The two rules agree
+        unless the body has no area (lines through the origin with opposed
+        normals) or within the tolerances.  The boundary mask and its kernel
+        are not used.
+        """
+        self.check_pattern(mu)
+        if mu.is_empty:
+            return ()
+        W = self.window_radius
+        dirs, offs = _normals(mu), mu.coords[:, 1]
+        bound = offs + 1e-12 * max(1.0, W)
+        C, a, b, P, inside = self._corners(dirs, offs)
+        viol = P > bound  # viol[c, z]: candidate c lies outside line z
+        lines = np.arange(len(offs))
+        on = (a[:, None] == lines) | (b[:, None] == lines)  # on[c, z]: line z defines candidate c
+        free = (viol.sum(axis=1)[:, None] == viol) & inside[:, None] & ~on
+        # each h_z from the matrix-vector product hull_support makes without z: BLAS
+        # rounds the last bit by the product's shape, and a tie u_z = h_z hangs on it
+        h = np.array([(C[free[:, z]] @ dirs[z:z + 1].T).max() for z in lines])
+        arc = (dirs @ dirs.T) * W <= bound  # arc[z, j]: the window point at theta_z is in line j
+        np.fill_diagonal(arc, True)
+        alone = offs < np.where(arc.all(axis=1), W, h)
+        if max(mu.mults) > 1:
+            edge = on & (inside & ~viol.any(axis=1))[:, None]
+            along = C @ np.column_stack([-dirs[:, 1], dirs[:, 0]]).T  # position along each line
+            spread = (np.where(edge, along, -np.inf).max(axis=0)
+                      - np.where(edge, along, np.inf).min(axis=0))
+            alone = np.where(np.array(mu.mults) > 1, spread > EPS_GEOM * max(1.0, W), alone)
+        return tuple(alone.tolist())
 
     def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         """An atom: is it off the boundary?  Any other line: does its half-plane hold the body?"""
@@ -665,6 +723,32 @@ class DiskHullGen(HullGenerator):
     def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         return [not self._separable(q, [r for r in mu.rows if r != q])
                 for q in (x.coords for x in points)]
+
+    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """Leave-one-out indicators from the dual angular test, not ``_separable``.
+
+        An atom z with |z| > r0 is off conv(disk U others) iff the directions
+        from z to the other atoms, measured from -z, together with the disk's
+        cone [-a, a] seen from z (a = asin(r0/|z|) = pi/2 - acos(r0/|z|)),
+        span less than pi - EPS_GEOM.  Copies of z do not count, so the rule
+        holds at every multiplicity.  Scalar: patterns hold a few atoms.
+        """
+        self.check_pattern(mu)
+        r0, rows = self.anchor_radius, mu.rows
+        alone = []
+        for q in rows:
+            nq = math.hypot(*q)
+            if nq <= r0:
+                alone.append(False)
+                continue
+            alpha = math.atan2(q[1], q[0])
+            rel = [(math.atan2(q[1] - p[1], q[0] - p[0]) - alpha + math.pi) % (2.0 * math.pi)
+                   - math.pi for p in rows if p != q]
+            half = math.acos(max(-1.0, min(1.0, r0 / nq)))  # pi/2 minus the cone's half-width
+            spare = (min(half, min(rel, default=math.inf) + 0.5 * math.pi)
+                     - max(-half, max(rel, default=-math.inf) - 0.5 * math.pi))  # pi - span
+            alone.append(spare > EPS_GEOM)
+        return tuple(alone)
 
     def hull_area(self, ext: Sequence[tuple[float, float]]) -> float:
         """Area of conv(disk U ext) for the extreme points ext, by walking segments and arcs."""
@@ -813,8 +897,9 @@ def _band_rule(gen: EnvelopeGen, model, f, mu: PointPattern):
     return gen.boundary_mask(mu), mass, term
 
 
-#: cell midpoints of the angular quadrature on line space
+#: cell midpoints of the angular quadrature on line space, and their unit vectors
 _THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
+_THETA_UNIT = np.column_stack([np.cos(_THETA_GRID), np.sin(_THETA_GRID)])
 
 
 def _lines_rule(gen: HalfPlaneGen, model, f, mu: PointPattern):

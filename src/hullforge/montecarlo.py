@@ -279,10 +279,10 @@ def _replicate_chunk(args, lo: int, hi: int) -> list[tuple[float, float, int, fl
     model = scen.make_model(t)
     f = scen.make_integrand(t)
     target = scen.target(t)
+    streams = sampling.RngStream(base_seed).child(stream_tag)
     out = []
     for rep in range(lo, hi):
-        stream = sampling.RngStream(base_seed).child(stream_tag).stream(rep)
-        pattern = sampling.sample_poisson(model, stream)
+        pattern = sampling.sample_poisson(model, streams.stream(rep))
         est = estimators.hull_estimate(scen.gen, model, f, pattern)
         ks = estimators.ks_error(scen.gen, model, f, pattern, target, hull_term=est.hull_term)
         resid = abs(est.value - target - ks)

@@ -117,6 +117,8 @@ class UniformBox(IntensityModel):
         vol = math.prod(h - l for l, h in zip(self.lo, self.hi))
         object.__setattr__(self, "_volume", vol)
         object.__setattr__(self, "_mass", self.rate * vol)
+        object.__setattr__(self, "_lo", np.array(self.lo, dtype=float))
+        object.__setattr__(self, "_span", np.array(self.hi, dtype=float) - self._lo)
 
     @property
     def dim(self) -> int:
@@ -135,7 +137,7 @@ class UniformBox(IntensityModel):
         return self._mass
 
     def sample_coords(self, n, rng):
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+        return self._lo + self._span * rng.random((n, self.dim))  # the draws of rng.uniform(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,12 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                  id="scenario-list"),
     pytest.param("estimate", {"scenario": "convex_square", "replications": "abc"},
                  id="replications-abc"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 20.7},
+                 id="replications-float"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10, "seed": "3"},
+                 id="seed-string"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10, "seed": 3.0},
+                 id="seed-float"),
     pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
                               "t_grid": [1.0, "x"]}, id="t_grid-item-x"),
     pytest.param("estimate", {"scenario": "convex_square", "replications": 10, "t_grid": 50.0},
@@ -133,6 +139,8 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                             "negative_control": "false"}, id="negative_control-string"),
     pytest.param("markov", {"pairs": 10}, id="markov-no-scenario"),
     pytest.param("markov", {"scenario": "convex_square", "pairs": [10]}, id="pairs-list"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": 20.7}, id="pairs-float"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": "12"}, id="pairs-string"),
     pytest.param("clt", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4[:3]},
                  id="clt-3-points"),
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4[:3]},
@@ -149,6 +157,12 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
     pytest.param("axioms", {"generators": ["coordmin"], "max_points": -2},
                  id="max_points-negative"),
     pytest.param("axioms", {"generators": ["coordmin"], "patterns": -5}, id="patterns-negative"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": True}, id="patterns-bool"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": 4.5}, id="patterns-float"),
+    pytest.param("axioms", {"generators": ["coordmin"], "max_points": 6.0},
+                 id="max_points-float"),
+    pytest.param("axioms", {"generators": ["coordmin"], "max_points": "6"},
+                 id="max_points-string"),
     *[pytest.param(command, {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
                              "slope_band": band}, id=f"{command}-slope_band-{name}")
       for command in ("clt", "rates")

@@ -421,6 +421,49 @@ def test_halfplane_edge_mask_matches_loop(W, lattice, spread):
     assert got.tolist() == _edge_mask_loop(W, dirs, offs).tolist()
 
 
+def _feasible_vertices_loop(W, dirs, offs):
+    """The per-pair candidate loop the array candidate builder replaced (reference)."""
+    slack = 1e-12 * max(1.0, W)
+    n = len(offs)
+    cands = [np.zeros(2)]
+    for i in range(n):
+        d2 = W * W - offs[i] * offs[i]
+        si = dirs[i]
+        perp = np.array([-si[1], si[0]])
+        if d2 > 0:
+            t = math.sqrt(d2)
+            cands.append(offs[i] * si + t * perp)
+            cands.append(offs[i] * si - t * perp)
+        for j in range(i + 1, n):
+            det = si[0] * dirs[j, 1] - si[1] * dirs[j, 0]
+            if abs(det) < 1e-14:
+                continue
+            x = (offs[i] * dirs[j, 1] - offs[j] * si[1]) / det
+            y = (si[0] * offs[j] - dirs[j, 0] * offs[i]) / det
+            cands.append(np.array([x, y]))
+    C = np.asarray(cands)
+    good = np.linalg.norm(C, axis=1) <= W + slack
+    if n:
+        good &= np.all(C @ dirs.T <= offs[None, :] + slack, axis=1)
+    return C[good]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 2.0, 4.0]),
+       st.lists(st.tuples(st.sampled_from([0.0, 1.0, math.pi / 2, math.pi, 3.0, 5.5]),
+                          st.sampled_from([0.0, 0.3, 1.0, 2.0, 4.0])), max_size=8),
+       st.lists(st.tuples(st.floats(0.0, 6.28), st.floats(0.0, 5.0)), max_size=8))
+def test_halfplane_candidates_match_loop(W, lattice, spread):
+    # 0 to 15 distinct lines: the same vertices, bit for bit and in the same order
+    rows = sorted(set(lattice + spread))[:15]
+    angs = np.array([a for a, _ in rows], dtype=float)
+    offs = np.array([u for _, u in rows], dtype=float)
+    dirs = np.column_stack([np.cos(angs), np.sin(angs)])
+    got = HalfPlaneGen(window_radius=W)._feasible_vertices(dirs, offs)
+    want = _feasible_vertices_loop(W, dirs, offs)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 # -- disk-anchored hull -------------------------------------------------------
 
 

@@ -4,7 +4,9 @@ Each case runs one subcommand on a small config at a fixed seed and hashes
 the CSV and the summary JSON it writes.  The digests were recorded before
 the hull integrals moved into one (generator, model) pairing table; the
 three ``markov-*`` cases and ``axioms-rest`` were recorded before the boundary
-became a per-atom mask read in one geometry pass.  A refactor that claims
+became a per-atom mask read in one geometry pass; the two ``-t1`` cases, at
+the t of the benchmark's estimate jobs, were recorded before the half-plane
+and disk hull generators had leave-one-out kernels.  A refactor that claims
 "no behaviour change" is checked here byte for byte.
 The ``SAMPLER_GOLDEN`` digests hash the entries of three sampled patterns
 per intensity model; they were recorded while every sampler still built its
@@ -47,6 +49,8 @@ CASES = {
     "estimate-halfline_min": _estimate("halfline_min", 4.0, 200),
     "estimate-meanwidth_disks": _estimate("meanwidth_disks", 3.0, 120),
     "estimate-disk_support_sanity": _estimate("disk_support_sanity", 8.0, 120),
+    "estimate-meanwidth_disks-t1": _estimate("meanwidth_disks", 1.0, 120),
+    "estimate-disk_support_sanity-t1": _estimate("disk_support_sanity", 1.0, 120),
     "variance-covariance": ("variance", {
         "scenario": "hoelder_d1", "replications": 120, "seed": 4, "t": 8.0,
         "nested_probes": 24, "nested_replicas": 12, "covariance": True}),
@@ -74,6 +78,8 @@ GOLDEN = {
     "estimate-halfline_min": "8b0660594221119be0058694dbcf1f4a877671fce52b5f2cd9d40038287ce5fe",
     "estimate-meanwidth_disks": "ec8ed46b5bf587f51f5139f0eb9cc9bcb987099034a4e9a406367e141ff0a983",
     "estimate-disk_support_sanity": "9d793ed7fcd696e465e62ef7115db212fc749f264f3bbfdfda07f95bac745894",
+    "estimate-meanwidth_disks-t1": "087d2ed3e42be1acce1b3a0f0c352b2ad4d32d5ded49d5d144a75a622be0004c",
+    "estimate-disk_support_sanity-t1": "6d7520b3e8bbe51f5f4491f305391131064c14edf6eb7b480bd349e7482efe25",
     "variance-covariance": "a8d067fbad65ba0358075298a50efe7f303ff0a4952f698447aaa9d76be4090f",
     "markov": "52ff42d263a3e27925ab7993797c62217d0248fc7ed5bad87ea89f0b4816d17c",
     "markov-convex_square": "4aabfd2985c2e69c9067e1c08c14a1db74c2a110657899f0f4a39b4388291d22",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from hullforge import (
@@ -24,6 +26,22 @@ from hullforge.sampling import (
     UniformPolygon,
     mix64,
 )
+
+
+_bound = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_bound, st.floats(1e-6, 1e3)), min_size=1, max_size=3),
+       st.integers(0, 60), st.integers(0, 2**32))
+def test_box_draw_equals_numpy_uniform(box, n, seed):
+    # lo + span * random is what Generator.uniform computes; the draws agree bytewise
+    lo = tuple(l for l, _ in box)
+    hi = tuple(l + w for l, w in box)
+    model = UniformBox(lo, hi)
+    got = model.sample_coords(n, np.random.default_rng(seed))
+    want = np.random.default_rng(seed).uniform(lo, hi, size=(n, len(lo)))
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_stream_determinism_and_independence():

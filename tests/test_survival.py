@@ -3,9 +3,12 @@
 ``survival_mask(mu)`` must equal H_z(mu - d_z) computed by removing one copy
 of each atom and asking ``h_indicator``, bit for bit, on the axiom corpora,
 on lattices full of collinear points and duplicates, and on hand-built
-degenerate cases.  The planar convex and Pareto kernels must also run without
-the boundary map, which the error representation cross-checks them against.
+degenerate cases.  The planar convex, Pareto, coordmin, half-plane and disk
+hull kernels must also run without the boundary map, which the error
+representation cross-checks them against.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from hullforge import PointPattern, euclid, line, param
 from hullforge import generators
 from hullforge.core import h_indicator
 from hullforge.corpora import GENERATOR_SUITE
-from hullforge.generators import ConvexHullGen, CoordMinGen, ParetoGen
+from hullforge.generators import ConvexHullGen, CoordMinGen, DiskHullGen, HalfPlaneGen, ParetoGen
 
 
 def oracle(gen, mu):
@@ -166,27 +169,92 @@ def _refuse(*args, **kwargs):
 
 
 def test_convex2_and_pareto_masks_do_not_use_the_boundary_map(monkeypatch):
-    # the coordmin mask is held to the same rule: no _argmins, no boundary;
-    # no mask reaches boundary_mask or the shared one-pass kernels either
+    # the coordmin, half-plane and disk hull masks are held to the same rule:
+    # no mask reaches boundary_mask, its one-pass kernels or evaluate
     convex, pareto, coordmin = ConvexHullGen(2), ParetoGen(2), CoordMinGen()
+    halfplane, diskhull = HalfPlaneGen(window_radius=2.0), DiskHullGen(anchor_radius=0.3)
     mu = PointPattern.from_points([euclid(0, 0), euclid(1, 0), euclid(0, 1), euclid(1, 1),
                                    euclid(0.5, 0.5), euclid(0.5, 0.5), euclid(0.5, 0.0)])
-    gens = (convex, pareto, coordmin)
-    want = tuple(oracle(gen, mu) for gen in gens)
+    lines = PointPattern.from_points([line(0.0, 0.5), line(1.6, 0.7), line(1.6, 0.7),
+                                      line(3.1, 0.4), line(4.0, 1.9), line(4.7, 0.6)])
+    cases = ((convex, mu), (pareto, mu), (coordmin, mu), (halfplane, lines), (diskhull, mu))
+    want = tuple(oracle(gen, nu) for gen, nu in cases)
     monkeypatch.setattr(generators, "_extreme_2d", _refuse)
     monkeypatch.setattr(generators, "_extreme_points", _refuse)
     monkeypatch.setattr(ParetoGen, "_minimal", _refuse)
     monkeypatch.setattr(CoordMinGen, "_argmins", _refuse)
     monkeypatch.setattr(ConvexHullGen, "_extreme", _refuse)
+    monkeypatch.setattr(HalfPlaneGen, "_edge_mask", _refuse)
+    monkeypatch.setattr(DiskHullGen, "_separable", _refuse)
     monkeypatch.setattr(generators, "evaluate", _refuse)
-    for cls in (ConvexHullGen, ParetoGen, CoordMinGen):
+    classes = (ConvexHullGen, ParetoGen, CoordMinGen, HalfPlaneGen, DiskHullGen)
+    for cls in classes:
         monkeypatch.setattr(cls, "boundary", _refuse)
         monkeypatch.setattr(cls, "boundary_mask", _refuse)
-    assert tuple(gen.survival_mask(mu) for gen in gens) == want
-    for gen in gens:
+    assert tuple(gen.survival_mask(nu) for gen, nu in cases) == want
+    for gen, nu in cases:
         for patched in (gen.boundary, gen.boundary_mask):
             with pytest.raises(AssertionError):
-                patched(mu)
+                patched(nu)
+
+
+# Angles are multiples of pi/4 (parallel lines, coincident ones at offset 0
+# with opposed normals, three lines through one point) or generic; offsets sit
+# inside, at and beyond the window radius.  The spread lines lie on a k/64
+# grid, so distinct parallel lines are at least 1/64 apart and no two angles
+# are within 1e-13 of parallel.  Inside those shells a repeated line is ruled
+# by the candidates' 1e-12 slack in the kernel and by the exact chord clip of
+# the boundary mask in the loop, so they may differ there (x <= 0 and
+# x <= 5e-324, both doubled, for instance).
+_LATTICE_ANGLES = [k * math.pi / 4 for k in range(8)] + [1.0, 3.0, 5.5]
+_sixty_fourths = st.integers(0, 401).map(lambda k: k / 64.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.5, 2.0, 4.0]),
+       st.lists(st.tuples(st.sampled_from(_LATTICE_ANGLES),
+                          st.sampled_from([0.0, 0.3, 1.0, 2.0, 4.0, 6.0])), max_size=9),
+       st.lists(st.tuples(_sixty_fourths, _sixty_fourths), max_size=4),
+       st.lists(st.integers(0, 12), max_size=4))
+def test_halfplane_mask_matches_loop_on_lattices(W, lattice, spread, repeats):
+    gen = HalfPlaneGen(window_radius=W)
+    pts = [line(a, u) for a, u in lattice + spread]
+    pts += [pts[i] for i in repeats if i < len(pts)]  # doubled lines
+    mu = PointPattern.from_points(pts)
+    assert gen.survival_mask(mu) == oracle(gen, mu)
+
+
+def test_halfplane_mask_on_a_body_without_area():
+    # x <= 0 and x >= 0 leave a chord of the window; a doubled line that cuts
+    # the chord keeps no edge on it, while a single one still cuts the body
+    gen = HalfPlaneGen(window_radius=2.0)
+    chord = [line(0.0, 0.0), line(math.pi, 0.0), line(1.0, 0.5)]
+    single = PointPattern.from_points(chord)
+    doubled = PointPattern.from_points(chord + [chord[2]])
+    assert gen.survival_mask(single) == oracle(gen, single) == (True, True, True)
+    assert gen.survival_mask(doubled) == oracle(gen, doubled) == (True, False, True)
+
+
+_R0 = 0.3
+_disk_atoms = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: (p[0] / 4, p[1] / 4)),
+    st.integers(0, 15).map(lambda k: (_R0 * math.cos(k * math.pi / 8),
+                                      _R0 * math.sin(k * math.pi / 8))),  # on the circle
+    st.tuples(st.integers(0, 7), st.sampled_from([0.1, 0.3, 0.6, 1.0, 1.5])).map(
+        lambda p: (p[1] * math.cos(p[0] * math.pi / 4), p[1] * math.sin(p[0] * math.pi / 4))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_disk_atoms, max_size=8), st.lists(st.integers(0, 7), max_size=3))
+def test_diskhull_mask_matches_loop(coords, repeats):
+    # atoms inside the anchor disk, on its circle, on rays from the origin
+    # (collinear with it and with each other) and doubled
+    gen = DiskHullGen(anchor_radius=_R0)
+    pts = [euclid(x, y) for x, y in coords]
+    pts += [pts[i] for i in repeats if i < len(pts)]
+    mu = PointPattern.from_points(pts)
+    assert gen.survival_mask(mu) == oracle(gen, mu)
 
 
 def test_convex_tolerance_shell_counts_as_inside():
