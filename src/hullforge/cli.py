@@ -140,13 +140,11 @@ def _flag(cfg: dict, key: str) -> bool:
 
 
 def _positive(key: str, value) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not (math.isfinite(x) and x > 0.0):
+    """``value`` as a positive finite JSON number; a bool or a string is refused, never parsed."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):  # also refuses nan and ints past float
         raise ConfigurationError(f"{key!r} must be a positive finite number, got {value!r}")
-    return x
+    return float(value)
 
 
 def _experiment_config(

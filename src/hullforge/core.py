@@ -331,7 +331,8 @@ class HullGenerator(ABC):
     their arguments and read the second, which must agree with the
     definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
     per-pattern call of the estimators is ``generators.evaluate``, which reads
-    the mask, the hull mass and the hull integral from one geometry pass.
+    the mask and the hull mass from one geometry pass and returns that pass's
+    ``integrate``; ``estimators`` turns an integrand into its hull term.
     ``survival_mask`` gives the leave-one-out indicators H_z(mu - d_z) that
     the error representation sums; its default is the definitional loop over
     ``hull_contains``.  An override must equal that loop and must not call
@@ -627,11 +628,12 @@ def check_axioms(
             if len(probes) < 2:
                 break
             x, y = rng.sample(probes, 2)
-            lhs = (1 - h_indicator(gen, mu.add(x), y)) * (1 - h_indicator(gen, mu.add(y), x))
-            rhs = (1 - h_indicator(gen, mu, x)) * (1 - h_indicator(gen, mu, y))
-            report.record("two_point_identity", lhs == rhs, mu, f"x={x} y={y}")
-            prod = first_difference_h(gen, mu, x, y) * first_difference_h(gen, mu, y, x)
-            report.record("cyclic_2", prod == 0, mu)
+            # the four indicators, each asked once; D_x H_y = h(mu + x, y) - h(mu, y)
+            hx, hy = h_indicator(gen, mu, x), h_indicator(gen, mu, y)
+            hxy, hyx = h_indicator(gen, mu.add(x), y), h_indicator(gen, mu.add(y), x)
+            ok = (1 - hxy) * (1 - hyx) == (1 - hx) * (1 - hy)
+            report.record("two_point_identity", ok, mu, f"x={x} y={y}")
+            report.record("cyclic_2", (hxy - hy) * (hyx - hx) == 0, mu)
         for _ in range(4):
             if len(probes) < 3:
                 break

@@ -39,8 +39,8 @@ from .core import (
 class Integrand:
     """A function on the ground space, with the array primitives its pairings need.
 
-    ``value`` evaluates f at a point; the exact hull-integral rules in
-    ``generators`` call the three primitives on numpy arrays.
+    ``value`` evaluates f at a point; the ``integrate`` of a pairing's
+    geometry pass in ``generators`` calls the three primitives on numpy arrays.
     """
 
     def value(self, p: SpacePoint) -> float:
@@ -152,23 +152,31 @@ class CustomIntegrand(Integrand):
 
 
 def _evaluate(
-    gen: HullGenerator, model, f: Integrand | None, mu: PointPattern
+    gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> tuple[tuple[bool, ...], float, float]:
-    """``generators.evaluate`` for an integrand: (boundary mask, hull mass, hull integral).
+    """(boundary mask, hull mass, hull integral of f): where an integrand becomes a hull term.
 
-    A constant scales the hull mass; any other integrand goes to the pairing
-    rule, which calls its primitives.
+    ``generators.evaluate`` gives the mask, the mass and the ``integrate`` of
+    one geometry pass.  A constant c gives c times the mass, and raises on the
+    half line, whose hull has no finite mass; any other integrand gives
+    ``integrate(f)``, and raises where the pairing integrates constants only.
     """
+    mask, mass, integrate = generators.evaluate(gen, model, mu)
     if isinstance(f, Constant):
-        mask, mass, _ = generators.evaluate(gen, model, None, mu)
+        if math.isnan(mass):
+            raise ConfigurationError(
+                "half-line hull mass is infinite; integrate a tail function instead")
         return mask, mass, f.c * mass
-    return generators.evaluate(gen, model, f, mu)
+    if integrate is None:
+        raise ConfigurationError(
+            f"{type(gen).__name__} hull integrals support constant integrands only")
+    return mask, mass, integrate(f)
 
 
 def hull_integral(
     gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> float:
-    """int f d(lambda restricted to the hull of mu), from the pairing table."""
+    """int f d(lambda restricted to the hull of mu): the hull term of ``_evaluate``."""
     return _evaluate(gen, model, f, mu)[2]
 
 

@@ -9,8 +9,10 @@ coordinate rows (``mu.rows``) or its ``mu.coords`` array; the thinning map
 mutually consistent so that the definitional identity ``hull_contains(mu, x)
 == (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
 tolerance shells.  ``evaluate`` is the per-pattern call: one geometry pass of
-a (generator, model) pairing gives the mask, the hull mass and the hull
-integral together.
+a (generator, model) pairing gives the mask, the hull mass and the pass's
+``integrate``, which integrates a non-constant integrand over the hull from
+that same geometry.  No rule takes an integrand; ``estimators`` decides how
+one becomes a hull term.
 
 Geometric predicates use the relative tolerance ``EPS_GEOM``: a point within
 tolerance of the hull boundary, but not coinciding with a vertex, counts as
@@ -790,18 +792,14 @@ class DiskHullGen(HullGenerator):
 # ---------------------------------------------------------------------------
 # exact hull integrals per (generator, intensity) pairing
 #
-# Each rule returns (boundary mask, hull mass, int f d(lambda restricted to the
-# hull)) of a non-empty mu, reading all three from one geometry pass; f is None
-# for f == 1, when the integral is the mass.  Weighted rules call the
-# integrand's array primitives.  Vertex-type exclusions from the hull carry
-# zero mass under the diffuse models used here and are ignored.
-
-
-def _constants_only(gen: HullGenerator, f) -> None:
-    if f is not None:
-        raise ConfigurationError(
-            f"{type(gen).__name__} hull integrals support constant integrands only"
-        )
+# Each rule returns (boundary mask, hull mass, integrate) of a non-empty mu,
+# reading the mask and the mass from one geometry pass.  integrate(f) is
+# int f d(lambda restricted to the hull) for a non-constant integrand f, read
+# from the geometry that same pass built (the polygon, the band depth on the
+# grid, the clipped support on _THETA_GRID, the half-line minimum) through the
+# integrand's array primitives; it is None where the pairing integrates
+# constants only.  Vertex-type exclusions from the hull carry zero mass under
+# the diffuse models used here and are ignored.
 
 
 # Gauss degree-5 rule on the reference triangle (weights sum to 1).
@@ -836,38 +834,32 @@ def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
     return total
 
 
-def _convex_rule(gen: ConvexHullGen, model, f, mu: PointPattern):
-    if gen.dim != 2 and f is not None:
-        raise ConfigurationError("weighted convex hull integrals support d = 2 only")
+def _convex_rule(gen: ConvexHullGen, model, mu: PointPattern):
     mask, poly, solid = gen._extreme(mu)
     # pattern is assumed to lie in the (convex) carrier, so hull subset carrier
-    mass = model.rate * (solid.volume if solid else _polygon_area(poly))
-    if f is None:
-        return mask, mass, mass
-    total = 0.0
-    for i in range(1, len(poly) - 1):
-        total += _triangle_quad(
-            lambda q: f.value(EuclidPoint((float(q[0]), float(q[1])))),
-            poly[0],
-            poly[i],
-            poly[i + 1],
-        )
-    return mask, mass, model.rate * total
+    if solid:
+        return mask, model.rate * solid.volume, None
+
+    def integrate(f) -> float:
+        value = lambda q: f.value(EuclidPoint((float(q[0]), float(q[1]))))
+        total = 0.0  # a left-to-right sum: sum() compensates on Python >= 3.12
+        for i in range(1, len(poly) - 1):
+            total += _triangle_quad(value, poly[0], poly[i], poly[i + 1])
+        return model.rate * total
+
+    return mask, model.rate * _polygon_area(poly), integrate
 
 
-def _coordmin_rule(gen: CoordMinGen, model, f, mu: PointPattern):
-    _constants_only(gen, f)
+def _coordmin_rule(gen: CoordMinGen, model, mu: PointPattern):
     mask = gen.boundary_mask(mu)
     minima = list(compress(mu.rows, mask))
     (lx, ly), (hx, hy) = model.lo, model.hi
     w = max(0.0, hx - max(lx, min(c[0] for c in minima)))
     h = max(0.0, hy - max(ly, min(c[1] for c in minima)))
-    mass = model.rate * w * h
-    return mask, mass, mass
+    return mask, model.rate * w * h, None
 
 
-def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern):
-    _constants_only(gen, f)
+def _pareto_box_rule(gen: ParetoGen, model, mu: PointPattern):
     if gen.dim > 2:
         raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
     mask = gen.boundary_mask(mu)
@@ -876,25 +868,23 @@ def _pareto_box_rule(gen: ParetoGen, model, f, mu: PointPattern):
         mass = model.rate * max(0.0, model.hi[0] - max(model.lo[0], minimal[0][0]))
     else:
         mass = model.rate * _staircase_area(minimal, model.lo, model.hi)
-    return mask, mass, mass
+    return mask, mass, None
 
 
-def _pareto_halfline_rule(gen: ParetoGen, model, f, mu: PointPattern):
-    if f is None:
-        raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
+def _pareto_halfline_rule(gen: ParetoGen, model, mu: PointPattern):
     if gen.dim != 1:
         raise ConfigurationError("half-line hull integrals need a 1-D pareto generator")
     mask = gen.boundary_mask(mu)
     zeta = next(compress(mu.rows, mask))[0]  # in 1-D the one minimal atom is the minimum
-    return mask, math.nan, model.rate * f.tail_integral(zeta)
+    return mask, math.nan, lambda f: model.rate * f.tail_integral(zeta)
 
 
-def _band_rule(gen: EnvelopeGen, model, f, mu: PointPattern):
+def _band_rule(gen: EnvelopeGen, model, mu: PointPattern):
     sites, cell = model.grid_sites()
     depth = np.clip(gen.envelope_at(mu, sites), 0.0, model.phi_at(sites))
     mass = model.rate * float(depth.sum()) * cell
-    term = mass if f is None else model.rate * float(f.depth_primitive(depth).sum()) * cell
-    return gen.boundary_mask(mu), mass, term
+    return (gen.boundary_mask(mu), mass,
+            lambda f: model.rate * float(f.depth_primitive(depth).sum()) * cell)
 
 
 #: cell midpoints of the angular quadrature on line space, and their unit vectors
@@ -902,27 +892,24 @@ _THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
 _THETA_UNIT = np.column_stack([np.cos(_THETA_GRID), np.sin(_THETA_GRID)])
 
 
-def _lines_rule(gen: HalfPlaneGen, model, f, mu: PointPattern):
+def _lines_rule(gen: HalfPlaneGen, model, mu: PointPattern):
     h = gen.hull_support(mu, _THETA_GRID)
     lo = np.minimum(np.maximum(model.h_inner, h), model.h_outer)
     cell = 2.0 * math.pi / len(_THETA_GRID)
     mass = model.rate * float((model.h_outer - lo).sum()) * cell
-    term = mass
-    if f is not None:
-        term = model.rate * float(f.radial_primitive(lo, model.h_outer).sum()) * cell
-    return gen.boundary_mask(mu), mass, term
+    return (gen.boundary_mask(mu), mass,
+            lambda f: model.rate * float(f.radial_primitive(lo, model.h_outer).sum()) * cell)
 
 
-def _annulus_rule(gen: DiskHullGen, model, f, mu: PointPattern):
-    _constants_only(gen, f)
+def _annulus_rule(gen: DiskHullGen, model, mu: PointPattern):
     if abs(model.r_inner - gen.anchor_radius) > EPS_GEOM:
         raise ConfigurationError("annulus inner radius must match the anchor disk")
     mask = gen.boundary_mask(mu)
     mass = model.rate * (gen.hull_area(list(compress(mu.rows, mask))) - math.pi * gen.anchor_radius**2)
-    return mask, mass, mass
+    return mask, mass, None
 
 
-#: (generator type, model type) -> exact hull-integral rule
+#: (generator type, model type) -> rule(gen, model, mu) -> (mask, hull mass, integrate or None)
 _PAIRINGS = {
     (ConvexHullGen, sampling.UniformBox): _convex_rule,
     (ConvexHullGen, sampling.UniformDisk): _convex_rule,
@@ -937,30 +924,35 @@ _PAIRINGS = {
 
 
 def evaluate(
-    gen: HullGenerator, model, f, mu: PointPattern
-) -> tuple[tuple[bool, ...], float, float]:
-    """(boundary mask, hull mass, int f d(lambda restricted to the hull of mu)).
+    gen: HullGenerator, model, mu: PointPattern
+) -> tuple[tuple[bool, ...], float, Callable[..., float] | None]:
+    """(boundary mask, hull mass, integrate) of mu under its (generator, model) pairing.
 
-    The per-pattern call: the pairing rule reads all three from one geometry
-    pass, exactly.  ``f`` is None for f == 1.  The mask is
+    The per-pattern call: the pairing rule reads the mask and the mass from
+    one geometry pass, exactly, and ``integrate(f)`` integrates a
+    non-constant integrand over the hull from that pass's geometry; it is
+    None where the pairing integrates constants only.  The mask is
     ``gen.boundary_mask(mu)``; the mass is nan on the half line, whose hull
     has no finite mass.  The empty pattern has an empty hull, whatever the
     pairing.
     """
     gen.check_pattern(mu)
     if mu.is_empty:
-        return (), 0.0, 0.0
+        return (), 0.0, lambda f: 0.0
     rule = _PAIRINGS.get((type(gen), type(model)))
     if rule is None:
         raise ConfigurationError(
             f"unsupported hull-integral pairing: {type(gen).__name__} with {type(model).__name__}"
         )
-    return rule(gen, model, f, mu)
+    return rule(gen, model, mu)
 
 
 def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
-    """Intensity mass of the hull region: the f == 1 reading of ``evaluate``."""
-    return evaluate(gen, model, None, mu)[1]
+    """Intensity mass of the hull region, as ``evaluate`` reads it; the half line has none."""
+    mass = evaluate(gen, model, mu)[1]
+    if math.isnan(mass):
+        raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
+    return mass
 
 
 def _staircase_area(minimal: list[tuple[float, float]], lo, hi) -> float:

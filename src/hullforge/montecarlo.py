@@ -273,21 +273,27 @@ def replicate(chunk_fn: Callable, args: tuple, n: int, threads: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _replicate_chunk(args, lo: int, hi: int) -> list[tuple[float, float, int, float, float]]:
-    scenario_name, t, stream_tag, base_seed = args
+def _replicate_chunk(args, lo: int, hi: int) -> list[list[tuple]]:
+    """Per replication, one record per integrand on the same pattern: (value, variance
+    estimate, boundary count, complement mass, identity residual or None if no target)."""
+    scenario_name, t, stream_tag, base_seed, integrands, targets = args
     scen = get_scenario(scenario_name)
     model = scen.make_model(t)
-    f = scen.make_integrand(t)
-    target = scen.target(t)
     streams = sampling.RngStream(base_seed).child(stream_tag)
     out = []
     for rep in range(lo, hi):
         pattern = sampling.sample_poisson(model, streams.stream(rep))
-        est = estimators.hull_estimate(scen.gen, model, f, pattern)
-        ks = estimators.ks_error(scen.gen, model, f, pattern, target, hull_term=est.hull_term)
-        resid = abs(est.value - target - ks)
-        complement = model.total_mass - est.hull_mass  # nan where the hull mass is
-        out.append((est.value, est.variance_estimate, est.boundary_count, complement, resid))
+        record = []
+        for f, target in zip(integrands, targets):
+            est = estimators.hull_estimate(scen.gen, model, f, pattern)
+            resid = None
+            if target is not None:
+                ks = estimators.ks_error(scen.gen, model, f, pattern, target,
+                                         hull_term=est.hull_term)
+                resid = abs(est.value - target - ks)
+            complement = model.total_mass - est.hull_mass  # nan where the hull mass is
+            record.append((est.value, est.variance_estimate, est.boundary_count, complement, resid))
+        out.append(record)
     return out
 
 
@@ -305,14 +311,13 @@ def run_replications(config: ExperimentConfig, t_offset: int = 0) -> Replication
     )
     R = config.replications
     for t_index, t in enumerate(config.grid()):
-        args = (config.scenario, t, t_offset + t_index, config.base_seed)
-        records = replicate(_replicate_chunk, args, R, config.threads)
-        values = np.array([r[0] for r in records])
-        varests = np.array([r[1] for r in records])
-        bcounts = np.array([r[2] for r in records], dtype=float)
-        complements = np.array([r[3] for r in records])
-        resid = max(r[4] for r in records)
         target = scen.target(t)
+        args = (config.scenario, t, t_offset + t_index, config.base_seed,
+                (scen.make_integrand(t),), (target,))
+        records = replicate(_replicate_chunk, args, R, config.threads)
+        *columns, resids = zip(*(r[0] for r in records))
+        values, varests, bcounts, complements = (np.array(c, dtype=float) for c in columns)
+        resid = max(resids)
         mean = float(values.mean())
         var = float(values.var(ddof=1))
         se = math.sqrt(var / R)
@@ -374,7 +379,7 @@ class MarkovReport:
 
 def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
     """(interior count, interior f-sum, hull mass); the interior is the atoms off the mask."""
-    mask, mass, _ = generators.evaluate(gen, model, None, pattern)
+    mask, mass, _ = generators.evaluate(gen, model, pattern)
     interior = pattern.entries_where(not keep for keep in mask)
     fsum = sum(m * f.value(p) for p, m in interior)
     return float(sum(m for _, m in interior)), float(fsum), mass
@@ -543,30 +548,6 @@ class PairedRun:
     ks_resid_max: float
 
 
-def _paired_chunk(args, lo: int, hi: int) -> list[tuple[float, ...]]:
-    """(f value, g value) per replication, then the two residuals when targets are set."""
-    scenario_name, t, base_seed, targets = args
-    scen = get_scenario(scenario_name)
-    model = scen.make_model(t)
-    f = scen.make_integrand(t)
-    g = scen.covariate(t)
-    root = sampling.RngStream(base_seed).child(31)
-    out = []
-    for rep in range(lo, hi):
-        pattern = sampling.sample_poisson(model, root.stream(rep))
-        est_f = estimators.hull_estimate(scen.gen, model, f, pattern)
-        est_g = estimators.hull_estimate(scen.gen, model, g, pattern)
-        record = (est_f.value, est_g.value)
-        if targets is not None:
-            for est, fn, target in ((est_f, f, targets[0]), (est_g, g, targets[1])):
-                err = estimators.ks_error(
-                    scen.gen, model, fn, pattern, target, hull_term=est.hull_term
-                )
-                record += (abs(est.value - target - err),)
-        out.append(record)
-    return out
-
-
 def paired_estimates(
     config: ExperimentConfig,
     t: float | None = None,
@@ -579,15 +560,18 @@ def paired_estimates(
     error-representation identity is checked for both integrands on every
     pattern and the worst residual is reported.
     """
-    if get_scenario(config.scenario).covariate is None:
+    scen = get_scenario(config.scenario)
+    if scen.covariate is None:
         raise ConfigurationError(f"scenario {config.scenario} declares no covariate integrand")
     t = t if t is not None else config.grid()[0]
-    args = (config.scenario, t, config.base_seed, targets)
-    records = replicate(_paired_chunk, args, config.replications, config.threads)
-    vf = np.array([r[0] for r in records], dtype=float)
-    vg = np.array([r[1] for r in records], dtype=float)
-    # from 0.0 in replication order, so a NaN residual is skipped as a running max skips it
-    resid = max([0.0] + [x for r in records for x in r[2:]])
+    args = (config.scenario, t, 31, config.base_seed,
+            (scen.make_integrand(t), scen.covariate(t)), targets or (None, None))
+    records = replicate(_replicate_chunk, args, config.replications, config.threads)
+    vf = np.array([r[0][0] for r in records], dtype=float)
+    vg = np.array([r[1][0] for r in records], dtype=float)
+    # from 0.0 in replication order (f before g), so a NaN residual is skipped as a
+    # running max skips it
+    resid = max([0.0] + [x[4] for r in records for x in r if x[4] is not None])
     return PairedRun(values_f=vf, values_g=vg, ks_resid_max=resid)
 
 

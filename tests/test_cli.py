@@ -148,6 +148,12 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10}, id="rates-no-grid"),
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10,
                            "t_grid": [0.0, *_GRID4]}, id="t_grid-zero"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": [True]}, id="t_grid-bool"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": ["20"]}, id="t_grid-string"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": [10**400]}, id="t_grid-past-float"),
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
                            "seed": "s"}, id="seed-s"),
     pytest.param("axioms", {"generators": ["coordmin"], "patterns": "many"},
@@ -197,7 +203,7 @@ def test_experiment_config_rejects_threads_below_one(threads):
         montecarlo.ExperimentConfig(scenario="coordmin", replications=10, threads=threads)
 
 
-@pytest.mark.parametrize("t", [0, 0.0, -5.0, "abc"])
+@pytest.mark.parametrize("t", [0, 0.0, -5.0, "abc", "20", True])
 @pytest.mark.parametrize("command", ["variance", "markov"])
 def test_explicit_t_not_positive_exit_2(tmp_path, command, t):
     size = {"replications": 10} if command == "variance" else {"pairs": 10}

@@ -11,18 +11,44 @@ and disk hull generators had leave-one-out kernels.  A refactor that claims
 The ``SAMPLER_GOLDEN`` digests hash the entries of three sampled patterns
 per intensity model; they were recorded while every sampler still built its
 point objects one by one, before patterns became coordinate-row stores.
+The library-level ``PAIRING_GOLDEN`` digests (every pairing-table row
+against six integrands, including which combinations raise) and
+``PAIRED_GOLDEN`` digests (the paired estimator loop, with and without
+targets) were recorded while the pairing rules still took the integrand and
+the paired loop had its own chunk function.
 Regenerate a digest only with a change that means to alter that output.
 """
 
 import hashlib
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hullforge.cli import main
-from hullforge.montecarlo import _hoelder_band
+from hullforge.core import PointPattern
+from hullforge.estimators import (
+    Constant,
+    CustomIntegrand,
+    Indicator,
+    PowerDepth,
+    PowerTail,
+    RadialPower,
+    hull_estimate,
+    ks_error,
+)
+from hullforge.generators import (
+    ConvexHullGen,
+    CoordMinGen,
+    DiskHullGen,
+    EnvelopeGen,
+    HalfPlaneGen,
+    ParetoGen,
+    hull_mass,
+)
+from hullforge.montecarlo import ExperimentConfig, _hoelder_band, paired_estimates
 from hullforge.sampling import (
     HalfLine,
     HoelderBand,
@@ -191,3 +217,97 @@ def sampler_digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
 def test_golden_sampler_stream(name, seed):
     assert sampler_digest(name, seed) == SAMPLER_GOLDEN[name][seed - 1]
+
+
+#: every row of the pairing table, as (generator, sampler model); the convex
+#: and Pareto box rows also at the dimensions where they refuse or integrate
+#: constants only
+PAIRING_CASES = {
+    "convex2-box": (ConvexHullGen(2), "box2"),
+    "convex3-box": (ConvexHullGen(3), "box3"),
+    "convex2-disk": (ConvexHullGen(2), "disk"),
+    "convex2-polygon": (ConvexHullGen(2), "polygon"),
+    "coordmin-box": (CoordMinGen(), "box2"),
+    "pareto1-box": (ParetoGen(1), "box1"),
+    "pareto2-box": (ParetoGen(2), "box2"),
+    "pareto3-box": (ParetoGen(3), "box3"),
+    "pareto1-halfline": (ParetoGen(1), "halfline"),
+    "envelope1-band": (EnvelopeGen(1), "band1"),
+    "envelope2-band": (EnvelopeGen(2), "band2"),
+    "halfplane-lines": (HalfPlaneGen(2.0), "lines"),
+    "diskhull-annulus": (DiskHullGen(0.3), "annulus"),
+}
+
+INTEGRANDS = (
+    Constant(0.37),
+    Indicator(),
+    PowerDepth(2.0),
+    RadialPower(beta=2.0, weight=0.5),
+    PowerTail(2.0),
+    CustomIntegrand("row_sum", lambda p: 1.0 + 0.25 * sum(p.row)),
+)
+
+PAIRING_GOLDEN = {
+    "convex2-box": "ea7dc8db39818f9070e3b488a9e747ef295be3f08d8dbd9067fbd8941f524539",
+    "convex2-disk": "42d62172251368ce049aa2a8c9b7df16ea9c2f88ca8bc73d1f06ebdc302dff72",
+    "convex2-polygon": "2bdf684223d1ddf72f037bdabe112c4027f2fe1b397d9596b3b3eac8ad0f6b9c",
+    "convex3-box": "567e9ebf2df6555627735ce8e8a3c35194ed46361bbaffccdfd9859f61fe84d8",
+    "coordmin-box": "8c10d9af0b3213fe1729f41b502d3982d05c1f00a948fa61fa2336af4a18bd8e",
+    "diskhull-annulus": "12bcf7bac743968e693f9398a4ee0875b987f761b15a61027b812a04d5710500",
+    "envelope1-band": "af9f5dd8b4474cf6cf0a1708244229fe977023808cc5a2a6bf0f132f03d4be0d",
+    "envelope2-band": "ea2338716133df3386b570dd977887a7af437a6dd1074a839696c24264dcf054",
+    "halfplane-lines": "358d5f40e2581d81b896a37af48dfaf27a485811875a9b7bc6fc41f2882aceb5",
+    "pareto1-box": "237b01120977abbaeda747552c309a689f7643507d96ebd75c176da7acf282e7",
+    "pareto1-halfline": "9e9ff39dcd5e9a0fb48b2d9d3ea0400d855df573af1730eeca153b410156178d",
+    "pareto2-box": "17e3c1415860a31f0063114f1b035a99de4a93be1d8f433f5c1a6dfa86df7cd9",
+    "pareto3-box": "a866b7e7534cc6ad2daa27a244458dfe96e33ddf42dbe653f413ef8f62f567f6",
+}
+
+
+def _outcome(fn):
+    """``fn()``, or the name of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # which combinations raise, and what, is part of the digest
+        return type(exc).__name__
+
+
+def pairing_digest(case: str) -> str:
+    """sha256 over the hull mass and, per integrand, the estimate and KS error of five patterns.
+
+    The patterns are the empty one and four sampled ones.
+    """
+    gen, name = PAIRING_CASES[case]
+    model = SAMPLER_MODELS[name]
+    patterns = [PointPattern.empty()] + [sample_poisson(model, RngStream(41).stream(i))
+                                         for i in range(4)]
+    record = []
+    for mu in patterns:
+        record.append(_outcome(lambda: hull_mass(gen, mu, model)))
+        for f in INTEGRANDS:
+            record.append(_outcome(lambda: astuple(hull_estimate(gen, model, f, mu))))
+            record.append(_outcome(lambda: ks_error(gen, model, f, mu, 1.0)))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+def test_golden_pairing_integrands(case):
+    assert pairing_digest(case) == PAIRING_GOLDEN[case]
+
+
+PAIRED_GOLDEN = {
+    "no-targets": "c4dab50f1702d1c1425f5efd7b9f76c5409e5740a8fe66e1b824c6bab6d7480c",
+    "targets": "0dc1a616b3ee34eb0a2e04d7d7f374856e280148053f34ecd83e4bda5975abf8",
+}
+
+
+#: the (f, g) targets of each paired run; None checks no error identity
+PAIRED_TARGETS = {"no-targets": None, "targets": (6.0, 1.0)}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_TARGETS))
+def test_golden_paired_estimates(case):
+    config = ExperimentConfig("hoelder_d1", replications=60, base_seed=4, t_grid=(8.0,))
+    run = paired_estimates(config, targets=PAIRED_TARGETS[case])
+    record = (run.values_f.tolist(), run.values_g.tolist(), run.ks_resid_max)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == PAIRED_GOLDEN[case]
