@@ -4,11 +4,15 @@ Usage:
     hullforge <axioms|estimate|variance|markov|clt|rates> --config <path>
               [--seed N] [--threads N] [--out DIR]
 
-Configs are UTF-8 JSON documents with a versioned ``schema`` field; unknown
-keys are rejected.  Each run writes ``<out>/<name>.csv`` and
-``<out>/<name>.summary.json`` plus a ``manifest.json``; experiment outputs
-are byte-identical for identical config and seed, independent of the thread
-count (the manifest carries volatile wall-clock and is exempt).
+Configs are UTF-8 JSON with a versioned ``schema`` field.  ``_KEYS`` gives each
+subcommand's keys one reader each, which types a value or refuses it; every
+key present is read before any work starts, and any other key is refused.
+Experiment defaults live in ``montecarlo.ExperimentConfig``, others in their command.
+
+Each run writes ``<out>/<name>.csv`` and ``<out>/<name>.summary.json`` plus
+a ``manifest.json``; experiment outputs are byte-identical for identical
+config and seed, independent of the thread count (the manifest carries
+volatile wall-clock and is exempt).
 
 Exit codes: 0 pass, 1 statistical or axiom failure, 2 usage/config error.
 """
@@ -23,32 +27,12 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, analytics, corpora, montecarlo
 from .core import ConfigurationError
 
 SCHEMA_VERSION = 1
-
-_COMMON_KEYS = {"schema", "name"}
-_ALLOWED_KEYS = {
-    "axioms": _COMMON_KEYS | {"generators", "patterns", "max_points", "seed"},
-    "estimate": _COMMON_KEYS | {"scenario", "replications", "seed", "t_grid"},
-    "variance": _COMMON_KEYS
-    | {
-        "scenario",
-        "replications",
-        "seed",
-        "t",
-        "nested_probes",
-        "nested_replicas",
-        "covariance",
-    },
-    "markov": _COMMON_KEYS | {"scenario", "pairs", "seed", "t", "negative_control"},
-    "clt": _COMMON_KEYS
-    | {"scenario", "replications", "seed", "t_grid", "slope_band"},
-    "rates": _COMMON_KEYS
-    | {"scenario", "replications", "seed", "t_grid", "slope_band"},
-}
 
 
 def _fmt(x) -> str:
@@ -91,7 +75,64 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str, command: str) -> dict:
+# ---------------------------------------------------------------------------
+# config keys: each reader turns one JSON value into its typed value or refuses it
+
+
+def _reader(what: str, ok: Callable[[object], bool], typed: Callable = lambda v: v):
+    """A reader: ``typed(value)`` if ``ok(value)``, else a ``ConfigurationError``."""
+    def read(key: str, value):
+        if not ok(value):
+            raise ConfigurationError(f"{key!r} must be {what}, got {value!r}")
+        return typed(value)
+    return read
+
+
+def _real(v) -> bool:
+    """A JSON number; a bool or a string is refused, never parsed."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _t_value(v) -> bool:
+    return _real(v) and 0 < v <= sys.float_info.max  # also refuses nan and ints past float
+
+
+_schema = _reader(str(SCHEMA_VERSION), lambda v: type(v) is int and v == SCHEMA_VERSION)
+_name = _reader("a non-empty file stem without '/', '\\' or '..'", lambda v: isinstance(v, str)
+                and v != "" and not any(s in v for s in ("/", "\\", "..")))
+_text = _reader("a string", lambda v: isinstance(v, str))
+_integer = _reader("an integer", lambda v: type(v) is int)  # a float is refused, not truncated
+_count = _reader("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_flag = _reader("true or false", lambda v: type(v) is bool)
+_t = _reader("a positive finite number", _t_value, lambda v: (float(v),))  # a one-point grid
+_grid = _reader("a list of positive finite numbers",
+                lambda v: isinstance(v, list) and all(map(_t_value, v)),
+                lambda v: tuple(map(float, v)))
+_band = _reader("two numbers lo <= hi",
+                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_real, v))
+                and v[0] <= v[1], tuple)
+_generators = _reader(f"a list of names from {sorted(corpora.GENERATOR_SUITE)}",
+                      lambda v: isinstance(v, list) and all(
+                          isinstance(n, str) and n in corpora.GENERATOR_SUITE for n in v))
+
+_EVERY = {"schema": _schema, "name": _name, "seed": _integer}
+_SCENARIO = {**_EVERY, "scenario": _text}
+_SLOPE = {**_SCENARIO, "replications": _integer, "t_grid": _grid, "slope_band": _band}
+
+#: command -> {config key: reader}; the only keys a command's config may hold
+_KEYS = {
+    "axioms": {**_EVERY, "generators": _generators, "patterns": _count, "max_points": _count},
+    "estimate": {**_SCENARIO, "replications": _integer, "t_grid": _grid},
+    "variance": {**_SCENARIO, "replications": _integer, "t": _t, "nested_probes": _integer,
+                 "nested_replicas": _integer, "covariance": _flag},
+    "markov": {**_SCENARIO, "pairs": _integer, "t": _t, "negative_control": _flag},
+    "clt": _SLOPE,
+    "rates": _SLOPE,
+}
+
+
+def _load_config(path: str, command: str) -> tuple[dict, dict]:
+    """(raw config, typed values): every key present read by its reader, before any work."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -101,106 +142,51 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(f"config schema must be {SCHEMA_VERSION}")
-    unknown = set(cfg) - _ALLOWED_KEYS[command]
+    keys = _KEYS[command]
+    unknown = set(cfg) - set(keys)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    if "name" not in cfg:
-        raise ConfigurationError("config needs a 'name'")
-    name = cfg["name"]
-    if not isinstance(name, str) or not name or any(s in name for s in ("/", "\\", "..")):
-        raise ConfigurationError(
-            f"config 'name' must be a non-empty file stem without '/', '\\' or '..', got {name!r}"
-        )
-    return cfg
+    for key in ("schema", "name"):
+        if key not in cfg:
+            raise ConfigurationError(f"config needs {key!r}")
+    return cfg, {key: keys[key](key, value) for key, value in cfg.items()}
 
 
-def _number(cfg: dict, key: str, default: int | None = None) -> int:
-    """``cfg[key]`` as a JSON integer, or ``default`` when the key is absent and a default is given.
+#: config keys that name an ``ExperimentConfig`` field differently
+_FIELD = {"seed": "base_seed", "pairs": "replications", "t": "t_grid"}
 
-    A float, a bool or a string is refused, never truncated or parsed.
+
+def _experiment_config(cfg: dict, threads: int, **defaults) -> montecarlo.ExperimentConfig:
+    """The experiment keys present in ``cfg`` as an ``ExperimentConfig``.
+
+    An absent key takes the command default in ``defaults``, else the
+    dataclass default; an absent ``t`` or ``t_grid`` means the scenario's t.
     """
-    if key not in cfg and default is not None:
-        return default
-    if key not in cfg:
-        raise ConfigurationError(f"config needs {key!r}")
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """``cfg[key]`` as a JSON boolean, false when absent."""
-    value = cfg.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _positive(key: str, value) -> float:
-    """``value`` as a positive finite JSON number; a bool or a string is refused, never parsed."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0 < value <= sys.float_info.max):  # also refuses nan and ints past float
-        raise ConfigurationError(f"{key!r} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _experiment_config(
-    cfg: dict, command: str, seed: int | None, threads: int
-) -> montecarlo.ExperimentConfig:
-    """The one place that reads a command's experiment keys and checks their types.
-
-    ``variance`` and ``markov`` may give one ``t``, the other commands a
-    ``t_grid``; an absent one means the scenario default.  ``clt`` and
-    ``rates`` fit a log-log slope, which needs 4 grid points.
-    """
-    scenario = cfg.get("scenario")
-    if not isinstance(scenario, str):
-        raise ConfigurationError(f"config needs a 'scenario' name, got {scenario!r}")
-    key = "t" if "t" in cfg else "t_grid"
-    raw = [cfg["t"]] if key == "t" else cfg.get("t_grid", [])
-    if not isinstance(raw, list):
-        raise ConfigurationError(f"'t_grid' must be a list of numbers, got {raw!r}")
-    t_grid = tuple(_positive(key, t) for t in raw)
-    if command in ("clt", "rates") and len(t_grid) < 4:
-        raise ConfigurationError(f"{command} needs at least 4 't_grid' points, got {len(t_grid)}")
-    return montecarlo.ExperimentConfig(
-        scenario=scenario,
-        replications=(_number(cfg, "pairs", 10000) if command == "markov"
-                      else _number(cfg, "replications")),
-        base_seed=seed if seed is not None else _number(cfg, "seed", 0),
-        t_grid=t_grid,
-        nested_probes=_number(cfg, "nested_probes", 512),
-        nested_replicas=_number(cfg, "nested_replicas", 200),
-        threads=threads,
-        negative_control=_flag(cfg, "negative_control"),
-    )
+    fields = {f.name: f for f in dataclasses.fields(montecarlo.ExperimentConfig)}
+    given = {**defaults, **{_FIELD.get(k, k): v for k, v in cfg.items()
+                            if _FIELD.get(k, k) in fields}}
+    for name, f in fields.items():
+        if f.default is dataclasses.MISSING and name not in given:
+            raise ConfigurationError(f"config needs {name!r}")
+    return montecarlo.ExperimentConfig(**given, threads=threads)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
+def cmd_axioms(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     names = cfg.get("generators", [n for n in corpora.GENERATOR_SUITE if n != "broken_lexdrop"])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigurationError(f"'generators' must be a list of generator names, got {names!r}")
-    count = _number(cfg, "patterns", 1000)
-    max_points = _number(cfg, "max_points", 12)
-    if min(count, max_points) < 0:
-        raise ConfigurationError(f"'patterns' and 'max_points' must be >= 0, got {count}, {max_points}")
-    base_seed = seed if seed is not None else _number(cfg, "seed", 0)
-    if count == 0:
-        print("warning: corpus size 0, axiom checks pass vacuously", file=sys.stderr)
+    count = cfg.get("patterns", 1000)
+    max_points = cfg.get("max_points", 12)
+    if count == 0 or not names:
+        print("warning: no generators or corpus size 0, axiom checks pass vacuously",
+              file=sys.stderr)
     rows = []
     passed = True
     counterexamples = {}
     for name in names:
-        if name not in corpora.GENERATOR_SUITE:
-            raise ConfigurationError(f"unknown generator {name!r}")
-        report = corpora.run_axiom_battery(name, count, max_points, base_seed, threads)
+        report = corpora.run_axiom_battery(name, count, max_points, cfg.get("seed", 0), threads)
         for check, ok, fail in report.summary_rows():
             rows.append((name, check, ok, fail))
         if not report.all_passed:
@@ -210,31 +196,21 @@ def cmd_axioms(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
                 for c, mu, d in report.counterexamples
             ]
     _write_csv(out / f"{cfg['name']}.csv", ["generator", "check", "passed", "failed"], rows)
-    summary = {
+    return passed, {
         "generators": list(names),
         "patterns": count,
         "passed": passed,
         "counterexamples": counterexamples,
     }
-    return passed, summary
 
 
-def _grid_rows(config: montecarlo.ExperimentConfig):
-    """Run one t at a time so callers can flush partial output on interrupt."""
-    for t_index, t in enumerate(config.grid()):
-        single = dataclasses.replace(config, t_grid=(t,))
-        yield montecarlo.run_replications(single, t_offset=t_index).rows[0]
-
-
-def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "estimate", seed, threads)
-    writer = _IncrementalCsv(
-        out / f"{cfg['name']}.csv",
-        ["t", "mean", "se", "ci_lo", "ci_hi", "target", "pass"],
-    )
+def cmd_estimate(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
+    config = _experiment_config(cfg, threads)
+    writer = _IncrementalCsv(out / f"{cfg['name']}.csv",
+                             ["t", "mean", "se", "ci_lo", "ci_hi", "target", "pass"])
     rows = []
     try:
-        for row in _grid_rows(config):
+        for row, _ in montecarlo.replication_rows(config):  # each row flushed as it arrives
             writer.row((row.t, row.mean, row.se, row.ci_lo, row.ci_hi, row.target,
                         row.unbiased_pass))
             rows.append(row)
@@ -257,9 +233,8 @@ def cmd_estimate(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
     }
 
 
-def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "variance", seed, threads)
-    covariance = _flag(cfg, "covariance")
+def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
+    config = _experiment_config(cfg, threads)
     t = config.grid()[0]
     summary = montecarlo.run_replications(config)
     values = summary.samples[t]["values"]
@@ -287,7 +262,7 @@ def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
         "overlaps": pairs,
     }
     passed = all(pairs.values())
-    if covariance:
+    if cfg.get("covariance", False):
         paired = montecarlo.paired_estimates(config, t)
         g = scen.covariate(t)
         nested_fg = montecarlo.nested_h_integral(
@@ -304,8 +279,8 @@ def cmd_variance(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[
     return passed, summary_obj
 
 
-def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config = _experiment_config(cfg, "markov", seed, threads)
+def cmd_markov(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
+    config = _experiment_config(cfg, threads, replications=10000)
     report = montecarlo.markov_two_sample(config)
     rows = list(zip(report.coordinates, report.statistics, report.pvalues))
     _write_csv(out / f"{cfg['name']}.csv", ["coordinate", "ks_statistic", "p_value"], rows)
@@ -322,25 +297,22 @@ def cmd_markov(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bo
     }
 
 
-def _slope_run(cfg: dict, command: str, seed: int | None, threads: int, band: list):
+def _slope_run(cfg: dict, threads: int, band: tuple[float, float]):
     """(config, scenario, summary, slope band) of a run whose log-log slope is checked.
 
-    The band is two numbers lo <= hi; the scenario must have analytic bounds.
+    The fit needs 4 grid points; the scenario must have analytic bounds.
     """
-    config = _experiment_config(cfg, command, seed, threads)
-    band = cfg.get("slope_band", band)
-    if not (isinstance(band, list) and len(band) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in band)
-            and band[0] <= band[1]):
-        raise ConfigurationError(f"'slope_band' must be two numbers lo <= hi, got {band!r}")
+    config = _experiment_config(cfg, threads)
+    if len(config.t_grid) < 4:
+        raise ConfigurationError(f"a slope fit needs 4 't_grid' points, got {config.t_grid}")
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
         raise ConfigurationError(f"scenario {scen.name} has no analytic bounds")
-    return config, scen, montecarlo.run_replications(config), band
+    return config, scen, montecarlo.run_replications(config), cfg.get("slope_band", band)
 
 
-def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config, scen, summary, (lo, hi) = _slope_run(cfg, "clt", seed, threads, [-0.40, -0.10])
+def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
+    config, scen, summary, (lo, hi) = _slope_run(cfg, threads, (-0.40, -0.10))
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))
     bound = sum(terms)
@@ -366,8 +338,8 @@ def cmd_clt(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool,
     }
 
 
-def cmd_rates(cfg: dict, out: Path, seed: int | None, threads: int) -> tuple[bool, dict]:
-    config, scen, summary, (lo, hi) = _slope_run(cfg, "rates", seed, threads, [0.40, 0.60])
+def cmd_rates(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
+    config, scen, summary, (lo, hi) = _slope_run(cfg, threads, (0.40, 0.60))
     slope_ok = (
         summary.variance_slope is not None and lo <= summary.variance_slope <= hi
     )
@@ -426,10 +398,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
-        cfg = _load_config(args.config, args.command)
+        raw, cfg = _load_config(args.config, args.command)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        passed, summary = _COMMANDS[args.command](cfg, out, args.seed, args.threads)
+        passed, summary = _COMMANDS[args.command](cfg, out, args.threads)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -437,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     _write_json(summary_path, summary)
     manifest = {
         "command": args.command,
-        "config": cfg,
+        "config": raw,
         "seed_override": args.seed,
         "version": __version__,
         "wall_clock_s": round(time.time() - started, 3),

@@ -61,16 +61,12 @@ class Integrand:
 
 @dataclass(frozen=True)
 class Constant(Integrand):
+    """f = c; ``_evaluate`` turns it into c times the hull mass, so it needs no primitive."""
+
     c: float = 1.0
 
     def value(self, p):
         return self.c
-
-    def depth_primitive(self, v):
-        return self.c * np.clip(v, 0.0, None)
-
-    def radial_primitive(self, a, b):
-        return self.c * np.clip(b - a, 0.0, None)
 
 
 @dataclass(frozen=True)

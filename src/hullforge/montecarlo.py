@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp, norm
@@ -168,6 +168,10 @@ def scenario_names() -> list[str]:
 # configuration and summaries
 
 
+#: the largest expected pattern size (a model's total mass) an experiment may ask for
+MAX_PATTERN_MASS = 1e7
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters; everything downstream is a pure function of it."""
@@ -193,7 +197,12 @@ class ExperimentConfig:
             )
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
-        get_scenario(self.scenario)
+        scen = get_scenario(self.scenario)
+        for t in self.grid():
+            mass = scen.make_model(t).total_mass
+            if not mass <= MAX_PATTERN_MASS:  # also refuses an overflow to inf
+                raise ConfigurationError(f"t = {t:g} asks for {mass:.3g} points per pattern, "
+                                         f"above the cap of {MAX_PATTERN_MASS:.0e}")
 
     def grid(self) -> tuple[float, ...]:
         return self.t_grid or (get_scenario(self.scenario).default_t,)
@@ -297,22 +306,16 @@ def _replicate_chunk(args, lo: int, hi: int) -> list[list[tuple]]:
     return out
 
 
-def run_replications(config: ExperimentConfig, t_offset: int = 0) -> ReplicationSummary:
-    """Independent replications over the t grid, aggregated deterministically.
+def replication_rows(config: ExperimentConfig) -> Iterator[tuple[TRow, dict[str, np.ndarray]]]:
+    """Per grid point, in grid order: its aggregate row and its per-replication arrays.
 
-    ``t_offset`` shifts the per-t stream namespace so a grid can be run one
-    point at a time (for incremental output) with identical results.
+    Grid point i draws from stream tag i; a caller can write each row as it arrives.
     """
     scen = get_scenario(config.scenario)
-    summary = ReplicationSummary(
-        scenario=config.scenario,
-        replications=config.replications,
-        base_seed=config.base_seed,
-    )
     R = config.replications
     for t_index, t in enumerate(config.grid()):
         target = scen.target(t)
-        args = (config.scenario, t, t_offset + t_index, config.base_seed,
+        args = (config.scenario, t, t_index, config.base_seed,
                 (scen.make_integrand(t),), (target,))
         records = replicate(_replicate_chunk, args, R, config.threads)
         *columns, resids = zip(*(r[0] for r in records))
@@ -325,30 +328,43 @@ def run_replications(config: ExperimentConfig, t_offset: int = 0) -> Replication
             w1, ks = normality_diagnostics(values)
         else:
             w1, ks = math.nan, math.nan
-        summary.rows.append(
-            TRow(
-                t=t,
-                target=target,
-                mean=mean,
-                variance=var,
-                se=se,
-                ci_lo=mean - _Z99 * se,
-                ci_hi=mean + _Z99 * se,
-                mean_varest=float(varests.mean()),
-                mean_boundary_count=float(bcounts.mean()),
-                mean_complement_mass=float(complements.mean()),
-                w1=w1,
-                ks=ks,
-                ks_resid_max=resid,
-                unbiased_pass=abs(mean - target) <= 4.0 * se,
-            )
-        )
-        summary.samples[t] = {
+        yield TRow(
+            t=t,
+            target=target,
+            mean=mean,
+            variance=var,
+            se=se,
+            ci_lo=mean - _Z99 * se,
+            ci_hi=mean + _Z99 * se,
+            mean_varest=float(varests.mean()),
+            mean_boundary_count=float(bcounts.mean()),
+            mean_complement_mass=float(complements.mean()),
+            w1=w1,
+            ks=ks,
+            ks_resid_max=resid,
+            unbiased_pass=abs(mean - target) <= 4.0 * se,
+        ), {
             "values": values,
             "varest": varests,
             "boundary_count": bcounts,
             "complement_mass": complements,
         }
+
+
+def run_replications(config: ExperimentConfig) -> ReplicationSummary:
+    """Independent replications over the t grid, aggregated deterministically.
+
+    The rows of ``replication_rows``, with log-log slope fits of the variance
+    and of W1 when the grid has 4 points.
+    """
+    summary = ReplicationSummary(
+        scenario=config.scenario,
+        replications=config.replications,
+        base_seed=config.base_seed,
+    )
+    for row, samples in replication_rows(config):
+        summary.rows.append(row)
+        summary.samples[row.t] = samples
     if len(summary.rows) >= 4:
         pairs = [(r.t, r.variance) for r in summary.rows if r.variance > 0]
         if len(pairs) >= 4:

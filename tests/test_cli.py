@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hullforge import montecarlo
-from hullforge.cli import _grid_rows, main
+from hullforge import cli, montecarlo
+from hullforge.cli import main
 from hullforge.core import ConfigurationError
 
 
@@ -72,13 +72,13 @@ def test_seed_override_changes_output(tmp_path):
 
 
 def test_grid_rows_match_whole_grid_run():
-    # Point-at-a-time rows must draw from the same per-t streams as one run
-    # over the whole grid; a constant offset would reuse t_grid[0]'s streams.
+    # The rows `estimate` writes as they arrive must equal one run over the
+    # whole grid; grid point i draws from stream tag i.
     config = montecarlo.ExperimentConfig(
         scenario="pareto_square", replications=150, base_seed=5,
         t_grid=(10.0, 20.0, 40.0),
     )
-    rows = list(_grid_rows(config))
+    rows = [row for row, _ in montecarlo.replication_rows(config)]
     whole = montecarlo.run_replications(config)
     assert len(rows) == len(whole.rows) == 3
     for got, want in zip(rows, whole.rows):
@@ -154,6 +154,12 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                               "t_grid": ["20"]}, id="t_grid-string"),
     pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
                               "t_grid": [10**400]}, id="t_grid-past-float"),
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": [1e300]}, id="t_grid-huge"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10, "t": 1e300},
+                 id="variance-t-huge"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": 10, "t": 1e300},
+                 id="markov-t-huge"),
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
                            "seed": "s"}, id="seed-s"),
     pytest.param("axioms", {"generators": ["coordmin"], "patterns": "many"},
@@ -181,6 +187,55 @@ def test_bad_experiment_keys_exit_2(tmp_path, capsys, command, body):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "x.csv").exists()
+
+
+# a config every command accepts, and per reader a value it must refuse
+_VALID = {
+    "axioms": {"generators": ["coordmin"], "patterns": 2},
+    "estimate": {"scenario": "convex_square", "replications": 10, "t_grid": [5.0]},
+    "variance": {"scenario": "convex_square", "replications": 10, "t": 5.0,
+                 "nested_probes": 4, "nested_replicas": 2},
+    "markov": {"scenario": "convex_square", "pairs": 10, "t": 5.0},
+    "clt": {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4},
+    "rates": {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4},
+}
+_REFUSED = {
+    cli._schema: 2,
+    cli._name: 7,
+    cli._text: ["convex_square"],
+    cli._integer: "1",
+    cli._count: "1",
+    cli._flag: "true",
+    cli._t: True,
+    cli._grid: 5.0,
+    cli._band: [1],
+    cli._generators: ["convex9"],
+}
+_DECLARED = [(command, key) for command, keys in cli._KEYS.items() for key in keys]
+
+
+@pytest.mark.parametrize("command, key", _DECLARED, ids=[f"{c}-{k}" for c, k in _DECLARED])
+def test_every_declared_key_refuses_a_bad_value(tmp_path, capsys, command, key):
+    reader = cli._KEYS[command][key]
+    assert reader in _REFUSED, f"no refused value declared for the reader of {key!r}"
+    body = {"schema": 1, "name": "x", **_VALID[command], key: _REFUSED[reader]}
+    cfg = _write(tmp_path, "c.json", body)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (out / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "axioms"])
+def test_bad_seed_refused_under_seed_override(tmp_path, capsys, command):
+    # --seed replaces the config's seed, but the config's own value is still read
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **_VALID[command], "seed": "abc"})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
     assert not (out / "x.csv").exists()
 
 
@@ -245,6 +300,10 @@ def test_axioms_command_pass_fail_and_vacuous(tmp_path, capsys):
         {"schema": 1, "name": "axv", "generators": ["coordmin"], "patterns": 0, "seed": 2},
     )
     assert main(["axioms", "--config", vacuous, "--out", str(tmp_path / "o3")]) == 0
+    assert "vacuous" in capsys.readouterr().err
+
+    no_generators = _write(tmp_path, "axn.json", {"schema": 1, "name": "axn", "generators": []})
+    assert main(["axioms", "--config", no_generators, "--out", str(tmp_path / "o4")]) == 0
     assert "vacuous" in capsys.readouterr().err
 
 

@@ -58,7 +58,6 @@ XY = CustomIntegrand("xy", lambda p: p.coords[0] * p.coords[1])
 @pytest.mark.parametrize(
     "f,lo",
     [
-        (Constant(0.7), 0.0),
         (Indicator(), 0.0),
         (PowerDepth(2.0), 0.0),
         (PowerDepth(1.5), 0.0),
@@ -77,7 +76,6 @@ def test_radial_primitive_matches_quadrature():
     for f, density in (
         (RadialPower(beta=1.0, weight=1.0), lambda u: 1.0),
         (RadialPower(beta=2.0, weight=0.5), lambda u: 0.5 * 2.0 * u),
-        (Constant(0.7), lambda u: 0.7),
     ):
         num = [quad(density, x, b)[0] if x < b else 0.0 for x in a]
         assert f.radial_primitive(a, b) == pytest.approx(num, rel=1e-10)

@@ -22,6 +22,15 @@ def test_config_validation():
     assert cfg.grid() == (50.0,)
 
 
+def test_config_refuses_patterns_past_the_mass_cap():
+    # halfline_min at t=1e300 would sit in the half line's renewal loop for good
+    with pytest.raises(ConfigurationError, match="cap"):
+        mc.ExperimentConfig(scenario="halfline_min", replications=10, t_grid=(1e300,))
+    t = 1024.0  # the largest t the rate checks sample: 768 expected points
+    assert mc.get_scenario("hoelder_d1").make_model(t).total_mass <= mc.MAX_PATTERN_MASS
+    mc.ExperimentConfig(scenario="hoelder_d1", replications=10, t_grid=(t,))
+
+
 @pytest.mark.parametrize("scenario, t", [("convex_square", 20.0), ("pareto_square", 20.0),
                                          ("hoelder_d1", 16.0), ("halfline_min", 1.0)])
 def test_complement_is_total_minus_hull_mass(scenario, t):
