@@ -2,7 +2,12 @@
 
 A pattern stores one coordinate row per distinct atom, in lexicographic
 order, with its multiplicity; kernels read the rows or their array, and
-point objects are views built on demand by ``point_from_row``.
+point objects are views built on demand by ``point_from_row``.  Sampled
+patterns are built array-first by ``PointPattern.from_array``: the rows are
+sorted and merged as an array, and that array arrives as the pattern's
+``coords``, already built.  The measure algebra (``add``, ``remove``, ``+``,
+``-``, ``with_mults``) and ``from_points`` work on row tuples through
+``_canonical``.
 
 A generator is a thinning map ``mu -> boundary(mu)`` on finite counting
 measures satisfying four axioms:
@@ -51,33 +56,60 @@ class ConfigurationError(ValueError):
     """Unsupported pairing or unresolvable experiment configuration."""
 
 
-def checked_rows(space_tag: tuple, coords) -> list[tuple[float, ...]]:
-    """The rows of an (n, k) coordinate array, in order, as tuples of floats.
-
-    The one validity check of the ground spaces, for whole arrays and for
-    the point constructors alike: dimension 1..3, a row width that fits the
-    space, finite values, and for lines an angle in [0, 2*pi) and an offset
-    >= 0.
-    """
+def _row_width(space_tag: tuple) -> int:
+    """The row width of a ground space, after checking its dimension is 1..3."""
     kind = space_tag[0]
-    if kind != "line" and not 1 <= space_tag[1] <= 3:
+    if kind == "line":
+        return 2
+    if not 1 <= space_tag[1] <= 3:
         name = "euclidean points" if kind == "euclid" else "param sites"
         raise DomainError(f"{name} support dimension 1..3, got {space_tag[1]}")
-    width = 2 if kind == "line" else space_tag[1] + (kind == "param")
+    return space_tag[1] + (kind == "param")
+
+
+def checked_array(space_tag: tuple, coords) -> np.ndarray:
+    """An (n, k) coordinate array as float, after the validity check of the ground spaces.
+
+    The rules: dimension 1..3, a row width that fits the space, finite
+    values, and for lines an angle in [0, 2*pi) and an offset >= 0.
+    ``checked_row`` applies the same rules, with the same messages, to one row.
+    """
+    width = _row_width(space_tag)
     arr = np.asarray(coords, dtype=float)
     if arr.shape == (0,):  # an empty list of rows
         arr = arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise DomainError(f"rows of space {space_tag} have width {width}, got shape {arr.shape}")
     checks = [(arr, np.isfinite(arr), "coordinates must be finite")]
-    if kind == "line":
+    if space_tag[0] == "line":
         ang, off = arr[:, 0], arr[:, 1]
         checks += [(ang, (0.0 <= ang) & (ang < 2.0 * math.pi), "angle must lie in [0, 2*pi)"),
                    (off, off >= 0.0, "offset must be >= 0")]
     for values, ok, message in checks:
-        if not ok.all():
+        if np.count_nonzero(ok) < ok.size:
             raise DomainError(f"{message}, got {values[~ok][0].item()!r}")
-    return list(map(tuple, arr.tolist()))
+    return arr
+
+
+def checked_row(space_tag: tuple, row) -> tuple[float, ...]:
+    """One row as a tuple of floats, under the rules and messages of ``checked_array``.
+
+    The point constructors' check: scalar arithmetic, no array round trip.
+    The row width follows from ``space_tag``, which the points derive from
+    the row itself.
+    """
+    _row_width(space_tag)
+    row = tuple(map(float, row))
+    for v in row:
+        if not math.isfinite(v):
+            raise DomainError(f"coordinates must be finite, got {v!r}")
+    if space_tag[0] == "line":
+        angle, offset = row
+        if not 0.0 <= angle < 2.0 * math.pi:
+            raise DomainError(f"angle must lie in [0, 2*pi), got {angle!r}")
+        if not offset >= 0.0:
+            raise DomainError(f"offset must be >= 0, got {offset!r}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -87,7 +119,7 @@ class EuclidPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", checked_rows(self.space_tag, [self.coords])[0])
+        object.__setattr__(self, "coords", checked_row(self.space_tag, self.coords))
 
     @property
     def space_tag(self) -> tuple:
@@ -109,7 +141,7 @@ class ParamPoint:
     level: float
 
     def __post_init__(self) -> None:
-        (*site, level), = checked_rows(self.space_tag, [(*self.site, self.level)])
+        *site, level = checked_row(self.space_tag, (*self.site, self.level))
         object.__setattr__(self, "site", tuple(site))
         object.__setattr__(self, "level", level)
 
@@ -134,7 +166,7 @@ class LinePoint:
     offset: float
 
     def __post_init__(self) -> None:
-        (angle, offset), = checked_rows(self.space_tag, [(self.angle, self.offset)])
+        angle, offset = checked_row(self.space_tag, (self.angle, self.offset))
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "offset", offset)
 
@@ -211,8 +243,30 @@ class PointPattern:
 
     @staticmethod
     def from_array(space_tag: tuple, coords) -> "PointPattern":
-        """The pattern of the rows of an (n, k) array; see ``checked_rows``."""
-        return _canonical(space_tag, Counter(checked_rows(space_tag, coords)))
+        """The pattern of the rows of an (n, k) array; see ``checked_array``.
+
+        The rows are ordered by one stable ``lexsort`` and equal neighbours
+        merge.  Both compare 0.0 and -0.0 as equal and keep the first
+        occurrence, as ``_canonical``'s row keys do, so the result equals
+        ``from_points`` of the same rows, signs of zero included.  The sorted
+        array seeds ``coords``.
+        """
+        arr = checked_array(space_tag, coords)
+        n = len(arr)
+        if n == 0:
+            return _EMPTY
+        arr = arr.take(np.lexsort(arr.T[::-1]), axis=0)
+        new = (arr[1:] != arr[:-1]).any(axis=1)  # row i + 1 differs from row i
+        if np.count_nonzero(new) < n - 1:
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+            mults = tuple(np.diff(starts, append=n).tolist())
+            arr = arr[starts]
+        else:
+            mults = (1,) * n
+        arr.flags.writeable = False
+        mu = PointPattern(tuple(map(tuple, arr.tolist())), mults, space_tag)
+        mu.__dict__["coords"] = arr
+        return mu
 
     # -- views --------------------------------------------------------------
 

@@ -41,7 +41,11 @@ class Integrand:
 
     ``value`` evaluates f at a point; the ``integrate`` of a pairing's
     geometry pass in ``generators`` calls the three primitives on numpy arrays.
+    ``space`` is the kind of ground space (the first entry of a space tag)
+    whose points ``value`` reads, or None where it reads any.
     """
+
+    space: str | None = None
 
     def value(self, p: SpacePoint) -> float:
         raise NotImplementedError
@@ -74,6 +78,7 @@ class PowerTail(Integrand):
     """f(x) = (p - 1) x^(-p) on a half line, integrating to z^(1-p) beyond z."""
 
     p: float = 2.0
+    space = "euclid"
 
     def __post_init__(self):
         if self.p <= 1:
@@ -91,6 +96,8 @@ class PowerTail(Integrand):
 class Indicator(Integrand):
     """f(s, u) = 1{u >= 0} on param space."""
 
+    space = "param"
+
     def value(self, pt):
         return 1.0 if pt.level >= 0.0 else 0.0
 
@@ -103,6 +110,7 @@ class PowerDepth(Integrand):
     """f(s, u) = p u_+^(p-1); its primitive in u is u_+^p."""
 
     p: float = 2.0
+    space = "param"
 
     def __post_init__(self):
         if self.p <= 0:
@@ -122,6 +130,7 @@ class RadialPower(Integrand):
 
     beta: float = 1.0
     weight: float = 1.0
+    space = "line"
 
     def __post_init__(self):
         if self.beta == 0:
@@ -147,17 +156,26 @@ class CustomIntegrand(Integrand):
 # hull integrals
 
 
+def _check_space(gen: HullGenerator, f: Integrand) -> None:
+    if f.space is not None and f.space != gen.space_tag[0]:
+        raise ConfigurationError(f"{type(f).__name__} integrates on {f.space} space, "
+                                 f"not on the {gen.space_tag} space of {type(gen).__name__}")
+
+
 def _evaluate(
     gen: HullGenerator, model, f: Integrand, mu: PointPattern
 ) -> tuple[tuple[bool, ...], float, float]:
     """(boundary mask, hull mass, hull integral of f): where an integrand becomes a hull term.
 
-    ``generators.evaluate`` gives the mask, the mass and the ``integrate`` of
-    one geometry pass.  A constant c gives c times the mass, and raises on the
-    half line, whose hull has no finite mass; any other integrand gives
-    ``integrate(f)``, and raises where the pairing integrates constants only.
+    An integrand on another space than the generator's raises, whatever the
+    pattern.  ``generators.evaluate`` gives the mask, the mass and the
+    ``integrate`` of one geometry pass.  A constant c gives c times the mass,
+    and raises on the half line, whose hull has no finite mass; any other
+    integrand gives ``integrate(f)``, and raises where the pairing integrates
+    constants only.
     """
     mask, mass, integrate = generators.evaluate(gen, model, mu)
+    _check_space(gen, f)
     if isinstance(f, Constant):
         if math.isnan(mass):
             raise ConfigurationError(
@@ -252,6 +270,7 @@ def ks_error(
     precision and isolates Monte Carlo error to sampling.
     """
     gen.check_pattern(mu)
+    _check_space(gen, f)
     atom_sum = 0.0
     for p, m in mu.entries_where(gen.survival_mask(mu)):
         atom_sum += m * f.value(p)

@@ -880,8 +880,8 @@ def _pareto_halfline_rule(gen: ParetoGen, model, mu: PointPattern):
 
 
 def _band_rule(gen: EnvelopeGen, model, mu: PointPattern):
-    sites, cell = model.grid_sites()
-    depth = np.clip(gen.envelope_at(mu, sites), 0.0, model.phi_at(sites))
+    sites, cell, phi = model.band_grid
+    depth = np.clip(gen.envelope_at(mu, sites), 0.0, phi)
     mass = model.rate * float(depth.sum()) * cell
     return (gen.boundary_mask(mu), mass,
             lambda f: model.rate * float(f.depth_primitive(depth).sum()) * cell)

@@ -168,7 +168,8 @@ def scenario_names() -> list[str]:
 # configuration and summaries
 
 
-#: the largest expected pattern size (a model's total mass) an experiment may ask for
+#: the largest expected pattern size (a model's total mass) an experiment may ask
+#: for, and the most nested probes, which are drawn as one array
 MAX_PATTERN_MASS = 1e7
 
 
@@ -195,6 +196,9 @@ class ExperimentConfig:
                 "need at least 2 nested probes and 1 nested replica, got "
                 f"{self.nested_probes} and {self.nested_replicas}"
             )
+        if self.nested_probes > MAX_PATTERN_MASS:
+            raise ConfigurationError(f"{self.nested_probes} nested probes are above the cap "
+                                     f"of {MAX_PATTERN_MASS:.0e}")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
         scen = get_scenario(self.scenario)

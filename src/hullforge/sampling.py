@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     DomainError,
     PointPattern,
     SpacePoint,
-    checked_rows,
+    checked_array,
     point_from_row,
 )
 
@@ -88,8 +89,8 @@ class IntensityModel:
 
     def sample_points(self, n: int, rng: np.random.Generator) -> list[SpacePoint]:
         """The draws of ``sample_coords`` as point objects, in draw order."""
-        rows = checked_rows(self.space_tag, self.sample_coords(n, rng))
-        return [point_from_row(self.space_tag, r) for r in rows]
+        rows = checked_array(self.space_tag, self.sample_coords(n, rng)).tolist()
+        return [point_from_row(self.space_tag, tuple(r)) for r in rows]
 
     def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
         n = int(rng.poisson(self.total_mass))
@@ -293,6 +294,20 @@ class HoelderBand(IntensityModel):
         gx, gy = np.meshgrid(mx, my, indexing="ij")
         cell = (ex[1] - ex[0]) * (ey[1] - ey[0])
         return np.column_stack([gx.ravel(), gy.ravel()]), cell
+
+    @cached_property
+    def band_grid(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(sites, cell volume, phi at the sites) of ``grid_sites()``, read-only.
+
+        The band quadrature of every pattern reads this one grid, built on
+        first use; a model of another resolution is another instance with
+        its own grid.
+        """
+        sites, cell = self.grid_sites()
+        phi = self.phi_at(sites)
+        sites.flags.writeable = False
+        phi.flags.writeable = False
+        return sites, cell, phi
 
     def sample_coords(self, n, rng):
         lo = np.asarray(self.lo)

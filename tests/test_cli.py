@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hullforge import cli, montecarlo
+from hullforge import cli, montecarlo, sampling
 from hullforge.cli import main
 from hullforge.core import ConfigurationError
 
@@ -256,6 +256,35 @@ def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
 def test_experiment_config_rejects_threads_below_one(threads):
     with pytest.raises(ConfigurationError):
         montecarlo.ExperimentConfig(scenario="coordmin", replications=10, threads=threads)
+
+
+@pytest.mark.parametrize("covariance", [False, True])
+def test_huge_nested_probes_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, covariance):
+    # the probes are drawn as one array, so the count is refused before any work starts
+    def refuse(*args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(sampling.IntensityModel, "sample_points", refuse)
+    monkeypatch.setattr(sampling, "sample_poisson", refuse)
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", "scenario": "hoelder_d1",
+                                      "replications": 10, "nested_probes": 10**12,
+                                      "covariance": covariance})
+    out = tmp_path / "o"
+    assert main(["variance", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nested probes" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "x.csv").exists()
+
+
+def test_experiment_config_caps_nested_probes():
+    cap = int(montecarlo.MAX_PATTERN_MASS)
+    assert montecarlo.ExperimentConfig(scenario="coordmin", replications=10,
+                                       nested_probes=cap).nested_probes == cap
+    for probes in (cap + 1, 10**12, 10**400):
+        with pytest.raises(ConfigurationError, match="nested probes"):
+            montecarlo.ExperimentConfig(scenario="coordmin", replications=10,
+                                        nested_probes=probes)
 
 
 @pytest.mark.parametrize("t", [0, 0.0, -5.0, "abc", "20", True])

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,23 @@ from hullforge import (
 from hullforge.core import (
     check_axioms,
     higher_difference_closed_form,
+    point_from_row,
     prime_factorization_holds,
 )
 from hullforge.corpora import LexDropGen
 from hullforge.generators import EnvelopeGen
+from hullforge.montecarlo import _hoelder_band
+from hullforge.sampling import (
+    HalfLine,
+    HoelderBand,
+    LinesBand,
+    RngStream,
+    UniformAnnulus,
+    UniformBox,
+    UniformDisk,
+    UniformPolygon,
+    sample_poisson,
+)
 
 
 # -- pattern algebra ---------------------------------------------------------
@@ -129,6 +143,60 @@ def test_row_store_algebra_matches_counter(lists, k):
     else:
         with pytest.raises(DomainError):
             a - b
+
+
+def _first_occurrence_oracle(tag, rows) -> tuple:
+    """The entries of ``rows`` as a ``Counter`` keys them: sorted, equal rows merged into the first."""
+    return tuple((point_from_row(tag, r), m) for r, m in sorted(Counter(map(tuple, rows)).items()))
+
+
+def _assert_array_first(mu, tag, rows):
+    """``mu`` holds the oracle's entries, signs of zero included, and a read-only ``coords``."""
+    assert repr(mu.entries) == repr(_first_occurrence_oracle(tag, rows))
+    assert not mu.coords.flags.writeable
+    want = np.array(mu.rows, dtype=float).reshape(len(mu.rows), -1 if mu.rows else 0)
+    assert mu.coords.shape == want.shape and mu.coords.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SPACES)).flatmap(
+    lambda tag: st.tuples(st.just(tag), st.lists(_SPACES[tag], max_size=12))))
+def test_from_array_keeps_the_first_of_equal_rows(space_points):
+    # small pools with both zeros: most lists repeat rows, many only up to the sign of a zero
+    tag, pts = space_points
+    rows = [p.row for p in pts]
+    width = 2 if tag == ("line",) else tag[1] + (tag[0] == "param")
+    arr = np.array(rows, dtype=float).reshape(len(rows), width)
+    given_bytes = arr.tobytes()
+    mu = PointPattern.from_array(tag, arr)
+    _assert_array_first(mu, tag, rows)
+    assert arr.flags.writeable and arr.tobytes() == given_bytes  # the caller's array is untouched
+
+
+_SAMPLERS = [
+    UniformBox((0.0,), (2.0,), rate=20.0),
+    UniformBox((0.0, -1.0), (1.0, 1.0), rate=12.0),
+    UniformBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), rate=15.0),
+    UniformDisk((0.5, -0.25), 1.5, rate=6.0),
+    UniformPolygon(((0.0, 0.0), (2.0, 0.0), (1.5, 1.0), (0.0, 1.5)), rate=15.0),
+    UniformAnnulus(0.3, 1.0, rate=14.0),
+    _hoelder_band(48.0),
+    HoelderBand(lo=(0.0, 0.0), hi=(1.0, 1.0),
+                phi=lambda s: 1.0 - 0.5 * np.abs(s[:, 0] - 0.5) - 0.25 * s[:, 1], phi_sup=1.0,
+                phi_integral=0.75, holder_const=0.5, holder_exp=1.0, rate=48.0),
+    LinesBand(1.0, 2.0, rate=6.0),
+    HalfLine(start=1.0, rate=8.0, horizon=5.0),
+]
+
+
+@pytest.mark.parametrize("model", _SAMPLERS, ids=lambda m: type(m).__name__)
+def test_sampled_patterns_are_array_first(model, spy):
+    calls = spy(PointPattern, "from_array")
+    for i in range(5):
+        mu = sample_poisson(model, RngStream(17, i))
+        (tag, drawn), = calls[-1:]
+        _assert_array_first(mu, tag, drawn.tolist())
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("tag, rows", [

@@ -143,6 +143,29 @@ def test_unsupported_pairing_raises(case):
         hull_integral(gen, model, f, mu)
 
 
+#: (generator, model) of every scenario, and the planar convex hull on a box
+SPACE_PAIRINGS = [(get_scenario(n).gen, get_scenario(n).make_model(4.0)) for n in scenario_names()]
+SPACE_PAIRINGS.append((ConvexHullGen(2), BOX5))
+
+
+@pytest.mark.parametrize("f", [Indicator(), PowerDepth(2.0), RadialPower(2.0, 0.5),
+                               PowerTail(2.0)], ids=lambda f: type(f).__name__)
+def test_integrand_on_another_space_is_a_configuration_error(f):
+    # raised by the one space check on every pattern, never as an AttributeError of f.value
+    for gen, model in SPACE_PAIRINGS:
+        if f.space == gen.space_tag[0]:
+            continue
+        sampled = sample_poisson(model, RngStream(8))
+        assert not sampled.is_empty
+        for mu in (PointPattern.empty(), sampled):
+            for run in (lambda: hull_estimate(gen, model, f, mu),
+                        lambda: hull_integral(gen, model, f, mu),
+                        lambda: ks_error(gen, model, f, mu, 1.0),
+                        lambda: ks_error(gen, model, f, mu, 1.0, hull_term=0.0)):
+                with pytest.raises(ConfigurationError, match="integrates on"):
+                    run()
+
+
 FLAT_MODELS = [
     (ConvexHullGen(2), UniformDisk((0.0, 0.0), 1.0, rate=20.0)),
     (ConvexHullGen(2), UniformPolygon(((0, 0), (2, 0), (1, 1.5)), rate=10.0)),

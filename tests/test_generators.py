@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -29,11 +30,14 @@ from hullforge.core import (
     prime_factorization_holds,
 )
 from hullforge.corpora import GENERATOR_SUITE, euclid_corpus
+from hullforge.estimators import Indicator, PowerDepth
 from hullforge.sampling import (
     HoelderBand,
     LinesBand,
+    RngStream,
     UniformAnnulus,
     UniformBox,
+    sample_poisson,
 )
 
 
@@ -311,6 +315,33 @@ def test_envelope_prime_property_on_corpus(band_corpus):
     for mu in patterns[:50]:
         for z in probes[:6]:
             assert prime_factorization_holds(gen, mu, z)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_rule_reads_the_model_grid_bit_for_bit(dim):
+    # the grid each model builds once gives the mass and integrals of a fresh grid_sites()
+    model = HoelderBand(lo=(0.0,) * dim, hi=(1.0,) * dim,
+                        phi=lambda s: 1.0 - 0.5 * np.abs(s[:, 0] - 0.5) - 0.25 * s[:, -1],
+                        phi_sup=1.0, phi_integral=0.75, holder_const=0.5, holder_exp=1.0,
+                        rate=40.0, resolution=1024)
+    gen = EnvelopeGen(dim=dim, env_const=1.0, beta=1.0)
+    sites, cell, phi = model.band_grid
+    assert model.band_grid is model.band_grid
+    assert not (sites.flags.writeable or phi.flags.writeable)
+    fine = dataclasses.replace(model, resolution=2 * model.resolution)
+    assert fine.band_grid[0].shape != sites.shape  # its own grid, not the coarse one
+    for i in range(6):
+        mu = sample_poisson(model, RngStream(23, i))
+        if mu.is_empty:
+            continue
+        fresh_sites, fresh_cell = model.grid_sites()
+        depth = np.clip(gen.envelope_at(mu, fresh_sites), 0.0, model.phi_at(fresh_sites))
+        mask, mass, integrate = generators._band_rule(gen, model, mu)
+        assert mass == model.rate * float(depth.sum()) * fresh_cell
+        for f in (Indicator(), PowerDepth(2.0), PowerDepth(0.5)):
+            want = model.rate * float(f.depth_primitive(depth).sum()) * fresh_cell
+            assert integrate(f) == want
+        assert mask == gen.boundary_mask(mu)
 
 
 def test_pareto_prime_property_on_corpus(planar_corpus):

@@ -15,7 +15,11 @@ The library-level ``PAIRING_GOLDEN`` digests (every pairing-table row
 against six integrands, including which combinations raise) and
 ``PAIRED_GOLDEN`` digests (the paired estimator loop, with and without
 targets) were recorded while the pairing rules still took the integrand and
-the paired loop had its own chunk function.
+the paired loop had its own chunk function.  The ``PAIRING_GOLDEN``
+digests were re-recorded once since, when integrands declared their ground
+space: an integrand on the wrong space now raises ``ConfigurationError`` on
+every pattern, where it raised ``AttributeError`` or, on the empty pattern,
+gave a value; no other entry of any record changed.
 Regenerate a digest only with a change that means to alter that output.
 """
 
@@ -248,19 +252,19 @@ INTEGRANDS = (
 )
 
 PAIRING_GOLDEN = {
-    "convex2-box": "ea7dc8db39818f9070e3b488a9e747ef295be3f08d8dbd9067fbd8941f524539",
-    "convex2-disk": "42d62172251368ce049aa2a8c9b7df16ea9c2f88ca8bc73d1f06ebdc302dff72",
-    "convex2-polygon": "2bdf684223d1ddf72f037bdabe112c4027f2fe1b397d9596b3b3eac8ad0f6b9c",
-    "convex3-box": "567e9ebf2df6555627735ce8e8a3c35194ed46361bbaffccdfd9859f61fe84d8",
-    "coordmin-box": "8c10d9af0b3213fe1729f41b502d3982d05c1f00a948fa61fa2336af4a18bd8e",
-    "diskhull-annulus": "12bcf7bac743968e693f9398a4ee0875b987f761b15a61027b812a04d5710500",
-    "envelope1-band": "af9f5dd8b4474cf6cf0a1708244229fe977023808cc5a2a6bf0f132f03d4be0d",
-    "envelope2-band": "ea2338716133df3386b570dd977887a7af437a6dd1074a839696c24264dcf054",
-    "halfplane-lines": "358d5f40e2581d81b896a37af48dfaf27a485811875a9b7bc6fc41f2882aceb5",
-    "pareto1-box": "237b01120977abbaeda747552c309a689f7643507d96ebd75c176da7acf282e7",
-    "pareto1-halfline": "9e9ff39dcd5e9a0fb48b2d9d3ea0400d855df573af1730eeca153b410156178d",
-    "pareto2-box": "17e3c1415860a31f0063114f1b035a99de4a93be1d8f433f5c1a6dfa86df7cd9",
-    "pareto3-box": "a866b7e7534cc6ad2daa27a244458dfe96e33ddf42dbe653f413ef8f62f567f6",
+    "convex2-box": "00eb1d5b092910bbd138e7d263407bbd2fa9a577fa7a137b8d09975580d91173",
+    "convex2-disk": "21cc22568dc0183bb9dbcccacca45ff0708233d2847e8126d697d9c5d632f064",
+    "convex2-polygon": "a295b86e18118cdd9eae151ea6ae047e03e033fed21f0f58c88e5b203637ac39",
+    "convex3-box": "347c5eaa75c9a2f756467ca7e1aae212aa79148f153b89cc41a4fcd89ae06f2b",
+    "coordmin-box": "5e3f3937bb7a58c38c43021c878557c3a0cd9d1ea0f6b5d0ecb295d60cd674a3",
+    "diskhull-annulus": "9ce4442c90749e93395d472f810996c98ee92ecc4972d3bc45dff38152833fba",
+    "envelope1-band": "1dabcf1eaf77e70259242695b65102800fa7d84dab14ce2977c77d754fa0ed90",
+    "envelope2-band": "c101d512a0cc404a449dd37174330dd2c237f8723fa176761956ca1b06b4b159",
+    "halfplane-lines": "18854645404f26204052f2693b7217c59fc06d0661b13e7eecc7ccc10ca358db",
+    "pareto1-box": "892aa1438bb89c0d473e8ee3f6b0cfa0f38e507a6b70a9adf6862fed5b21735b",
+    "pareto1-halfline": "eec10e38460c8bb476cbca573646733a4504d536b92d1818bb18abfc89c08f55",
+    "pareto2-box": "56510fc5ff4807d8aefd32892736793a01226440fd15bb3fd2138a9c83d54ab7",
+    "pareto3-box": "366aff330203719eeccc9a4b13ab53e6aab43e9107e2be4a9228d0a5686450d0",
 }
 
 
