@@ -179,6 +179,7 @@ def cmd_axioms(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     names = cfg.get("generators", [n for n in corpora.GENERATOR_SUITE if n != "broken_lexdrop"])
     count = cfg.get("patterns", 1000)
     max_points = cfg.get("max_points", 12)
+    corpora.check_battery(names, count, max_points)  # every battery's corpus, before the first
     if count == 0 or not names:
         print("warning: no generators or corpus size 0, axiom checks pass vacuously",
               file=sys.stderr)
@@ -216,7 +217,7 @@ def cmd_estimate(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
             rows.append(row)
     finally:
         writer.close()
-    ks_resid = max(r.ks_resid_max for r in rows)
+    ks_resid = montecarlo.residual_max(r.ks_resid_max for r in rows)
     ks_ok = all(r.ks_resid_max <= 1e-10 * (1.0 + abs(r.target)) for r in rows)
     passed = all(r.unbiased_pass for r in rows) and ks_ok
     return passed, {

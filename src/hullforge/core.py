@@ -43,6 +43,10 @@ import numpy as np
 # region predicates so that near-boundary probes behave deterministically.
 EPS_GEOM = 1e-9
 
+#: entries of a generator kernel's largest array (floats or bools), or steps of its
+#: longest Python loop, at a pattern of ``HullGenerator.point_limit`` expected points
+KERNEL_BUDGET = 2**24
+
 
 class SpaceMismatchError(ValueError):
     """Operands live in different ground spaces."""
@@ -158,8 +162,8 @@ class ParamPoint:
 class LinePoint:
     """Planar line with unit normal angle theta in [0, 2*pi) and offset >= 0.
 
-    Its row is (angle, offset).  Also reused as the (direction, radius)
-    parameterisation of planar points that anchor a disk-supported hull.
+    Its row is (angle, offset).  The line {x: <x, (cos, sin)> = offset}
+    bounds the half-plane {x: <x, (cos, sin)> <= offset}.
     """
 
     angle: float
@@ -387,20 +391,29 @@ class HullGenerator(ABC):
     per-pattern call of the estimators is ``generators.evaluate``, which reads
     the mask and the hull mass from one geometry pass and returns that pass's
     ``integrate``; ``estimators`` turns an integrand into its hull term.
-    ``survival_mask`` gives the leave-one-out indicators H_z(mu - d_z) that
-    the error representation sums; its default is the definitional loop over
-    ``hull_contains``.  An override must equal that loop and must not call
-    ``boundary_mask`` or its kernels, so that the representation still
-    cross-checks two independent computations.  Planar convex, coordmin,
-    Pareto, half-plane and disk hull generators override it;
-    ``EnvelopeGen`` reuses its boundary mask (the one exception), and only
-    3-D convex hulls and the deliberately broken ``corpora.LexDropGen`` keep
-    the loop.  Implementations are stateless and safe
-    to share.
+
+    Leave-one-out contract: ``survival_mask`` gives the indicators
+    H_z(mu - d_z) that the error representation sums.  Both per-atom
+    primitives, ``boundary_mask`` and ``leave_one_out_mask``, take only a
+    non-empty pattern already checked against the generator's space;
+    ``boundary`` and ``survival_mask`` check it and answer the empty one.
+    ``leave_one_out_mask`` defaults to the definitional loop over
+    ``hull_contains``, and an override must equal it.  Planar convex hulls,
+    coordmin, Pareto, half-planes and the disk hull override it with kernels
+    that never call ``boundary_mask``, so their error identity compares two
+    independent computations; ``EnvelopeGen`` returns its boundary mask, so
+    its identity compares that mask with itself; 3-D convex hulls and
+    ``corpora.LexDropGen`` keep the loop.
+
+    ``point_limit`` is the most expected points per pattern a class takes:
+    where its largest kernel array, or Python loop, reaches ``KERNEL_BUDGET``
+    entries or steps.  Implementations are stateless and safe to share.
     """
 
     #: ground-space tag all arguments must carry
     space_tag: tuple
+    #: the definitional leave-one-out loop rebuilds an n-row pattern per atom
+    point_limit = math.isqrt(KERNEL_BUDGET)
 
     def check_pattern(self, mu: PointPattern) -> None:
         if mu.space_tag is not None and mu.space_tag != self.space_tag:
@@ -418,7 +431,7 @@ class HullGenerator(ABC):
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Per support atom, in ``mu.rows`` order: is it a boundary atom?
 
-        ``mu`` is non-empty and already checked against this generator's space.
+        ``mu`` is non-empty and checked (see the class docstring).
         """
 
     def boundary(self, mu: PointPattern) -> PointPattern:
@@ -458,11 +471,15 @@ class HullGenerator(ABC):
         """H_z(mu - d_z) == 1 per support atom z, in ``mu.rows`` order.
 
         One copy of z is removed, so an atom of multiplicity m >= 2 is tested
-        against a pattern that still holds m - 1 copies of it.  The default is
-        the definitional loop (a pattern rebuild and a membership query per
-        atom); every planar generator overrides it with its own kernel, and
-        3-D convex hulls use the loop.
+        against a pattern that still holds m - 1 copies of it.
         """
+        self.check_pattern(mu)
+        if mu.is_empty:
+            return ()
+        return self.leave_one_out_mask(mu)
+
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        """``survival_mask`` of a non-empty checked pattern: a rebuild and a query per atom."""
         return tuple(not self.hull_contains(mu.remove(p), p) for p in mu.support())
 
 

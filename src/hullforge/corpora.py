@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import core, generators, montecarlo
-from .core import AxiomReport, HullGenerator, PointPattern, SpacePoint, euclid, line, param
+from .core import (AxiomReport, ConfigurationError, HullGenerator, PointPattern, SpacePoint,
+                   euclid, line, param)
 
 
 def _with_duplicates(pts: list[SpacePoint], rng: random.Random) -> list[SpacePoint]:
@@ -86,14 +87,32 @@ def _battery_chunk(args, lo: int, hi: int) -> list[AxiomReport]:
     return [core.check_axioms(gen, patterns[lo:hi], probes, seed=seed + lo)]
 
 
+#: the most draws (patterns x max_points) of one corpus, which is built before the first check
+MAX_CORPUS_DRAWS = 10**6
+
+
+def check_battery(names: Sequence[str], count: int, max_points: int) -> None:
+    """Refuse a corpus too large to build, or patterns too large for a generator's kernels."""
+    draws = count * max(max_points, 1)
+    if draws > MAX_CORPUS_DRAWS:
+        raise ConfigurationError(f"{count} patterns of up to {max_points} points are {draws} "
+                                 f"draws, above the cap of {MAX_CORPUS_DRAWS:.0e}")
+    for name in names:
+        limit = GENERATOR_SUITE[name][0].point_limit
+        if max_points > limit:
+            raise ConfigurationError(f"max_points = {max_points} is above the limit of "
+                                     f"{limit} of {name}")
+
+
 def run_axiom_battery(name: str, count: int, max_points: int, seed: int,
                       threads: int = 1) -> AxiomReport:
     """Axiom battery over a generator's random corpus, in chunks.
 
-    The corpus is built once; each chunk checks a disjoint slice with its
-    own RNG.  The chunk layout depends on ``count`` alone, so merged
-    counters do not depend on the worker count.
+    The corpus is built once, after ``check_battery``; each chunk checks a
+    disjoint slice with its own RNG.  The chunk layout depends on ``count``
+    alone, so merged counters do not depend on the worker count.
     """
+    check_battery((name,), count, max_points)
     report = AxiomReport()
     gen, make_corpus = GENERATOR_SUITE[name]
     patterns, probes = make_corpus(count, max_points, seed)

@@ -177,10 +177,7 @@ def _evaluate(
     mask, mass, integrate = generators.evaluate(gen, model, mu)
     _check_space(gen, f)
     if isinstance(f, Constant):
-        if math.isnan(mass):
-            raise ConfigurationError(
-                "half-line hull mass is infinite; integrate a tail function instead")
-        return mask, mass, f.c * mass
+        return mask, mass, f.c * generators.finite_mass(mass)
     if integrate is None:
         raise ConfigurationError(
             f"{type(gen).__name__} hull integrals support constant integrands only")
@@ -258,14 +255,11 @@ def ks_error(
     """Estimation error via the anticipating-integral form.
 
     The atom sum takes H_z(mu - d_z), one copy of z removed, from
-    ``gen.survival_mask``: a generator's own leave-one-out kernel (angular
-    gaps for planar convex hulls, a domination matrix for Pareto, the two
-    lexicographic minima for coordmin, the support function with one line
-    left out for half-planes, a dual angular test for the disk hull), which
-    do not call the boundary mask, or the definitional membership loop for
-    3-D convex hulls.  Agreement with ``hull_estimate - f_true`` therefore
-    cross-checks two kernels; only the envelope generator reuses its
-    boundary mask.  The lambda integral of f off the hull is evaluated as
+    ``gen.survival_mask``.  Agreement with ``hull_estimate - f_true``
+    cross-checks two kernels wherever the generator's leave-one-out kernel is
+    independent of its boundary mask; ``core.HullGenerator`` states that
+    contract and names the generators whose identity compares the boundary
+    mask with itself.  The lambda integral of f off the hull is evaluated as
     f_true minus the hull integral, which pins the identity to float
     precision and isolates Monte Carlo error to sampling.
     """

@@ -35,6 +35,7 @@ from .core import (
     ConfigurationError,
     DomainError,
     EPS_GEOM,
+    KERNEL_BUDGET,
     EuclidPoint,
     HullGenerator,
     PointPattern,
@@ -246,6 +247,7 @@ class ConvexHullGen(HullGenerator):
     """
 
     dim: int = 2
+    point_limit = math.isqrt(KERNEL_BUDGET // 2)  # the gap kernel's n x n x 2 directions
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
@@ -275,7 +277,7 @@ class ConvexHullGen(HullGenerator):
         vertices = set(ext)
         return [q not in vertices and inside(q) for q in (x.coords for x in points)]
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators; planar patterns use the angular-gap kernel.
 
         Copies of z never change conv(others), so H_z(mu - d_z) is 1 iff z is
@@ -283,20 +285,8 @@ class ConvexHullGen(HullGenerator):
         multiplicity.  d = 3 keeps the definitional loop.
         """
         if self.dim != 2:
-            return super().survival_mask(mu)
-        self.check_pattern(mu)
-        return tuple(_outside_others_2d(mu.coords.reshape(-1, 2)).tolist())
-
-
-def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for i in range(len(poly)):
-        a = poly[i]
-        b = poly[(i + 1) % len(poly)]
-        s += a[0] * b[1] - b[0] * a[1]
-    return 0.5 * s
+            return super().leave_one_out_mask(mu)
+        return tuple(_outside_others_2d(mu.coords).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +300,8 @@ class CoordMinGen(HullGenerator):
     Ties on a coordinate are broken lexicographically by the other coordinate,
     which keeps the map a valid generator on degenerate inputs.
     """
+
+    point_limit = KERNEL_BUDGET  # every kernel is linear in the pattern
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "space_tag", ("euclid", 2))
@@ -333,18 +325,16 @@ class CoordMinGen(HullGenerator):
         return [(qx, qy) > (ax, ay) and (qy, qx) > (by, bx)
                 for qx, qy in (x.coords for x in points)]
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators: the (x, y)- and (y, x)-lexicographic minima.
 
         H_z(mu - d_z) is 1 iff z is one of the two minima of mu, whatever its
         multiplicity.  The minima come from ``np.lexsort``, not ``_argmins``.
         """
-        self.check_pattern(mu)
-        x = mu.coords.reshape(-1, 2)
+        x = mu.coords
         alone = np.zeros(len(x), dtype=bool)
-        if len(x):
-            alone[np.lexsort((x[:, 1], x[:, 0]))[0]] = True  # primary key x, then y
-            alone[np.lexsort((x[:, 0], x[:, 1]))[0]] = True  # primary key y, then x
+        alone[np.lexsort((x[:, 1], x[:, 0]))[0]] = True  # primary key x, then y
+        alone[np.lexsort((x[:, 0], x[:, 1]))[0]] = True  # primary key y, then x
         return tuple(alone.tolist())
 
 
@@ -362,6 +352,7 @@ class ParetoGen(HullGenerator):
     """
 
     dim: int = 2
+    point_limit = math.isqrt(KERNEL_BUDGET // 3)  # the n x n x d domination matrix, d <= 3
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= 3:
@@ -384,16 +375,15 @@ class ParetoGen(HullGenerator):
         return [q not in minimal and any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
                 for q in (x.coords for x in points)]
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from a domination matrix.
 
         H_z(mu - d_z) is 1 iff no other support point is coordinatewise <= z
         (copies of z do not count).  In 1-D that is the minimum atom alone.
         """
-        self.check_pattern(mu)
-        x = mu.coords.reshape(-1, self.dim)
+        x = mu.coords
         if self.dim == 1:
-            alone = x[:, 0] == x[:, 0].min(initial=math.inf)
+            alone = x[:, 0] == x[:, 0].min()
         else:
             below = np.all(x[None, :, :] <= x[:, None, :], axis=2)  # below[i, j]: x_j <= x_i
             np.fill_diagonal(below, False)
@@ -417,6 +407,7 @@ class EnvelopeGen(HullGenerator):
     dim: int = 1
     env_const: float = 1.0
     beta: float = 1.0
+    point_limit = math.isqrt(KERNEL_BUDGET // 2)  # kernel_values' n x n x d differences, d <= 2
 
     def __post_init__(self) -> None:
         if self.env_const <= 0 or not 0 < self.beta <= 1:
@@ -447,15 +438,19 @@ class EnvelopeGen(HullGenerator):
             return self._envelope_line(sites[:, 0], levels, query[:, 0])
         return self.kernel_values(sites, levels, query).max(axis=1)
 
-    def _envelope_line(self, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """d=1, beta=1 kernel: two monotone sweeps instead of the full matrix.
+    def _sweeps(self, s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d=1, beta=1: inclusive prefix maxima of u + R s and suffix maxima of u - R s.
 
-        For sites left of a query the cone value is (u + R s) - R q, right of
-        it (u - R s) + R q, so prefix/suffix maxima of the two transforms give
-        the envelope exactly.  The sites are sorted, as a pattern's rows are.
+        A site left of a query q gives the cone value (u + R s) - R q, one
+        right of it (u - R s) + R q.  The sites are sorted, as rows are.
         """
         rise = np.maximum.accumulate(u + self.env_const * s)
         fall = np.maximum.accumulate((u - self.env_const * s)[::-1])[::-1]
+        return rise, fall
+
+    def _envelope_line(self, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """d=1, beta=1 kernel: the two sweeps instead of the full matrix."""
+        rise, fall = self._sweeps(s, u)
         idx = np.searchsorted(s, q, side="right")
         left = np.where(idx > 0, rise[np.maximum(idx - 1, 0)] - self.env_const * q, -np.inf)
         jdx = np.searchsorted(s, q, side="left")
@@ -468,31 +463,26 @@ class EnvelopeGen(HullGenerator):
         """Per support atom: does removing all its copies change the envelope?"""
         sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
-            # the sweeps of _envelope_line, each atom left out; rows come sorted by site
-            ss, uu = sites[:, 0], levels
-            n = len(ss)
-            rise = uu + self.env_const * ss
-            fall = uu - self.env_const * ss
-            left = np.full(n, -np.inf)
-            right = np.full(n, -np.inf)
-            if n > 1:
-                left[1:] = np.maximum.accumulate(rise[:-1])
-                right[:-1] = np.maximum.accumulate(fall[::-1])[::-1][1:]
-            dominated = uu <= np.maximum(left - self.env_const * ss, right + self.env_const * ss)
+            # the sweeps of _envelope_line, each atom left out: the maxima before and after it
+            ss = sites[:, 0]
+            rise, fall = self._sweeps(ss, levels)
+            left = np.concatenate(([-np.inf], rise[:-1]))
+            right = np.concatenate((fall[1:], [-np.inf]))
+            dominated = levels <= np.maximum(left - self.env_const * ss,
+                                             right + self.env_const * ss)
         else:
             vals = self.kernel_values(sites, levels, sites)
             np.fill_diagonal(vals, -np.inf)
             dominated = levels <= vals.max(axis=1)
         return tuple((~dominated).tolist())
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Removing one copy leaves H at the atom equal to the all-copies test.
 
         The boundary mask compares each atom with the envelope of the others,
         which is what H_z(mu - d_z) asks, so it serves directly.
         """
-        self.check_pattern(mu)
-        return self.boundary_mask(mu) if not mu.is_empty else ()
+        return self.boundary_mask(mu)
 
     def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         """An atom: is it dominated?  Any other query: is it on or below the envelope?"""
@@ -519,6 +509,7 @@ class HalfPlaneGen(HullGenerator):
     """
 
     window_radius: float = 4.0
+    point_limit = int((2 * KERNEL_BUDGET) ** (1 / 3))  # _corners: n^2 / 2 candidates x n lines
 
     def __post_init__(self) -> None:
         if self.window_radius <= 0:
@@ -549,7 +540,7 @@ class HalfPlaneGen(HullGenerator):
         return (d2 > 0.0) & ~blocked & (length > EPS_GEOM * max(1.0, W))
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        return tuple(self._edge_mask(_normals(mu), mu.coords[:, 1]).tolist())
+        return tuple(self._edge_mask(_unit(mu.coords[:, 0]), mu.coords[:, 1]).tolist())
 
     def _corners(self, dirs: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Corner candidates of the clipped body, each with the lines defining it.
@@ -596,19 +587,16 @@ class HalfPlaneGen(HullGenerator):
     def hull_support(self, mu: PointPattern, angles: np.ndarray) -> np.ndarray:
         """Support function of the clipped body at the query angles."""
         W = self.window_radius
-        if angles is _THETA_GRID:
-            S = _THETA_UNIT
-        else:
-            S = np.column_stack([np.cos(angles), np.sin(angles)])
+        S = _THETA_UNIT if angles is _THETA_GRID else _unit(angles)
         if mu.is_empty:
             return np.full(len(angles), W)
-        dirs, offs = _normals(mu), mu.coords[:, 1]
+        dirs, offs = _unit(mu.coords[:, 0]), mu.coords[:, 1]
         verts = self._feasible_vertices(dirs, offs)
         h = (verts @ S.T).max(axis=0)
         arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
         return np.where(arc_ok, W, h)
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from the corner candidates of all lines at once.
 
         A single line z counts iff it cuts the body of the other lines,
@@ -623,11 +611,8 @@ class HalfPlaneGen(HullGenerator):
         normals) or within the tolerances.  The boundary mask and its kernel
         are not used.
         """
-        self.check_pattern(mu)
-        if mu.is_empty:
-            return ()
         W = self.window_radius
-        dirs, offs = _normals(mu), mu.coords[:, 1]
+        dirs, offs = _unit(mu.coords[:, 0]), mu.coords[:, 1]
         bound = offs + 1e-12 * max(1.0, W)
         C, a, b, P, inside = self._corners(dirs, offs)
         viol = P > bound  # viol[c, z]: candidate c lies outside line z
@@ -657,10 +642,9 @@ class HalfPlaneGen(HullGenerator):
         return _split_atoms(self, mu, points, holds_body)
 
 
-def _normals(mu: PointPattern) -> np.ndarray:
-    """Unit normals (cos, sin) of the angles of a line pattern, one row per atom."""
-    angs = mu.coords[:, 0]
-    return np.column_stack([np.cos(angs), np.sin(angs)])
+def _unit(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos, sin) of the angles, one row each."""
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def _split_atoms(gen: HullGenerator, mu: PointPattern, points: Sequence[SpacePoint],
@@ -691,6 +675,7 @@ class DiskHullGen(HullGenerator):
     """
 
     anchor_radius: float = 0.3
+    point_limit = math.isqrt(KERNEL_BUDGET)  # each atom's Python loop over the others
 
     def __post_init__(self) -> None:
         if self.anchor_radius <= 0:
@@ -726,7 +711,7 @@ class DiskHullGen(HullGenerator):
         return [not self._separable(q, [r for r in mu.rows if r != q])
                 for q in (x.coords for x in points)]
 
-    def survival_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+    def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from the dual angular test, not ``_separable``.
 
         An atom z with |z| > r0 is off conv(disk U others) iff the directions
@@ -735,7 +720,6 @@ class DiskHullGen(HullGenerator):
         span less than pi - EPS_GEOM.  Copies of z do not count, so the rule
         holds at every multiplicity.  Scalar: patterns hold a few atoms.
         """
-        self.check_pattern(mu)
         r0, rows = self.anchor_radius, mu.rows
         alone = []
         for q in rows:
@@ -847,7 +831,7 @@ def _convex_rule(gen: ConvexHullGen, model, mu: PointPattern):
             total += _triangle_quad(value, poly[0], poly[i], poly[i + 1])
         return model.rate * total
 
-    return mask, model.rate * _polygon_area(poly), integrate
+    return mask, model.rate * sampling.polygon_area(poly), integrate
 
 
 def _coordmin_rule(gen: CoordMinGen, model, mu: PointPattern):
@@ -889,7 +873,7 @@ def _band_rule(gen: EnvelopeGen, model, mu: PointPattern):
 
 #: cell midpoints of the angular quadrature on line space, and their unit vectors
 _THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
-_THETA_UNIT = np.column_stack([np.cos(_THETA_GRID), np.sin(_THETA_GRID)])
+_THETA_UNIT = _unit(_THETA_GRID)
 
 
 def _lines_rule(gen: HalfPlaneGen, model, mu: PointPattern):
@@ -947,12 +931,16 @@ def evaluate(
     return rule(gen, model, mu)
 
 
-def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
-    """Intensity mass of the hull region, as ``evaluate`` reads it; the half line has none."""
-    mass = evaluate(gen, model, mu)[1]
+def finite_mass(mass: float) -> float:
+    """A hull mass of ``evaluate``, refused where it is nan: the half line has none."""
     if math.isnan(mass):
         raise ConfigurationError("half-line hull mass is infinite; integrate a tail function instead")
     return mass
+
+
+def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
+    """Intensity mass of the hull region, as ``evaluate`` reads it; the half line has none."""
+    return finite_mass(evaluate(gen, model, mu)[1])
 
 
 def _staircase_area(minimal: list[tuple[float, float]], lo, hi) -> float:

@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp, norm
@@ -66,17 +66,12 @@ def _hoelder_band(t: float) -> sampling.HoelderBand:
 
 
 def hoelder_scenario_params(t: float) -> analytics.HoelderScenarioParams:
-    profiles = {i: _ramp_superlevel for i in (1, 2, 3, 4)}
+    """The bound inputs of ``hoelder_d1`` at t, read from the generator and band it runs."""
+    scen = get_scenario("hoelder_d1")
+    gen, band = scen.gen, scen.make_model(t)
     return analytics.HoelderScenarioParams(
-        dim=1,
-        beta=1.0,
-        env_const=1.0,
-        holder_const=0.5,
-        gamma=1.0,
-        rate=t,
-        f_profiles=profiles,
-        f_sup=1.0,
-    )
+        dim=gen.dim, beta=gen.beta, env_const=gen.env_const, holder_const=band.holder_const,
+        gamma=1.0, rate=band.rate, f_profiles=dict.fromkeys((1, 2, 3, 4), _ramp_superlevel))
 
 
 _MEANWIDTH_K = 1.0
@@ -171,6 +166,8 @@ def scenario_names() -> list[str]:
 #: the largest expected pattern size (a model's total mass) an experiment may ask
 #: for, and the most nested probes, which are drawn as one array
 MAX_PATTERN_MASS = 1e7
+#: the most replications (or Markov pairs) of one run; every record is kept until it ends
+MAX_REPLICATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -189,6 +186,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ConfigurationError("need at least 2 replications")
+        if self.replications > MAX_REPLICATIONS:
+            raise ConfigurationError(f"{self.replications} replications (or pairs) are above "
+                                     f"the cap of {MAX_REPLICATIONS:.0e}")
         if self.threads < 1:
             raise ConfigurationError(f"need at least 1 thread, got {self.threads}")
         if self.nested_probes < 2 or self.nested_replicas < 1:
@@ -202,11 +202,12 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
         scen = get_scenario(self.scenario)
+        cap = min(MAX_PATTERN_MASS, scen.gen.point_limit)  # what the generator's kernels take
         for t in self.grid():
             mass = scen.make_model(t).total_mass
-            if not mass <= MAX_PATTERN_MASS:  # also refuses an overflow to inf
+            if not mass <= cap:  # also refuses an overflow to inf
                 raise ConfigurationError(f"t = {t:g} asks for {mass:.3g} points per pattern, "
-                                         f"above the cap of {MAX_PATTERN_MASS:.0e}")
+                                         f"above the cap of {cap:g} of {type(scen.gen).__name__}")
 
     def grid(self) -> tuple[float, ...]:
         return self.t_grid or (get_scenario(self.scenario).default_t,)
@@ -251,7 +252,12 @@ class ReplicationSummary:
 
     @property
     def ks_resid_max(self) -> float:
-        return max((r.ks_resid_max for r in self.rows), default=0.0)
+        return residual_max(r.ks_resid_max for r in self.rows)
+
+
+def residual_max(resids: Iterable[float]) -> float:
+    """The largest identity residual as a Python float: nan if any is nan, 0.0 if none."""
+    return float(np.max(np.fromiter(resids, dtype=float), initial=0.0))
 
 
 _Z99 = 2.5758293035489004  # 99% two-sided normal quantile
@@ -324,7 +330,7 @@ def replication_rows(config: ExperimentConfig) -> Iterator[tuple[TRow, dict[str,
         records = replicate(_replicate_chunk, args, R, config.threads)
         *columns, resids = zip(*(r[0] for r in records))
         values, varests, bcounts, complements = (np.array(c, dtype=float) for c in columns)
-        resid = max(resids)
+        resid = residual_max(resids)
         mean = float(values.mean())
         var = float(values.var(ddof=1))
         se = math.sqrt(var / R)
@@ -589,9 +595,7 @@ def paired_estimates(
     records = replicate(_replicate_chunk, args, config.replications, config.threads)
     vf = np.array([r[0][0] for r in records], dtype=float)
     vg = np.array([r[1][0] for r in records], dtype=float)
-    # from 0.0 in replication order (f before g), so a NaN residual is skipped as a
-    # running max skips it
-    resid = max([0.0] + [x[4] for r in records for x in r if x[4] is not None])
+    resid = residual_max(x[4] for r in records for x in r if x[4] is not None)
     return PairedRun(values_f=vf, values_g=vg, ks_resid_max=resid)
 
 

@@ -164,6 +164,16 @@ class UniformDisk(IntensityModel):
         return np.asarray(self.center, dtype=float) + r[:, None] * _unit_circle(ang)
 
 
+def polygon_area(poly) -> float:
+    """Signed shoelace area of a vertex list or tuple (positive if CCW), summed left to right."""
+    if len(poly) < 3:
+        return 0.0
+    s = 0.0
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        s += ax * by - bx * ay
+    return 0.5 * s
+
+
 @dataclass(frozen=True)
 class UniformPolygon(IntensityModel):
     """rate * Lebesgue on a convex polygon (counterclockwise vertices)."""
@@ -178,12 +188,7 @@ class UniformPolygon(IntensityModel):
 
     @property
     def area(self) -> float:
-        v = self.vertices
-        s = sum(
-            v[i][0] * v[(i + 1) % len(v)][1] - v[(i + 1) % len(v)][0] * v[i][1]
-            for i in range(len(v))
-        )
-        return 0.5 * s
+        return polygon_area(self.vertices)
 
     @property
     def total_mass(self) -> float:

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from hullforge import estimators
 from hullforge.corpora import euclid_corpus, line_corpus, param_corpus
 
 
@@ -36,5 +39,21 @@ def spy(monkeypatch):
 
         monkeypatch.setattr(owner, name, record)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def nan_residual_at(monkeypatch):
+    """``nan_residual_at(k)`` makes ``estimators.ks_error`` return nan at its k-th call."""
+
+    def install(k: int) -> None:
+        real, calls = estimators.ks_error, []
+
+        def ks_error(*args, **kwargs):
+            calls.append(None)
+            return math.nan if len(calls) == k else real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "ks_error", ks_error)
 
     return install

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hullforge import cli, montecarlo, sampling
+from hullforge import cli, corpora, montecarlo, sampling
 from hullforge.cli import main
 from hullforge.core import ConfigurationError
 
@@ -274,6 +274,63 @@ def test_huge_nested_probes_exit_2_before_any_draw(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "nested probes" in err
     assert len(err.splitlines()) == 1
+    assert not (out / "x.csv").exists()
+
+
+def test_estimate_fails_on_a_nan_residual_after_the_first_replication(tmp_path,
+                                                                      nan_residual_at):
+    nan_residual_at(7)
+    cfg = _write(tmp_path, "c.json", _estimate_cfg(scenario="hoelder_d1", reps=40, t=20.0))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    summary = json.loads((tmp_path / "o" / "est.summary.json").read_text())
+    assert summary["ks_identity_pass"] is False
+    assert summary["passed"] is False
+
+
+# Work a config asks for beyond what could be allocated or kept: a pattern too large
+# for its generator's kernels (the gap kernel's directions of 10^5 convex points take
+# 160 GB, the corner products of about 1,260 lines 8 GB), too many records, or a corpus
+# too large.  Each is refused before anything is drawn or built.
+_OVERSIZED = [
+    pytest.param("estimate", {"scenario": "convex_square", "replications": 10,
+                              "t_grid": [20.0, 1e5]}, id="convex-points"),
+    pytest.param("estimate", {"scenario": "meanwidth_disks", "replications": 10,
+                              "t_grid": [200.0]}, id="halfplane-lines"),
+    pytest.param("estimate", {"scenario": "pareto_square", "replications": 10,
+                              "t_grid": [1e5]}, id="pareto-points"),
+    pytest.param("estimate", {"scenario": "halfline_min", "replications": 10,
+                              "t_grid": [1e4]}, id="halfline-points"),
+    pytest.param("estimate", {"scenario": "disk_support_sanity", "replications": 10,
+                              "t_grid": [1e6]}, id="diskhull-points"),
+    pytest.param("variance", {"scenario": "meanwidth_disks", "replications": 10, "t": 200.0},
+                 id="variance-halfplane-lines"),
+    pytest.param("markov", {"scenario": "convex_square", "pairs": 10, "t": 1e5},
+                 id="markov-convex-points"),
+    pytest.param("estimate", {"scenario": "coordmin", "replications": 10**9},
+                 id="replications"),
+    pytest.param("markov", {"scenario": "coordmin", "pairs": 10**9}, id="pairs"),
+    pytest.param("axioms", {"generators": ["coordmin", "halfplane"], "patterns": 2,
+                            "max_points": 10**5}, id="max_points-past-halfplane"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": 10**9}, id="corpus"),
+    pytest.param("axioms", {"generators": ["coordmin"], "patterns": 10**5,
+                            "max_points": 10**4}, id="corpus-points"),
+]
+
+
+@pytest.mark.parametrize("command, body", _OVERSIZED)
+def test_oversized_work_exit_2_before_anything_is_built(tmp_path, capsys, monkeypatch,
+                                                        command, body):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or built before the config was checked")
+
+    monkeypatch.setattr(sampling, "sample_poisson", refuse)
+    monkeypatch.setattr(sampling.IntensityModel, "sample_points", refuse)
+    monkeypatch.setattr(corpora, "_corpus", refuse)
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **body})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert not (out / "x.csv").exists()
 
 

@@ -31,6 +31,27 @@ def test_config_refuses_patterns_past_the_mass_cap():
     mc.ExperimentConfig(scenario="hoelder_d1", replications=10, t_grid=(t,))
 
 
+def test_nan_residual_after_the_first_replication_is_reported(nan_residual_at):
+    nan_residual_at(7)
+    cfg = mc.ExperimentConfig(scenario="hoelder_d1", replications=40, t_grid=(20.0,))
+    summary = mc.run_replications(cfg)
+    assert math.isnan(summary.rows[0].ks_resid_max)
+    assert math.isnan(summary.ks_resid_max)
+
+
+@pytest.mark.parametrize("targets", [(math.nan, math.nan), (15.0, math.nan)])
+def test_paired_estimates_report_a_nan_residual(targets):
+    cfg = mc.ExperimentConfig(scenario="hoelder_d1", replications=40, t_grid=(20.0,))
+    assert math.isnan(mc.paired_estimates(cfg, targets=targets).ks_resid_max)
+
+
+def test_residual_max():
+    assert mc.residual_max([]) == 0.0
+    assert type(mc.residual_max(iter([1e-16, 3e-16]))) is float
+    assert mc.residual_max([1e-16, 3e-16, 2e-16]) == 3e-16
+    assert math.isnan(mc.residual_max([1e-16, math.nan, 3e-16]))
+
+
 @pytest.mark.parametrize("scenario, t", [("convex_square", 20.0), ("pareto_square", 20.0),
                                          ("hoelder_d1", 16.0), ("halfline_min", 1.0)])
 def test_complement_is_total_minus_hull_mass(scenario, t):

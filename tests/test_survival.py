@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullforge import PointPattern, euclid, line, param
+from hullforge import PointPattern, SpaceMismatchError, corpora, euclid, line, param
 from hullforge import generators
-from hullforge.core import h_indicator
+from hullforge.core import HullGenerator, h_indicator
 from hullforge.corpora import GENERATOR_SUITE
 from hullforge.generators import ConvexHullGen, CoordMinGen, DiskHullGen, HalfPlaneGen, ParetoGen
 
@@ -48,6 +48,22 @@ def test_survival_mask_empty_and_single_triple_atom(name):
     assert gen.survival_mask(PointPattern.empty()) == ()
     triple = PointPattern.empty().add(_sample_point(gen.space_tag), 3)
     assert gen.survival_mask(triple) == oracle(gen, triple)
+
+
+def _generator_classes():
+    """Every concrete generator class of ``generators`` and ``corpora``, found by introspection."""
+    found = {c for mod in (generators, corpora) for c in vars(mod).values()
+             if isinstance(c, type) and issubclass(c, HullGenerator) and c is not HullGenerator}
+    return sorted(found, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _generator_classes(), ids=lambda c: c.__name__)
+def test_survival_mask_checks_the_space_and_answers_the_empty_pattern(cls):
+    gen = cls()
+    foreign = euclid(0.25, 0.35) if gen.space_tag[0] == "line" else line(1.0, 0.5)
+    with pytest.raises(SpaceMismatchError):
+        gen.survival_mask(PointPattern.from_points([foreign, foreign]))
+    assert gen.survival_mask(PointPattern.empty()) == ()
 
 
 PLANAR_CASES = {
