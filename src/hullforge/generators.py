@@ -367,10 +367,15 @@ class ParetoGen(HullGenerator):
         )
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
+        if self.dim == 1:  # the rows are sorted and distinct: the first alone is minimal
+            return (True,) + (False,) * (len(mu.rows) - 1) if mu.rows else ()
         return self._minimal(mu)
 
     def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         """Coordinatewise >= some support point, and not a minimal point itself."""
+        if self.dim == 1:  # above the least row (none above an empty pattern's +inf)
+            least = mu.rows[0][0] if mu.rows else math.inf
+            return [x.coords[0] > least for x in points]
         minimal = set(compress(mu.rows, self._minimal(mu)))
         return [q not in minimal and any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
                 for q in (x.coords for x in points)]

@@ -4,6 +4,14 @@ Each replication draws its pattern from a dedicated RNG stream (stream index
 = replication index inside a per-scenario namespace), so summaries do not
 depend on execution order or worker count; aggregation happens on arrays in
 replication order.  Every Monte Carlo loop runs through ``replicate``.
+
+A run with two or more workers uses this process's one worker pool.  The
+first such call forks it, and it lives as long as the process: later calls
+reuse it, a call that asks for another worker count shuts it down (waiting
+for its workers) and forks a new one, and ``concurrent.futures`` shuts it
+down at interpreter exit.  Workers run the library as it was when they
+forked, so a patch of a library function made after that is not seen by
+them.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -274,21 +283,66 @@ def worker_count(threads: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(threads, chunks, cpus or 1))
 
 
+def usable_cpus() -> int | None:
+    """The CPUs this process may run on (its affinity set, where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+#: this process's worker pool, and the (pid, worker count) it was created with
+_pool: ProcessPoolExecutor | None = None
+_pool_key: tuple[int, int] | None = None
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The pool of ``workers`` processes, created on first use and kept for the process.
+
+    A pool of another size is shut down, waiting for its workers, before the
+    new one forks.  A pool inherited by a forked child belongs to its parent,
+    so the child forgets it without touching it and starts its own.
+    """
+    global _pool, _pool_key
+    key = (os.getpid(), workers)
+    if _pool_key != key:
+        if _pool_key is not None and _pool_key[0] == key[0]:
+            _pool.shutdown(wait=True)
+        _pool, _pool_key = ProcessPoolExecutor(max_workers=workers), key
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_key
+    _pool.shutdown(wait=True)
+    _pool, _pool_key = None, None
+
+
 def replicate(chunk_fn: Callable, args: tuple, n: int, threads: int) -> list:
     """Concatenate ``chunk_fn(args, lo, hi)`` over the chunks of [0, n), in index order.
 
     ``chunk_fn`` is a module-level function of its arguments alone and
     ``args`` is picklable, so chunks run in worker processes unchanged; with
-    one worker they run in-process.  Outputs do not depend on ``threads``.
+    one worker (one chunk, ``threads`` = 1 or one usable CPU) they run
+    in-process.  Otherwise they run on the process's worker pool of
+    min(``threads``, usable CPUs) workers, forked by the first such call and
+    reused by later ones with the same count.  The workers see the library as
+    it was when they forked.  A worker that dies raises ``BrokenProcessPool``
+    here and the pool is dropped, so the next call forks a fresh one.
+    Outputs do not depend on ``threads``.
     """
     bounds = chunk_bounds(n)
-    workers = worker_count(threads, len(bounds), os.cpu_count())
-    if workers == 1:
+    cpus = usable_cpus()
+    if worker_count(threads, len(bounds), cpus) == 1:
         parts = [chunk_fn(args, lo, hi) for lo, hi in bounds]
     else:
+        # sized by threads and CPUs alone, so that runs of every chunk count share it
+        pool = _worker_pool(worker_count(threads, threads, cpus))
         los, his = zip(*bounds)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
             parts = list(pool.map(chunk_fn, [args] * len(bounds), los, his))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     return [r for part in parts for r in part]
 
 

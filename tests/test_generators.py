@@ -352,6 +352,25 @@ def test_pareto_prime_property_on_corpus(planar_corpus):
             assert prime_factorization_holds(gen, mu, z)
 
 
+_LINE_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 1.5, -2.0]) | st.floats(-4.0, 4.0, width=16)
+
+
+@given(st.lists(_LINE_VALUES, max_size=12), st.lists(_LINE_VALUES, max_size=8), st.booleans())
+def test_pareto_1d_fast_path_matches_the_pairwise_reference(values, queries, from_array):
+    # repeated values and both signs of zero; the pattern built either way
+    gen = ParetoGen(1)
+    if from_array and values:
+        mu = PointPattern.from_array(("euclid", 1), np.array(values).reshape(-1, 1))
+    else:
+        mu = PointPattern.from_points(euclid(v) for v in values)
+    minimal = gen._minimal(mu)
+    assert gen.boundary_mask(mu) == minimal
+    points = [euclid(q) for q in queries + values]
+    least = set(itertools.compress(mu.rows, minimal))
+    want = [x.row not in least and any(r[0] <= x.coords[0] for r in mu.rows) for x in points]
+    assert gen.contains_mask(mu, points) == want
+
+
 # -- half-plane generator -----------------------------------------------------
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +144,89 @@ def test_chunk_bounds_depend_on_n_alone():
 ])
 def test_worker_count_clamps_to_chunks_and_cpus(threads, chunks, cpus, want):
     assert mc.worker_count(threads, chunks, cpus) == want
+
+
+def _pid_chunk(args, lo, hi):
+    return [os.getpid()]
+
+
+def _exit_chunk(args, lo, hi):
+    os._exit(3)
+
+
+def _refusing_chunk(args, lo, hi):
+    if lo > 0:
+        raise ConfigurationError(f"chunk at {lo} refused")
+    return [os.getpid()]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let threads=2 runs use the worker pool on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_replicate_counts_usable_cpus_not_installed_ones(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert mc.usable_cpus() == 1
+    assert mc.replicate(_pid_chunk, (), 200, threads=2) == [os.getpid()] * 4
+
+
+def test_pool_is_reused_across_calls(two_cpus):
+    first = mc.replicate(_pid_chunk, (), 200, threads=2)
+    pool = mc._pool
+    second = mc.replicate(_pid_chunk, (), 200, threads=2)
+    assert mc._pool is pool
+    assert os.getpid() not in first + second
+    assert len(set(first + second)) <= 2
+    assert all(_alive(pid) for pid in first)  # a per-call pool would have joined them
+
+
+def test_broken_pool_raises_once_then_a_fresh_pool_serves(two_cpus):
+    before = mc.replicate(_pid_chunk, (), 200, threads=2)
+    with pytest.raises(BrokenProcessPool):
+        mc.replicate(_exit_chunk, (), 200, threads=2)
+    after = mc.replicate(_pid_chunk, (), 200, threads=2)
+    assert os.getpid() not in after
+    assert not set(before) & set(after)
+
+
+def test_chunk_error_reaches_the_caller_and_the_pool_stays(two_cpus):
+    before = mc.replicate(_pid_chunk, (), 200, threads=2)
+    pool = mc._pool
+    with pytest.raises(ConfigurationError, match="refused"):
+        mc.replicate(_refusing_chunk, (), 200, threads=2)
+    after = mc.replicate(_pid_chunk, (), 200, threads=2)
+    assert mc._pool is pool
+    assert len(set(before + after)) <= 2 and all(_alive(pid) for pid in before)
+
+
+_EXITING_RUN = """
+import os
+import hullforge.montecarlo as mc
+os.sched_getaffinity = lambda pid: {0, 1}
+def pid_chunk(args, lo, hi):
+    return [os.getpid()]
+print(*mc.replicate(pid_chunk, (), 200, threads=2))
+"""
+
+
+def test_workers_end_with_their_process():
+    src = str(Path(mc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _EXITING_RUN], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    pids = {int(p) for p in out.split()}
+    assert pids and not any(_alive(pid) for pid in pids)
 
 
 def test_normality_diagnostics_oracle_values():
