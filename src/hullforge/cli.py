@@ -45,11 +45,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _open_output(path: Path):
+    """``path`` opened for writing; an output that cannot be created is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output {path}: {exc.strerror}") from exc
+
+
 class _IncrementalCsv:
     """CSV writer that flushes after every row, so interrupts keep partial output."""
 
     def __init__(self, path: Path, header: list[str]):
-        self._fh = open(path, "w", encoding="utf-8", newline="")
+        self._fh = _open_output(path)
         self._writer = csv.writer(self._fh, lineterminator="\n")
         self._writer.writerow(header)
         self._fh.flush()
@@ -70,7 +78,7 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -242,7 +250,7 @@ def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     varests = summary.samples[t]["varest"]
     scen = montecarlo.get_scenario(config.scenario)
     f = scen.make_integrand(t)
-    nested = montecarlo.nested_h_integral(config, lambda x: f.value(x) ** 2, t=t)
+    nested = montecarlo.nested_h_integral(config, lambda x: f.value(x) ** 2)
     emp = montecarlo.variance_ci99(values)
     hatv = montecarlo.mean_ci99(varests)
     pairs = {
@@ -264,11 +272,9 @@ def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     }
     passed = all(pairs.values())
     if cfg.get("covariance", False):
-        paired = montecarlo.paired_estimates(config, t)
+        paired = montecarlo.paired_estimates(config)
         g = scen.covariate(t)
-        nested_fg = montecarlo.nested_h_integral(
-            config, lambda x: f.value(x) * g.value(x), t=t
-        )
+        nested_fg = montecarlo.nested_h_integral(config, lambda x: f.value(x) * g.value(x))
         cov = montecarlo.covariance_ci99(paired.values_f, paired.values_g)
         cov_ok = montecarlo.intervals_overlap(cov[:2], nested_fg.ci99)
         rows.append(("empirical_covariance", cov[0], cov[1], cov[2]))
@@ -403,25 +409,26 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create --out {out}: {exc.strerror}") from exc
         passed, summary = _COMMANDS[args.command](cfg, out, args.threads)
+        outputs = [f"{cfg['name']}.csv", f"{cfg['name']}.summary.json"]  # what the run wrote
+        summary_path = out / outputs[1]
+        _write_json(summary_path, summary)
+        _write_json(out / "manifest.json", {
+            "command": args.command,
+            "config": raw,
+            "seed_override": args.seed,
+            "version": __version__,
+            "wall_clock_s": round(time.time() - started, 3),
+            "outputs": outputs,
+            "passed": passed,
+        })
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    summary_path = out / f"{cfg['name']}.summary.json"
-    _write_json(summary_path, summary)
-    manifest = {
-        "command": args.command,
-        "config": raw,
-        "seed_override": args.seed,
-        "version": __version__,
-        "wall_clock_s": round(time.time() - started, 3),
-        "outputs": sorted(
-            p.name for p in out.iterdir() if p.stem.startswith(cfg["name"])
-        ),
-        "passed": passed,
-    }
-    _write_json(out / "manifest.json", manifest)
     print(f"{args.command}: {'PASS' if passed else 'FAIL'} -> {summary_path}")
     return 0 if passed else 1
 

@@ -376,8 +376,8 @@ class ParetoGen(HullGenerator):
         if self.dim == 1:  # above the least row (none above an empty pattern's +inf)
             least = mu.rows[0][0] if mu.rows else math.inf
             return [x.coords[0] > least for x in points]
-        minimal = set(compress(mu.rows, self._minimal(mu)))
-        return [q not in minimal and any(all(a <= b for a, b in zip(r, q)) for r in mu.rows)
+        # a minimal row is below no other row, so leaving q itself out answers False for it
+        return [any(r != q and all(a <= b for a, b in zip(r, q)) for r in mu.rows)
                 for q in (x.coords for x in points)]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
@@ -799,19 +799,20 @@ _TRI_P = np.array([[1 / 3, 1 / 3], [_A1, _B1], [_B1, _A1], [_B1, _B1],
                    [_A2, _B2], [_B2, _A2], [_B2, _B2]])
 
 
-def _triangle_quad(f, a, b, c, subdiv: int = 4) -> float:
-    """Integral of f over triangle abc, degree-5 rule on a subdivided mesh."""
+def _triangle_quad(f, a, b, c) -> float:
+    """Integral of f over triangle abc, degree-5 rule on a mesh of 16 cells."""
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    n = 4  # each edge cut into n parts
     total = 0.0
-    for i in range(subdiv):
-        for j in range(subdiv - i):
+    for i in range(n):
+        for j in range(n - i):
             corners = []
-            p00 = a + (b - a) * (i / subdiv) + (c - a) * (j / subdiv)
-            p10 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * (j / subdiv)
-            p01 = a + (b - a) * (i / subdiv) + (c - a) * ((j + 1) / subdiv)
+            p00 = a + (b - a) * (i / n) + (c - a) * (j / n)
+            p10 = a + (b - a) * ((i + 1) / n) + (c - a) * (j / n)
+            p01 = a + (b - a) * (i / n) + (c - a) * ((j + 1) / n)
             corners.append((p00, p10, p01))
-            if j < subdiv - i - 1:
-                p11 = a + (b - a) * ((i + 1) / subdiv) + (c - a) * ((j + 1) / subdiv)
+            if j < n - i - 1:
+                p11 = a + (b - a) * ((i + 1) / n) + (c - a) * ((j + 1) / n)
                 corners.append((p10, p11, p01))
             for u, v, w in corners:
                 area = 0.5 * abs(
@@ -949,16 +950,13 @@ def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
 
 
 def _staircase_area(minimal: list[tuple[float, float]], lo, hi) -> float:
-    """Area of the union of upper-right quadrants of the minimal points, in a box."""
-    minimal = sorted(minimal, key=lambda c: (c[0], -c[1]))
+    """Area of the union of upper-right quadrants of the minimal points, in a box.
+
+    ``minimal`` comes in row order: x increasing, y strictly falling.
+    """
     (lx, ly), (hx, hy) = lo, hi
     area = 0.0
-    frontier: list[tuple[float, float]] = []
-    best_y = math.inf
-    for x, y in minimal:
-        if y < best_y:
-            frontier.append((max(x, lx), max(y, ly)))
-            best_y = y
+    frontier = [(max(x, lx), max(y, ly)) for x, y in minimal]
     for i, (x, y) in enumerate(frontier):
         x_next = frontier[i + 1][0] if i + 1 < len(frontier) else hx
         w = max(0.0, min(x_next, hx) - min(x, hx))

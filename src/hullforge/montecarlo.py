@@ -595,15 +595,14 @@ def _nested_chunk(args, lo: int, hi: int) -> list[int]:
 def nested_h_integral(
     config: ExperimentConfig,
     weight: Callable[[object], float],
-    t: float | None = None,
 ) -> NestedIntegral:
-    """Estimate int weight(x) E[H_x] dlambda by fresh-replica Monte Carlo.
+    """Estimate int weight(x) E[H_x] dlambda at the first t of the grid, by fresh replicas.
 
     Probes are drawn lambda-proportionally; each probe gets its own bundle of
     fresh patterns, so the probe-level terms are independent and the reported
     standard error is honest.
     """
-    t = t if t is not None else config.grid()[0]
+    t = config.grid()[0]
     model = get_scenario(config.scenario).make_model(t)
     root = sampling.RngStream(config.base_seed)
     probes = model.sample_points(config.nested_probes, root.child(21).generator())
@@ -630,10 +629,9 @@ class PairedRun:
 
 def paired_estimates(
     config: ExperimentConfig,
-    t: float | None = None,
     targets: tuple[float, float] | None = None,
 ) -> PairedRun:
-    """Per-replication estimator values for the integrand and its covariate.
+    """Per-replication estimator values for the integrand and its covariate, at the first t.
 
     Both estimators are evaluated on the same pattern, which is what the
     covariance identity is about.  When targets are supplied, the
@@ -643,7 +641,7 @@ def paired_estimates(
     scen = get_scenario(config.scenario)
     if scen.covariate is None:
         raise ConfigurationError(f"scenario {config.scenario} declares no covariate integrand")
-    t = t if t is not None else config.grid()[0]
+    t = config.grid()[0]
     args = (config.scenario, t, 31, config.base_seed,
             (scen.make_integrand(t), scen.covariate(t)), targets or (None, None))
     records = replicate(_replicate_chunk, args, config.replications, config.threads)

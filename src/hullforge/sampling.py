@@ -284,9 +284,9 @@ class HoelderBand(IntensityModel):
     def phi_at(self, sites: np.ndarray) -> np.ndarray:
         return np.asarray(self.phi(sites), dtype=float)
 
-    def grid_sites(self, resolution: int | None = None) -> tuple[np.ndarray, float]:
-        """Midpoint grid over the window and the cell volume."""
-        n = resolution or self.resolution
+    def grid_sites(self) -> tuple[np.ndarray, float]:
+        """Midpoint grid over the window at the model's ``resolution``, and the cell volume."""
+        n = self.resolution
         if self.dim == 1:
             edges = np.linspace(self.lo[0], self.hi[0], n + 1)
             mids = 0.5 * (edges[:-1] + edges[1:])
@@ -365,7 +365,7 @@ class LinesBand(IntensityModel):
 class HalfLine(IntensityModel):
     """Unit-dimension process on [start, infinity) truncated at a horizon.
 
-    Arrivals beyond start + horizon are dropped; the scenarios using this
+    Points beyond start + horizon are not drawn; the scenarios using this
     model only ever read the minimum point and closed-form tail integrals, so
     the truncation does not affect any estimator value.
     """
@@ -386,18 +386,6 @@ class HalfLine(IntensityModel):
 
     def sample_coords(self, n, rng):
         return (self.start + rng.uniform(0.0, self.horizon, size=n))[:, None]
-
-    def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
-        # exponential gaps, i.e. a unit-rate renewal construction
-        end = self.start + self.horizon
-        xs = []
-        x = self.start
-        while True:
-            x += rng.exponential(1.0 / self.rate)
-            if x > end:
-                break
-            xs.append(x)
-        return PointPattern.from_array(self.space_tag, np.array(xs, dtype=float)[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def test_c05_variance_identity(capsys, convex20, hoelder20):
         )
         scen = mc.get_scenario(scenario)
         f = scen.make_integrand(20.0)
-        nested = mc.nested_h_integral(cfg, lambda x: f.value(x) ** 2, t=20.0)
+        nested = mc.nested_h_integral(cfg, lambda x: f.value(x) ** 2)
         emp = mc.variance_ci99(summary.samples[20.0]["values"])
         hatv = mc.mean_ci99(summary.samples[20.0]["varest"])
         pairs = [
@@ -325,12 +325,12 @@ def test_c06_covariance_identity(capsys):
         nested_replicas=200,
         threads=THREADS,
     )
-    paired = mc.paired_estimates(cfg, t, targets=(f_target, g_target))
+    paired = mc.paired_estimates(cfg, targets=(f_target, g_target))
     _record_residual("hoelder_covariance", paired.ks_resid_max, g_target)
     scen = mc.get_scenario("hoelder_d1")
     f = scen.make_integrand(t)
     g = scen.covariate(t)
-    nested = mc.nested_h_integral(cfg, lambda x: f.value(x) * g.value(x), t=t)
+    nested = mc.nested_h_integral(cfg, lambda x: f.value(x) * g.value(x))
     cov = mc.covariance_ci99(paired.values_f, paired.values_g)
     overlap = mc.intervals_overlap(cov[:2], nested.ci99)
     _report(

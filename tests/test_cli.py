@@ -29,6 +29,9 @@ def _estimate_cfg(name="est", scenario="convex_square", reps=300, t=50.0, seed=1
 def test_estimate_pass_and_outputs(tmp_path):
     cfg = _write(tmp_path, "c.json", _estimate_cfg())
     out = tmp_path / "out"
+    # an earlier run in the same directory whose name starts with this run's name
+    assert main(["estimate", "--config", _write(tmp_path, "c2.json", _estimate_cfg("est2")),
+                 "--out", str(out)]) == 0
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
     csv_text = (out / "est.csv").read_text()
     lines = csv_text.split("\n")
@@ -38,8 +41,7 @@ def test_estimate_pass_and_outputs(tmp_path):
     assert summary["passed"] is True
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is True
-    assert "est.csv" in manifest["outputs"]
-    assert "est.summary.json" in manifest["outputs"]
+    assert manifest["outputs"] == ["est.csv", "est.summary.json"]
 
 
 def test_estimate_float_precision_17_digits(tmp_path):
@@ -359,6 +361,20 @@ def test_unsafe_name_exit_2(tmp_path, name):
     out = tmp_path / "deep" / "o"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("name, out_is_file", [
+    pytest.param("n" * 300, False, id="name-too-long"),
+    pytest.param("est", True, id="out-is-a-file"),
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, name, out_is_file):
+    cfg = _write(tmp_path, "c.json", _estimate_cfg(name=name, reps=10))
+    out = tmp_path / "o"
+    if out_is_file:
+        out.write_text("")
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
 
 
 def test_axioms_command_pass_fail_and_vacuous(tmp_path, capsys):

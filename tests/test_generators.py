@@ -199,17 +199,18 @@ def test_batch_membership_equals_single_queries_on_suite_corpus(name):
         assert gen.hull_contains_many(mu, []) == []
 
 
-@pytest.mark.parametrize("owner, kernel, gen", [
-    pytest.param(ParetoGen, "_minimal", ParetoGen(2), id="pareto"),
-    pytest.param(CoordMinGen, "_argmins", CoordMinGen(), id="coordmin"),
-    pytest.param(ConvexHullGen, "_extreme", ConvexHullGen(2), id="convex2"),
+@pytest.mark.parametrize("owner, kernel, gen, reads", [
+    # the Pareto rule leaves each query out of its own domination test: no minimal set
+    pytest.param(ParetoGen, "_minimal", ParetoGen(2), 0, id="pareto"),
+    pytest.param(CoordMinGen, "_argmins", CoordMinGen(), 1, id="coordmin"),
+    pytest.param(ConvexHullGen, "_extreme", ConvexHullGen(2), 1, id="convex2"),
 ])
-def test_batch_membership_reads_the_geometry_once(spy, owner, kernel, gen):
+def test_batch_membership_reads_the_geometry_once(spy, owner, kernel, gen, reads):
     patterns, probes = euclid_corpus(2, 20, 8, seed=5)
     mu = max(patterns, key=lambda mu: len(mu.rows))
     calls = spy(owner, kernel)
-    gen.hull_contains_many(mu, probes[:5])
-    assert len(calls) == 1
+    gen.hull_contains_many(mu, probes[:5] + list(mu.support()))
+    assert len(calls) == reads
 
 
 @pytest.mark.parametrize("name", ["envelope", "halfplane"])
@@ -355,19 +356,27 @@ def test_pareto_prime_property_on_corpus(planar_corpus):
 _LINE_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 1.5, -2.0]) | st.floats(-4.0, 4.0, width=16)
 
 
-@given(st.lists(_LINE_VALUES, max_size=12), st.lists(_LINE_VALUES, max_size=8), st.booleans())
-def test_pareto_1d_fast_path_matches_the_pairwise_reference(values, queries, from_array):
-    # repeated values and both signs of zero; the pattern built either way
-    gen = ParetoGen(1)
-    if from_array and values:
-        mu = PointPattern.from_array(("euclid", 1), np.array(values).reshape(-1, 1))
+def _rows(values, dim):
+    return [tuple(values[i:i + dim]) for i in range(0, len(values) - dim + 1, dim)]
+
+
+@given(st.sampled_from([1, 2]), st.lists(_LINE_VALUES, max_size=24),
+       st.lists(_LINE_VALUES, max_size=16), st.booleans())
+def test_pareto_1d_fast_path_matches_the_pairwise_reference(dim, values, queries, from_array):
+    # repeated values and both signs of zero; the pattern built either way; in 2-D the
+    # membership rule, which builds no minimal set, against the one that does
+    gen = ParetoGen(dim)
+    rows = _rows(values, dim)
+    if from_array and rows:
+        mu = PointPattern.from_array(("euclid", dim), np.array(rows))
     else:
-        mu = PointPattern.from_points(euclid(v) for v in values)
+        mu = PointPattern.from_points(euclid(*r) for r in rows)
     minimal = gen._minimal(mu)
     assert gen.boundary_mask(mu) == minimal
-    points = [euclid(q) for q in queries + values]
+    points = [euclid(*q) for q in _rows(queries, dim) + rows]  # atoms among the queries
     least = set(itertools.compress(mu.rows, minimal))
-    want = [x.row not in least and any(r[0] <= x.coords[0] for r in mu.rows) for x in points]
+    want = [x.row not in least and any(all(a <= b for a, b in zip(r, x.coords)) for r in mu.rows)
+            for x in points]
     assert gen.contains_mask(mu, points) == want
 
 

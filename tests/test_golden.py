@@ -20,6 +20,12 @@ digests were re-recorded once since, when integrands declared their ground
 space: an integrand on the wrong space now raises ``ConfigurationError`` on
 every pattern, where it raised ``AttributeError`` or, on the empty pattern,
 gave a value; no other entry of any record changed.
+The five half-line digests (``estimate-halfline_min``, the three
+``SAMPLER_GOLDEN["halfline"]`` patterns and ``PAIRING_GOLDEN["pareto1-halfline"]``)
+were re-recorded when the half line stopped drawing its own renewal
+sequence of exponential gaps and began sampling through ``sample_coords``
+like every other model: a Poisson(rate * horizon) count of uniform points,
+the same law from other draws.
 Regenerate a digest only with a change that means to alter that output.
 """
 
@@ -105,7 +111,7 @@ GOLDEN = {
     "estimate-pareto_square": "5cd328e0a1c35b98d1d7dbb309464c6a5d2ae53016537bb4e1dd22d1fa13b9e5",
     "estimate-coordmin": "0248278c209750a62b865a0a83198cae2cc04df5d09f5fad14f24fc1414211a9",
     "estimate-hoelder_d1": "cd8049a4fc2c9287cdc6dd1d06143a92ff00b71e8a014e82a769878afe3f4d86",
-    "estimate-halfline_min": "8b0660594221119be0058694dbcf1f4a877671fce52b5f2cd9d40038287ce5fe",
+    "estimate-halfline_min": "af67a1180ee51e99fc1ff75132155d457563d5f1c70c30abc049b03f43ccfc8d",
     "estimate-meanwidth_disks": "ec8ed46b5bf587f51f5139f0eb9cc9bcb987099034a4e9a406367e141ff0a983",
     "estimate-disk_support_sanity": "9d793ed7fcd696e465e62ef7115db212fc749f264f3bbfdfda07f95bac745894",
     "estimate-meanwidth_disks-t1": "087d2ed3e42be1acce1b3a0f0c352b2ad4d32d5ded49d5d144a75a622be0004c",
@@ -204,9 +210,9 @@ SAMPLER_GOLDEN = {
         "35580ca44d1513ead1b2f19a5d1d4fdf13acbd7c060c1067e5aca7fa417dfb9e",
     ],
     "halfline": [
-        "30386725b33b10ca39673128a8d5029b066962530761e2ce7d7d0de3ec4568d4",
-        "b8d360354ebb1fcacdf15323e2b29533010bd6279dcafc5e0dcb6ab5f66dc697",
-        "fd04c5de642deb5dabb78c7695d0a29bfea6677b7b8cac784a56fd15cb5acf5a",
+        "5a31e27e91c23b624822ced8a1e221bfbc172f7f567403e98851225e310b0b6c",
+        "6fb458149dd9a7ec5f0d0f97aa715f23380cce99214e0b1bf6bbc8e6cd12df8a",
+        "e76240e70d99f7c964d3f185900db95cb93f96b6af7b3075f9f95cfe6d12bb2c",
     ],
 }
 
@@ -262,7 +268,7 @@ PAIRING_GOLDEN = {
     "envelope2-band": "c101d512a0cc404a449dd37174330dd2c237f8723fa176761956ca1b06b4b159",
     "halfplane-lines": "18854645404f26204052f2693b7217c59fc06d0661b13e7eecc7ccc10ca358db",
     "pareto1-box": "892aa1438bb89c0d473e8ee3f6b0cfa0f38e507a6b70a9adf6862fed5b21735b",
-    "pareto1-halfline": "eec10e38460c8bb476cbca573646733a4504d536b92d1818bb18abfc89c08f55",
+    "pareto1-halfline": "e5f6360abf41a7ba11f5a84e93396f19571e1bb37a1080f3ad24c2f347744455",
     "pareto2-box": "56510fc5ff4807d8aefd32892736793a01226440fd15bb3fd2138a9c83d54ab7",
     "pareto3-box": "366aff330203719eeccc9a4b13ab53e6aab43e9107e2be4a9228d0a5686450d0",
 }

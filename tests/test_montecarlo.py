@@ -28,7 +28,7 @@ def test_config_validation():
 
 
 def test_config_refuses_patterns_past_the_mass_cap():
-    # halfline_min at t=1e300 would sit in the half line's renewal loop for good
+    # halfline_min at t=1e300 asks for 5e301 points per pattern, far past what one can hold
     with pytest.raises(ConfigurationError, match="cap"):
         mc.ExperimentConfig(scenario="halfline_min", replications=10, t_grid=(1e300,))
     t = 1024.0  # the largest t the rate checks sample: 768 expected points
@@ -319,7 +319,7 @@ def test_nested_integral_matches_prime_closed_form():
         nested_probes=192,
         nested_replicas=120,
     )
-    nested = mc.nested_h_integral(cfg, lambda x: 1.0, t=t)
+    nested = mc.nested_h_integral(cfg, lambda x: 1.0)
 
     ns, nu, nq = 240, 120, 1200
     s = (np.arange(ns) + 0.5) / ns

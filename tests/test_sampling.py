@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_band_levels_marginally_uniform_for_flat_boundary():
 def test_band_envelopes_stay_below_boundary():
     model = _hoelder_band(30.0)
     gen = EnvelopeGen(dim=1, env_const=1.0, beta=1.0)
-    grid, _ = model.grid_sites(512)
+    grid, _ = dataclasses.replace(model, resolution=512).grid_sites()
     phi = model.phi_at(grid)
     for rep in range(100):
         pattern = sample_poisson(model, RngStream(55, rep))
