@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -51,6 +52,16 @@ def _open_output(path: Path):
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigurationError(f"cannot write output {path}: {exc.strerror}") from exc
+
+
+def _check_output_names(out: Path, names: list[str]) -> None:
+    """Refuse an output name longer than ``out`` allows, before the command's work starts."""
+    limit = os.pathconf(out, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
+    for name in names:
+        size = len(os.fsencode(name))
+        if 0 <= limit < size:
+            raise ConfigurationError(f"output name of {size} bytes is longer than the "
+                                     f"{limit} that {out} allows")
 
 
 class _IncrementalCsv:
@@ -413,8 +424,9 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError(f"cannot create --out {out}: {exc.strerror}") from exc
+        outputs = [f"{cfg['name']}.csv", f"{cfg['name']}.summary.json"]  # what the run writes
+        _check_output_names(out, outputs)
         passed, summary = _COMMANDS[args.command](cfg, out, args.threads)
-        outputs = [f"{cfg['name']}.csv", f"{cfg['name']}.summary.json"]  # what the run wrote
         summary_path = out / outputs[1]
         _write_json(summary_path, summary)
         _write_json(out / "manifest.json", {

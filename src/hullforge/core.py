@@ -1,13 +1,15 @@
 """Counting measures, the hull-generator contract, and difference-operator calculus.
 
-A pattern stores one coordinate row per distinct atom, in lexicographic
+A pattern holds one coordinate row per distinct atom, in lexicographic
 order, with its multiplicity; kernels read the rows or their array, and
-point objects are views built on demand by ``point_from_row``.  Sampled
-patterns are built array-first by ``PointPattern.from_array``: the rows are
-sorted and merged as an array, and that array arrives as the pattern's
-``coords``, already built.  The measure algebra (``add``, ``remove``, ``+``,
-``-``, ``with_mults``) and ``from_points`` work on row tuples through
-``_canonical``.
+point objects are views built on demand by ``point_from_row``.  Its store
+is either the array ``coords`` or the tuples ``rows``, and the other is
+built on first use.  Sampled patterns are built array-first by
+``PointPattern.from_array``: the rows are sorted and merged as an array,
+which is the store, and the estimate path reads only that array.  The
+measure algebra (``add``, ``remove``, ``+``, ``-``, ``with_mults``) and
+``from_points`` work on row tuples through ``_canonical``, whose patterns
+store ``rows``.
 
 A generator is a thinning map ``mu -> boundary(mu)`` on finite counting
 measures satisfying four axioms:
@@ -33,7 +35,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -216,21 +217,40 @@ def point_from_row(space_tag: tuple, row: tuple[float, ...]) -> SpacePoint:
     return p
 
 
-@dataclass(frozen=True)
 class PointPattern:
     """Finite counting measure stored as coordinate rows with multiplicities.
 
     ``rows`` holds one tuple of floats per distinct atom in lexicographic
     order and ``mults`` one positive int per row, so two patterns are equal
-    iff they define the same multiset.  ``space_tag`` is None only for the
-    empty pattern.  Point objects are views: ``support()`` and ``entries``
-    build them lazily, once per pattern; ``coords`` is the rows as a
-    read-only (n, k) array for the kernels.
+    iff they define the same multiset.  ``coords`` is the rows as a read-only
+    (n, k) array for the kernels.  A pattern stores one of the two, ``coords``
+    if ``from_array`` built it and ``rows`` otherwise, and builds the other on
+    first use.  ``space_tag`` is None only for the empty pattern.  Point
+    objects are views: ``support()`` and ``entries`` build them lazily, once
+    per pattern.  Patterns are immutable.
     """
 
-    rows: tuple[tuple[float, ...], ...]
     mults: tuple[int, ...]
     space_tag: tuple | None
+
+    def __init__(self, rows: tuple, mults: tuple[int, ...], space_tag: tuple | None) -> None:
+        vars(self).update(rows=rows, mults=mults, space_tag=space_tag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointPattern is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not PointPattern:
+            return NotImplemented
+        return (self.rows, self.mults, self.space_tag) == (other.rows, other.mults, other.space_tag)
+
+    def __hash__(self):
+        return hash((self.rows, self.mults, self.space_tag))
+
+    def __repr__(self):
+        return f"PointPattern(rows={self.rows!r}, mults={self.mults!r}, space_tag={self.space_tag!r})"
 
     @staticmethod
     def empty() -> "PointPattern":
@@ -252,34 +272,35 @@ class PointPattern:
         The rows are ordered by one stable ``lexsort`` and equal neighbours
         merge.  Both compare 0.0 and -0.0 as equal and keep the first
         occurrence, as ``_canonical``'s row keys do, so the result equals
-        ``from_points`` of the same rows, signs of zero included.  The sorted
-        array seeds ``coords``.
+        ``from_points`` of the same rows, signs of zero included.  Where the
+        first coordinates are distinct, a stable sort of them gives the same
+        order and no rows merge.  The sorted array is the pattern's store.
         """
         arr = checked_array(space_tag, coords)
         n = len(arr)
         if n == 0:
             return _EMPTY
-        arr = arr.take(np.lexsort(arr.T[::-1]), axis=0)
-        new = (arr[1:] != arr[:-1]).any(axis=1)  # row i + 1 differs from row i
-        if np.count_nonzero(new) < n - 1:
+        order = np.argsort(arr[:, 0], kind="stable")
+        lead = arr[order, 0]
+        if np.count_nonzero(lead[1:] == lead[:-1]) == 0:
+            # distinct first coordinates, as sampled rows have: they alone give lexsort's order
+            arr, mults = arr[order], (1,) * n
+        else:
+            arr = arr.take(np.lexsort(arr.T[::-1]), axis=0)
+            new = (arr[1:] != arr[:-1]).any(axis=1)  # row i + 1 differs from row i
             starts = np.flatnonzero(np.concatenate(([True], new)))
             mults = tuple(np.diff(starts, append=n).tolist())
             arr = arr[starts]
-        else:
-            mults = (1,) * n
         arr.flags.writeable = False
-        mu = PointPattern(tuple(map(tuple, arr.tolist())), mults, space_tag)
-        mu.__dict__["coords"] = arr
+        mu = object.__new__(PointPattern)
+        vars(mu).update(coords=arr, mults=mults, space_tag=space_tag)
         return mu
 
     # -- views --------------------------------------------------------------
 
     @cached_property
-    def entries(self) -> tuple[tuple[SpacePoint, int], ...]:
-        return tuple(self.entries_where([True] * len(self.rows)))
-
-    def support(self) -> tuple[SpacePoint, ...]:
-        return tuple(p for p, _ in self.entries)
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.coords.tolist()))
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -288,10 +309,13 @@ class PointPattern:
         arr.flags.writeable = False
         return arr
 
-    def entries_where(self, mask: Iterable[bool]) -> list[tuple[SpacePoint, int]]:
-        """(point, multiplicity) of the atoms where ``mask`` is true; only those are built."""
+    @cached_property
+    def entries(self) -> tuple[tuple[SpacePoint, int], ...]:
         tag = self.space_tag
-        return [(point_from_row(tag, r), m) for r, m in compress(zip(self.rows, self.mults), mask)]
+        return tuple((point_from_row(tag, r), m) for r, m in zip(self.rows, self.mults))
+
+    def support(self) -> tuple[SpacePoint, ...]:
+        return tuple(p for p, _ in self.entries)
 
     # -- basic queries ------------------------------------------------------
 
@@ -301,7 +325,7 @@ class PointPattern:
 
     @property
     def is_empty(self) -> bool:
-        return not self.rows
+        return not self.mults
 
     def multiplicity(self, point: SpacePoint) -> int:
         if point.space_tag != self.space_tag:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     HullGenerator,
     PointPattern,
     SpacePoint,
+    point_from_row,
 )
 
 
@@ -39,16 +41,28 @@ from .core import (
 class Integrand:
     """A function on the ground space, with the array primitives its pairings need.
 
-    ``value`` evaluates f at a point; the ``integrate`` of a pairing's
-    geometry pass in ``generators`` calls the three primitives on numpy arrays.
-    ``space`` is the kind of ground space (the first entry of a space tag)
-    whose points ``value`` reads, or None where it reads any.
+    ``value`` evaluates f at a point and ``values`` at each row of a
+    coordinate array, bit for bit as ``value`` does; the ``integrate`` of a
+    pairing's geometry pass in ``generators`` calls the three primitives on
+    numpy arrays.  ``space`` is the kind of ground space (the first entry of
+    a space tag) whose points ``value`` reads, or None where it reads any.
     """
 
     space: str | None = None
 
     def value(self, p: SpacePoint) -> float:
         raise NotImplementedError
+
+    def values(self, coords: np.ndarray, space_tag: tuple) -> np.ndarray:
+        """f at each row of an (n, k) array of checked rows of ``space_tag``.
+
+        This fallback builds the point of each row for ``value``; the
+        integrands here override it with array or float arithmetic that
+        gives the same bits.  Python's ``**`` is kept where they raise to a
+        power, since numpy's ``power`` may round otherwise.
+        """
+        return np.array([self.value(point_from_row(space_tag, r))
+                         for r in map(tuple, coords.tolist())], dtype=float)
 
     def depth_primitive(self, v: np.ndarray) -> np.ndarray:
         """int_0^v f(t) dt, elementwise, for level-only integrands on param space."""
@@ -72,6 +86,9 @@ class Constant(Integrand):
     def value(self, p):
         return self.c
 
+    def values(self, coords, space_tag):
+        return np.array([self.c] * len(coords), dtype=float)
+
 
 @dataclass(frozen=True)
 class PowerTail(Integrand):
@@ -88,6 +105,9 @@ class PowerTail(Integrand):
         x = pt.coords[0]
         return (self.p - 1.0) * x ** (-self.p)
 
+    def values(self, coords, space_tag):
+        return np.array([(self.p - 1.0) * x ** (-self.p) for x in coords[:, 0].tolist()])
+
     def tail_integral(self, z: float) -> float:
         return z ** (1.0 - self.p)
 
@@ -100,6 +120,9 @@ class Indicator(Integrand):
 
     def value(self, pt):
         return 1.0 if pt.level >= 0.0 else 0.0
+
+    def values(self, coords, space_tag):
+        return (coords[:, -1] >= 0.0).astype(float)
 
     def depth_primitive(self, v):
         return np.clip(v, 0.0, None)
@@ -120,6 +143,10 @@ class PowerDepth(Integrand):
         u = pt.level
         return self.p * u ** (self.p - 1.0) if u > 0.0 else 0.0
 
+    def values(self, coords, space_tag):
+        return np.array([self.p * u ** (self.p - 1.0) if u > 0.0 else 0.0
+                         for u in coords[:, -1].tolist()])
+
     def depth_primitive(self, v):
         return np.clip(v, 0.0, None) ** self.p
 
@@ -138,6 +165,10 @@ class RadialPower(Integrand):
 
     def value(self, pt):
         return self.weight * self.beta * pt.offset ** (self.beta - 1.0)
+
+    def values(self, coords, space_tag):
+        return np.array([self.weight * self.beta * u ** (self.beta - 1.0)
+                         for u in coords[:, 1].tolist()])
 
     def radial_primitive(self, a, b):
         return np.where(b <= a, 0.0, self.weight * (b**self.beta - a**self.beta))
@@ -207,6 +238,32 @@ def envelope_grid_error(gen, model, f: Integrand, mu: PointPattern) -> float:
 # the estimator
 
 
+def atom_values(f: Integrand, mu: PointPattern, mask: Sequence[bool]) -> tuple[list, list]:
+    """(f at each atom where ``mask`` is true, its multiplicity), as lists in row order.
+
+    f comes from ``f.values`` on the selected rows of ``mu.coords``, so no
+    point object is built.  The callers sum the products left to right over
+    these Python floats, as a loop over point objects did: ``np.sum`` adds
+    pairwise and ``sum()`` compensates on Python >= 3.12, and either would
+    move the last bit.
+    """
+    if not any(mask):
+        return [], []
+    if all(mask):  # as on most patterns of a few atoms: no copy
+        coords, mults = mu.coords, list(mu.mults)
+    else:
+        coords, mults = mu.coords.compress(mask, axis=0), list(compress(mu.mults, mask))
+    return f.values(coords, mu.space_tag).tolist(), mults
+
+
+def weighted_sum(fvs: list, mults: list) -> float:
+    """sum m f over the lists of ``atom_values``, added left to right."""
+    total = 0.0
+    for fv, m in zip(fvs, mults):
+        total += m * fv
+    return total
+
+
 @dataclass(frozen=True)
 class HullEstimate:
     """Estimator value with its two-term decomposition, variance estimate and hull mass.
@@ -227,11 +284,10 @@ def hull_estimate(
 ) -> HullEstimate:
     """Unbiased estimate of int f d(lambda): hull integral + boundary f-sum."""
     mask, mass, h_term = _evaluate(gen, model, f, mu)
-    bd = mu.entries_where(mask)
+    fvs, mults = atom_values(f, mu, mask)
     b_term = 0.0
     var_est = 0.0
-    for p, m in bd:
-        fv = f.value(p)
+    for fv, m in zip(fvs, mults):
         b_term += m * fv
         var_est += m * fv * fv
     return HullEstimate(
@@ -240,7 +296,7 @@ def hull_estimate(
         hull_mass=mass,
         boundary_term=b_term,
         variance_estimate=var_est,
-        boundary_count=sum(m for _, m in bd),
+        boundary_count=sum(mults),
     )
 
 
@@ -265,9 +321,7 @@ def ks_error(
     """
     gen.check_pattern(mu)
     _check_space(gen, f)
-    atom_sum = 0.0
-    for p, m in mu.entries_where(gen.survival_mask(mu)):
-        atom_sum += m * f.value(p)
+    atom_sum = weighted_sum(*atom_values(f, mu, gen.survival_mask(mu)))
     h_term = hull_integral(gen, model, f, mu) if hull_term is None else hull_term
     return atom_sum - (f_true - h_term)
 

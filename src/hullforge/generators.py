@@ -36,7 +36,6 @@ from .core import (
     DomainError,
     EPS_GEOM,
     KERNEL_BUDGET,
-    EuclidPoint,
     HullGenerator,
     PointPattern,
     SpacePoint,
@@ -368,7 +367,7 @@ class ParetoGen(HullGenerator):
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         if self.dim == 1:  # the rows are sorted and distinct: the first alone is minimal
-            return (True,) + (False,) * (len(mu.rows) - 1) if mu.rows else ()
+            return (True,) + (False,) * (len(mu.mults) - 1) if mu.mults else ()
         return self._minimal(mu)
 
     def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
@@ -440,28 +439,46 @@ class EnvelopeGen(HullGenerator):
             return np.full(len(query), -np.inf)
         sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
-            return self._envelope_line(sites[:, 0], levels, query[:, 0])
+            q = query[:, 0]
+            if np.count_nonzero(q[1:] < q[:-1]) == 0:  # ascending, as the band grid is
+                return self._envelope_line(sites[:, 0], levels, q)
+            order = np.argsort(q, kind="stable")
+            env = np.empty(len(q))
+            env[order] = self._envelope_line(sites[:, 0], levels, q[order])
+            return env
         return self.kernel_values(sites, levels, query).max(axis=1)
 
     def _sweeps(self, s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d=1, beta=1: inclusive prefix maxima of u + R s and suffix maxima of u - R s.
+        """d=1, beta=1: ``rise[k]``, the maximum of u + R s over the first k sites, and
+        ``fall[k]``, the maximum of u - R s over the sites from k on; k = 0..n.
 
         A site left of a query q gives the cone value (u + R s) - R q, one
-        right of it (u - R s) + R q.  The sites are sorted, as rows are.
+        right of it (u - R s) + R q; the maximum over no site is -inf.  The
+        sites are sorted, as rows are.
         """
-        rise = np.maximum.accumulate(u + self.env_const * s)
-        fall = np.maximum.accumulate((u - self.env_const * s)[::-1])[::-1]
+        n = len(s)
+        rise, fall = np.empty(n + 1), np.empty(n + 1)
+        rise[0] = fall[n] = -np.inf
+        np.maximum.accumulate(u + self.env_const * s, out=rise[1:])
+        np.maximum.accumulate((u - self.env_const * s)[::-1], out=fall[-2::-1])
         return rise, fall
 
     def _envelope_line(self, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """d=1, beta=1 kernel: the two sweeps instead of the full matrix."""
+        """d=1, beta=1 kernel on ascending queries: the two sweeps instead of the full matrix.
+
+        The n sorted sites cut the queries into n + 1 runs: the queries of run
+        k have exactly k sites on or left of them, so their left maximum is
+        ``rise[k]``, and ``repeat`` spreads it over the run.  Runs by the
+        number of sites strictly left give the right maxima from ``fall`` the
+        same way.  Only the n sites are searched, in the queries.
+        """
         rise, fall = self._sweeps(s, u)
-        idx = np.searchsorted(s, q, side="right")
-        left = np.where(idx > 0, rise[np.maximum(idx - 1, 0)] - self.env_const * q, -np.inf)
-        jdx = np.searchsorted(s, q, side="left")
-        right = np.where(
-            jdx < len(s), fall[np.minimum(jdx, len(s) - 1)] + self.env_const * q, -np.inf
-        )
+        ends = np.empty(len(s) + 2, dtype=np.intp)  # run k is queries ends[k]:ends[k + 1]
+        ends[0], ends[-1] = 0, len(q)
+        ends[1:-1] = np.searchsorted(q, s, side="left")
+        left = rise.repeat(ends[1:] - ends[:-1]) - self.env_const * q
+        ends[1:-1] = np.searchsorted(q, s, side="right")
+        right = fall.repeat(ends[1:] - ends[:-1]) + self.env_const * q
         return np.maximum(left, right)
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
@@ -471,10 +488,8 @@ class EnvelopeGen(HullGenerator):
             # the sweeps of _envelope_line, each atom left out: the maxima before and after it
             ss = sites[:, 0]
             rise, fall = self._sweeps(ss, levels)
-            left = np.concatenate(([-np.inf], rise[:-1]))
-            right = np.concatenate((fall[1:], [-np.inf]))
-            dominated = levels <= np.maximum(left - self.env_const * ss,
-                                             right + self.env_const * ss)
+            dominated = levels <= np.maximum(rise[:-1] - self.env_const * ss,
+                                             fall[1:] + self.env_const * ss)
         else:
             vals = self.kernel_values(sites, levels, sites)
             np.fill_diagonal(vals, -np.inf)
@@ -799,8 +814,11 @@ _TRI_P = np.array([[1 / 3, 1 / 3], [_A1, _B1], [_B1, _A1], [_B1, _B1],
                    [_A2, _B2], [_B2, _A2], [_B2, _B2]])
 
 
-def _triangle_quad(f, a, b, c) -> float:
-    """Integral of f over triangle abc, degree-5 rule on a mesh of 16 cells."""
+def _triangle_quad(values, a, b, c) -> float:
+    """Integral over triangle abc, degree-5 rule on a mesh of 16 cells.
+
+    ``values`` maps a cell's (7, 2) array of nodes to the integrand there.
+    """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     n = 4  # each edge cut into n parts
     total = 0.0
@@ -819,8 +837,7 @@ def _triangle_quad(f, a, b, c) -> float:
                     (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
                 )
                 pts = u + _TRI_P[:, :1] * (v - u) + _TRI_P[:, 1:] * (w - u)
-                vals = np.array([f(p) for p in pts])
-                total += area * float(_TRI_W @ vals)
+                total += area * float(_TRI_W @ values(pts))
     return total
 
 
@@ -831,10 +848,10 @@ def _convex_rule(gen: ConvexHullGen, model, mu: PointPattern):
         return mask, model.rate * solid.volume, None
 
     def integrate(f) -> float:
-        value = lambda q: f.value(EuclidPoint((float(q[0]), float(q[1]))))
+        values = lambda pts: f.values(pts, gen.space_tag)
         total = 0.0  # a left-to-right sum: sum() compensates on Python >= 3.12
         for i in range(1, len(poly) - 1):
-            total += _triangle_quad(value, poly[0], poly[i], poly[i + 1])
+            total += _triangle_quad(values, poly[0], poly[i], poly[i + 1])
         return model.rate * total
 
     return mask, model.rate * sampling.polygon_area(poly), integrate
@@ -865,7 +882,7 @@ def _pareto_halfline_rule(gen: ParetoGen, model, mu: PointPattern):
     if gen.dim != 1:
         raise ConfigurationError("half-line hull integrals need a 1-D pareto generator")
     mask = gen.boundary_mask(mu)
-    zeta = next(compress(mu.rows, mask))[0]  # in 1-D the one minimal atom is the minimum
+    zeta = float(mu.coords[0, 0])  # in 1-D the one minimal atom is the first row
     return mask, math.nan, lambda f: model.rate * f.tail_integral(zeta)
 
 

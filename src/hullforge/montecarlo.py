@@ -460,9 +460,8 @@ class MarkovReport:
 def _interior_stats(gen, model, f, pattern) -> tuple[float, float, float]:
     """(interior count, interior f-sum, hull mass); the interior is the atoms off the mask."""
     mask, mass, _ = generators.evaluate(gen, model, pattern)
-    interior = pattern.entries_where(not keep for keep in mask)
-    fsum = sum(m * f.value(p) for p, m in interior)
-    return float(sum(m for _, m in interior)), float(fsum), mass
+    fvs, mults = estimators.atom_values(f, pattern, [not keep for keep in mask])
+    return float(sum(mults)), estimators.weighted_sum(fvs, mults), mass
 
 
 def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
@@ -482,9 +481,9 @@ def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
             fresh = sampling.sample_poisson(model, root.child(13).stream(i))
         else:
             fresh = sampling.trimmed_resample(model, gen, eta2, root.child(13).stream(i))
-        fsum = sum(m * f.value(p) for p, m in fresh.entries)
+        fsum = estimators.weighted_sum(*estimators.atom_values(f, fresh, [True] * len(fresh.mults)))
         mass = generators.hull_mass(gen, eta2, model)
-        out.append((stats_a, (float(fresh.total_mass), float(fsum), mass)))
+        out.append((stats_a, (float(fresh.total_mass), fsum, mass)))
     return out
 
 

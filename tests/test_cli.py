@@ -377,6 +377,20 @@ def test_unwritable_output_exit_2(tmp_path, capsys, name, out_is_file):
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
 
 
+def test_output_name_too_long_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before its output names were checked")
+
+    monkeypatch.setattr(montecarlo, "run_replications", refuse)
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "n" * 300,
+                                      "scenario": "convex_square", "replications": 10})
+    out = tmp_path / "o"
+    assert main(["variance", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    assert list(out.iterdir()) == []
+
+
 def test_axioms_command_pass_fail_and_vacuous(tmp_path, capsys):
     ok = _write(
         tmp_path,

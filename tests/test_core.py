@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -171,6 +172,27 @@ def test_from_array_keeps_the_first_of_equal_rows(space_points):
     mu = PointPattern.from_array(tag, arr)
     _assert_array_first(mu, tag, rows)
     assert arr.flags.writeable and arr.tobytes() == given_bytes  # the caller's array is untouched
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_SPACES)).flatmap(
+    lambda tag: st.tuples(st.just(tag), st.lists(_SPACES[tag], min_size=1, max_size=12))))
+def test_from_array_pattern_behaves_as_the_from_points_pattern(space_points):
+    # the array store builds its row tuples on first read, the row store its array; both
+    # give the same equality, hash, repr, pickle, multiplicities and algebra, zeros' signs included
+    tag, pts = space_points
+    mu = PointPattern.from_array(tag, [p.row for p in pts])
+    want = PointPattern.from_points(pts)
+    assert mu.total_mass == want.total_mass and not mu.is_empty and len(mu.coords) == len(mu.mults)
+    assert "rows" not in vars(mu) and "coords" not in vars(want)
+    loaded = pickle.loads(pickle.dumps(mu))
+    assert "rows" not in vars(loaded)
+    for a in (mu, loaded, pickle.loads(pickle.dumps(want))):
+        assert a == want and hash(a) == hash(want) and repr(a) == repr(want)
+        assert [a.multiplicity(p) for p in pts] == [want.multiplicity(p) for p in pts]
+        assert a.add(pts[0]) == want.add(pts[0]) and a - want == PointPattern.empty()
+    with pytest.raises(AttributeError):
+        mu.rows = ()
 
 
 _SAMPLERS = [

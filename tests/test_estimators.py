@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hullforge import (
@@ -18,11 +20,12 @@ from hullforge import (
     ks_error,
     param,
 )
-from hullforge.core import ConfigurationError
+from hullforge.core import ConfigurationError, point_from_row
 from hullforge.estimators import (
     Constant,
     CustomIntegrand,
     Indicator,
+    Integrand,
     PowerDepth,
     PowerTail,
     RadialPower,
@@ -86,6 +89,46 @@ def test_tail_integral_only_on_tail_integrands():
     assert PowerTail(2.0).tail_integral(z).tolist() == [1.0, 0.5, 0.25]
     with pytest.raises(ConfigurationError):
         Indicator().tail_integral(z)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+_FLOAT = st.one_of(_SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+_ROWS = {
+    ("euclid", 1): st.tuples(_FLOAT),
+    ("euclid", 2): st.tuples(_FLOAT, _FLOAT),
+    ("param", 1): st.tuples(_FLOAT, _FLOAT),
+    ("param", 2): st.tuples(_FLOAT, _FLOAT, _FLOAT),
+    ("line",): st.tuples(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                         st.one_of(_SPECIAL.map(abs), st.floats(0.0, 1e300))),
+}
+_ROW_SUM = CustomIntegrand("row_sum", lambda p: 1.0 + 0.25 * sum(p.row))
+
+
+@pytest.mark.parametrize("f, tag", [
+    (Constant(0.3), ("param", 1)), (Constant(-2.5), ("euclid", 2)),
+    (PowerTail(2.0), ("euclid", 1)), (PowerTail(3.0), ("euclid", 1)),
+    (Indicator(), ("param", 1)), (Indicator(), ("param", 2)),
+    (PowerDepth(2.0), ("param", 1)), (PowerDepth(0.5), ("param", 2)), (PowerDepth(3.5), ("param", 1)),
+    (RadialPower(1.0, 1.0), ("line",)), (RadialPower(0.5, 2.0), ("line",)),
+    (RadialPower(-1.0, 0.5), ("line",)),
+    (_ROW_SUM, ("param", 1)), (_ROW_SUM, ("line",)), (XY, ("euclid", 2)),
+], ids=lambda v: type(v).__name__ if isinstance(v, Integrand) else "-".join(map(str, v)))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_values_equal_value_of_each_row_bit_for_bit(f, tag, data):
+    # both zeros, subnormals and negative levels; an overflow or a zero to a negative
+    # power raises the same error either way
+    rows = data.draw(st.lists(_ROWS[tag], max_size=8))
+    width = 2 if tag == ("line",) else tag[1] + (tag[0] == "param")
+    coords = np.array(rows, dtype=float).reshape(len(rows), width)
+    try:
+        want = np.array([f.value(point_from_row(tag, r)) for r in rows], dtype=float)
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)):
+            f.values(coords, tag)
+        return
+    got = f.values(coords, tag)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- hull estimate ------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullforge import (
@@ -283,6 +283,45 @@ def test_envelope_value_examples():
     assert gen.envelope_at(PointPattern.empty(), at)[0] == -math.inf
     mu2 = PointPattern.from_points([param(0.0, 1.0), param(0.1, 0.5)])
     assert gen.envelope_at(mu2, at)[0] == pytest.approx(0.8)
+
+
+def _envelope_line_oracle(gen, s, u, q):
+    """The d=1, beta=1 envelope by searching each query in the sorted sites."""
+    rise = np.maximum.accumulate(u + gen.env_const * s)
+    fall = np.maximum.accumulate((u - gen.env_const * s)[::-1])[::-1]
+    idx = np.searchsorted(s, q, side="right")
+    left = np.where(idx > 0, rise[np.maximum(idx - 1, 0)] - gen.env_const * q, -np.inf)
+    jdx = np.searchsorted(s, q, side="left")
+    right = np.where(jdx < len(s), fall[np.minimum(jdx, len(s) - 1)] + gen.env_const * q, -np.inf)
+    return np.maximum(left, right)
+
+
+# few distinct sites, so that sites repeat with other levels and queries land on them;
+# values off the binary grid, so that a cone value from the left and one from the right
+# of a site can differ in the last bit
+_ENV_SITES = st.sampled_from([0.0, -0.0, 0.1, 0.3, 0.5, 0.7, 1.0, -0.6, 1e-300])
+_ENV_FLOATS = st.one_of(st.sampled_from([0.1, 0.2, -0.7, 1.3]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ENV_SITES, _ENV_FLOATS), min_size=1, max_size=8),
+       st.lists(st.one_of(_ENV_SITES, _ENV_FLOATS, st.sampled_from([-9.0, 9.0])), max_size=12),
+       st.sampled_from([0.3, 1.0, 3.0]))
+@example([(0.5, 0.25)], [0.5, -9.0, 9.0, 0.75, 0.0], 1.0)
+@example([(0.3, 0.1)], [0.3], 1.0)  # (0.1 + 0.3) - 0.3 and (0.1 - 0.3) + 0.3 differ
+@example([(0.0, 1.0), (-0.0, 1.5), (0.0, -0.5), (0.25, 0.0)], [0.25, -0.0, 0.0, 0.1, -1.0], 1.0)
+def test_envelope_line_matches_the_search_per_query_bit_for_bit(atoms, queries, env_const):
+    # queries on a site, repeated sites with other levels, both zeros, one site, queries
+    # outside every site; unsorted queries go through envelope_at
+    gen = EnvelopeGen(dim=1, env_const=env_const, beta=1.0)
+    mu = PointPattern.from_points([param(s, u) for s, u in atoms])
+    s, u = mu.coords[:, 0], mu.coords[:, 1]
+    q = np.array(queries, dtype=float)
+    ordered = np.sort(q)
+    want = _envelope_line_oracle(gen, s, u, ordered)
+    assert gen._envelope_line(s, u, ordered).tobytes() == want.tobytes()
+    assert gen.envelope_at(mu, ordered[:, None]).tobytes() == want.tobytes()
+    assert gen.envelope_at(mu, q[:, None]).tobytes() == _envelope_line_oracle(gen, s, u, q).tobytes()
 
 
 def test_envelope_boundary_examples():

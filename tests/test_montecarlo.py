@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import norm
 
 import hullforge.montecarlo as mc
-from hullforge import sampling
+from hullforge import core, estimators, sampling
 from hullforge.core import ConfigurationError, DomainError
 from hullforge.corpora import run_axiom_battery
 from hullforge.generators import hull_mass
@@ -78,6 +78,22 @@ def test_run_replications_deterministic():
     b = mc.run_replications(cfg)
     assert a.rows[0].mean == b.rows[0].mean
     assert np.array_equal(a.samples[50.0]["values"], b.samples[50.0]["values"])
+
+
+@pytest.mark.parametrize("scenario", mc.scenario_names())
+def test_replications_build_no_point_objects(monkeypatch, scenario):
+    # sampling, the hull term, the boundary f-sum and the error representation read
+    # coordinate arrays: no point view and no constructed point on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point object was built")
+
+    for mod in (core, estimators, sampling):
+        monkeypatch.setattr(mod, "point_from_row", refuse)
+    for cls in (core.EuclidPoint, core.ParamPoint, core.LinePoint):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    cfg = mc.ExperimentConfig(scenario=scenario, replications=20, base_seed=6)
+    row, = mc.run_replications(cfg).rows
+    assert row.mean_boundary_count > 0 and row.ks_resid_max <= 1e-10 * (1.0 + abs(row.target))
 
 
 def _run_replications(threads):
