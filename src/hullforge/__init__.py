@@ -26,7 +26,6 @@ from .generators import (
     EnvelopeGen,
     HalfPlaneGen,
     ParetoGen,
-    convex_hull_vertices,
     hull_mass,
 )
 from .sampling import RngStream, sample_poisson, trimmed_resample
@@ -52,7 +51,6 @@ __all__ = [
     "RngStream",
     "SpaceMismatchError",
     "check_axioms",
-    "convex_hull_vertices",
     "euclid",
     "first_difference_h",
     "h_indicator",

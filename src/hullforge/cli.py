@@ -260,8 +260,10 @@ def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     values = summary.samples[t]["values"]
     varests = summary.samples[t]["varest"]
     scen = montecarlo.get_scenario(config.scenario)
-    f = scen.make_integrand(t)
-    nested = montecarlo.nested_h_integral(config, lambda x: f.value(x) ** 2)
+    f, tag = scen.make_integrand(t), scen.gen.space_tag
+    # f^2 by Python's ** on floats: numpy's power may round otherwise
+    nested = montecarlo.nested_h_integral(
+        config, lambda q: [v ** 2 for v in f.values(q, tag).tolist()])
     emp = montecarlo.variance_ci99(values)
     hatv = montecarlo.mean_ci99(varests)
     pairs = {
@@ -285,7 +287,8 @@ def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     if cfg.get("covariance", False):
         paired = montecarlo.paired_estimates(config)
         g = scen.covariate(t)
-        nested_fg = montecarlo.nested_h_integral(config, lambda x: f.value(x) * g.value(x))
+        nested_fg = montecarlo.nested_h_integral(
+            config, lambda q: f.values(q, tag) * g.values(q, tag))
         cov = montecarlo.covariance_ci99(paired.values_f, paired.values_g)
         cov_ok = montecarlo.intervals_overlap(cov[:2], nested_fg.ci99)
         rows.append(("empirical_covariance", cov[0], cov[1], cov[2]))

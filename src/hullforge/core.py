@@ -11,6 +11,12 @@ measure algebra (``add``, ``remove``, ``+``, ``-``, ``with_mults``) and
 ``from_points`` work on row tuples through ``_canonical``, whose patterns
 store ``rows``.
 
+Queries have one form inside the library too: an (m, k) array of checked
+rows.  Point objects belong to the public edge: the point adapters
+``hull_contains`` and ``hull_contains_many``, the measure algebra,
+``check_axioms`` and the difference calculus take them, and turn them into
+rows before any kernel runs.
+
 A generator is a thinning map ``mu -> boundary(mu)`` on finite counting
 measures satisfying four axioms:
 
@@ -407,11 +413,13 @@ class HullGenerator(ABC):
 
     Two primitives, each one geometry pass per call: ``boundary_mask``, a
     bool per support atom saying whether it is a boundary atom, and
-    ``contains_mask``, a bool per query point saying whether it lies in the
-    hull.  ``boundary`` is derived from the first and must be a valid
-    generator (H1)-(H4); ``hull_contains`` and ``hull_contains_many`` check
-    their arguments and read the second, which must agree with the
-    definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
+    ``contains_mask``, a bool per row of an (m, k) query array saying whether
+    it lies in the hull.  Both read coordinate arrays or rows, never point
+    objects.  ``boundary`` is derived from the first and must be a valid
+    generator (H1)-(H4); ``hull_contains`` and ``hull_contains_many`` are the
+    point adapters of the public edge: they check their arguments, stack the
+    points' rows into one array and read the second, which must agree with
+    the definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
     per-pattern call of the estimators is ``generators.evaluate``, which reads
     the mask and the hull mass from one geometry pass and returns that pass's
     ``integrate``; ``estimators`` turns an integrand into its hull term.
@@ -466,26 +474,29 @@ class HullGenerator(ABC):
         return mu.with_mults(m if keep else 0 for m, keep in zip(mu.mults, self.boundary_mask(mu)))
 
     @abstractmethod
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
-        """Per query, in order: does adding it leave the boundary of ``mu`` unchanged?
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
+        """Per query row, in order: does adding it leave the boundary of ``mu`` unchanged?
 
-        ``mu`` (possibly empty) and every query are already checked against
-        this generator's space.  An answer depends on ``mu`` and its own
-        query alone, never on the rest of the batch.
+        ``mu`` (possibly empty) is checked against this generator's space, and
+        ``queries`` is an (m, k) float array of rows checked as
+        ``checked_array`` does, in the same space.  An answer depends on
+        ``mu`` and its own query alone, never on the rest of the batch.
         """
 
     def hull_contains(self, mu: PointPattern, x: SpacePoint) -> bool:
         """True iff adding x leaves the boundary unchanged."""
         self.check_pattern(mu)
         self.check_point(x)
-        return self.contains_mask(mu, [x])[0]
+        return self.contains_mask(mu, np.array((x.row,)))[0]
 
     def hull_contains_many(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
         """``hull_contains`` of each query, from one geometry pass over ``mu``."""
         self.check_pattern(mu)
         for x in points:
             self.check_point(x)
-        return self.contains_mask(mu, points)
+        if not points:
+            return []
+        return self.contains_mask(mu, np.array([x.row for x in points]))
 
     def hull_contains_definitional(self, mu: PointPattern, x: SpacePoint) -> bool:
         """Membership computed straight from the definition (slow, for checks)."""

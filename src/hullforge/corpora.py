@@ -7,6 +7,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import core, generators, montecarlo
 from .core import (AxiomReport, ConfigurationError, HullGenerator, PointPattern, SpacePoint,
                    euclid, line, param)
@@ -77,8 +79,10 @@ class LexDropGen(HullGenerator):
         # rows are in lexicographic order, so the first one is dropped
         return (False,) + (True,) * (len(mu.rows) - 1)
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
-        return [self.hull_contains_definitional(mu, x) for x in points]
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
+        # the definitional form adds each query to mu as a point
+        return [self.hull_contains_definitional(mu, core.point_from_row(self.space_tag, q))
+                for q in map(tuple, queries.tolist())]
 
 
 def _battery_chunk(args, lo: int, hi: int) -> list[AxiomReport]:

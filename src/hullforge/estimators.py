@@ -10,6 +10,10 @@ integral, evaluated here as
 which must agree with (estimate - F) to float precision on every pattern.
 The boundary f^2-sum is an unbiased estimator of the estimator's variance.
 
+Each integrand states its formula once, as ``values`` on an array of
+coordinate rows; ``value`` of a point is ``values`` of its one row, so the
+estimator, the error representation and a caller's point agree bit for bit.
+
 Statistical guarantees are almost-sure statements under diffuse sampling;
 crafted degenerate patterns (exact duplicates under a diffuse model) evaluate
 the same formulas but sit outside the almost-sure event.
@@ -41,28 +45,27 @@ from .core import (
 class Integrand:
     """A function on the ground space, with the array primitives its pairings need.
 
-    ``value`` evaluates f at a point and ``values`` at each row of a
-    coordinate array, bit for bit as ``value`` does; the ``integrate`` of a
-    pairing's geometry pass in ``generators`` calls the three primitives on
-    numpy arrays.  ``space`` is the kind of ground space (the first entry of
-    a space tag) whose points ``value`` reads, or None where it reads any.
+    ``values`` evaluates f at each row of a coordinate array; it is each
+    integrand's one formula, and ``value`` of a point is ``values`` of its
+    one row.  The ``integrate`` of a pairing's geometry pass in
+    ``generators`` calls the three primitives on numpy arrays.  ``space`` is
+    the kind of ground space (the first entry of a space tag) whose rows
+    ``values`` reads, or None where it reads any.
     """
 
     space: str | None = None
 
-    def value(self, p: SpacePoint) -> float:
-        raise NotImplementedError
-
     def values(self, coords: np.ndarray, space_tag: tuple) -> np.ndarray:
         """f at each row of an (n, k) array of checked rows of ``space_tag``.
 
-        This fallback builds the point of each row for ``value``; the
-        integrands here override it with array or float arithmetic that
-        gives the same bits.  Python's ``**`` is kept where they raise to a
-        power, since numpy's ``power`` may round otherwise.
+        Python's ``**`` is kept where an integrand raises to a power, over the
+        rows' ``tolist()`` floats, since numpy's ``power`` may round otherwise.
         """
-        return np.array([self.value(point_from_row(space_tag, r))
-                         for r in map(tuple, coords.tolist())], dtype=float)
+        raise NotImplementedError
+
+    def value(self, p: SpacePoint) -> float:
+        """f at one point: ``values`` of its row."""
+        return float(self.values(np.array((p.row,)), p.space_tag)[0])
 
     def depth_primitive(self, v: np.ndarray) -> np.ndarray:
         """int_0^v f(t) dt, elementwise, for level-only integrands on param space."""
@@ -83,9 +86,6 @@ class Constant(Integrand):
 
     c: float = 1.0
 
-    def value(self, p):
-        return self.c
-
     def values(self, coords, space_tag):
         return np.array([self.c] * len(coords), dtype=float)
 
@@ -101,10 +101,6 @@ class PowerTail(Integrand):
         if self.p <= 1:
             raise ConfigurationError("power tail needs p > 1")
 
-    def value(self, pt):
-        x = pt.coords[0]
-        return (self.p - 1.0) * x ** (-self.p)
-
     def values(self, coords, space_tag):
         return np.array([(self.p - 1.0) * x ** (-self.p) for x in coords[:, 0].tolist()])
 
@@ -117,9 +113,6 @@ class Indicator(Integrand):
     """f(s, u) = 1{u >= 0} on param space."""
 
     space = "param"
-
-    def value(self, pt):
-        return 1.0 if pt.level >= 0.0 else 0.0
 
     def values(self, coords, space_tag):
         return (coords[:, -1] >= 0.0).astype(float)
@@ -138,10 +131,6 @@ class PowerDepth(Integrand):
     def __post_init__(self):
         if self.p <= 0:
             raise ConfigurationError("power depth needs p > 0")
-
-    def value(self, pt):
-        u = pt.level
-        return self.p * u ** (self.p - 1.0) if u > 0.0 else 0.0
 
     def values(self, coords, space_tag):
         return np.array([self.p * u ** (self.p - 1.0) if u > 0.0 else 0.0
@@ -163,9 +152,6 @@ class RadialPower(Integrand):
         if self.beta == 0:
             raise ConfigurationError("radial power needs beta != 0")
 
-    def value(self, pt):
-        return self.weight * self.beta * pt.offset ** (self.beta - 1.0)
-
     def values(self, coords, space_tag):
         return np.array([self.weight * self.beta * u ** (self.beta - 1.0)
                          for u in coords[:, 1].tolist()])
@@ -176,11 +162,14 @@ class RadialPower(Integrand):
 
 @dataclass(frozen=True)
 class CustomIntegrand(Integrand):
+    """f given as a function of a point object, called on the point of each row."""
+
     name: str
     fn: Callable[[SpacePoint], float]
 
-    def value(self, p):
-        return self.fn(p)
+    def values(self, coords, space_tag):
+        return np.array([self.fn(point_from_row(space_tag, r))
+                         for r in map(tuple, coords.tolist())], dtype=float)
 
 
 # ---------------------------------------------------------------------------

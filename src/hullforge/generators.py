@@ -2,10 +2,12 @@
 
 Each generator implements two primitives, each from one geometry pass per
 call: ``boundary_mask`` (one bool per support atom) and ``contains_mask``
-(one bool per query point: is it in the hull?).  Kernels read a pattern's
-coordinate rows (``mu.rows``) or its ``mu.coords`` array; the thinning map
-``boundary`` and the checked queries ``hull_contains`` and
-``hull_contains_many`` are derived in ``core``.  The two primitives are kept
+(one bool per row of an (m, k) query array: is it in the hull?).  Kernels
+read a pattern's coordinate rows (``mu.rows``) or its ``mu.coords`` array,
+and the queries as an array or, in the scalar kernels, as its ``tolist()``
+rows; no kernel builds a point object.  The thinning map ``boundary`` and
+the point adapters ``hull_contains`` and ``hull_contains_many`` are derived
+in ``core``.  The two primitives are kept
 mutually consistent so that the definitional identity ``hull_contains(mu, x)
 == (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
 tolerance shells.  ``evaluate`` is the per-pattern call: one geometry pass of
@@ -33,12 +35,10 @@ from scipy.spatial import QhullError
 
 from .core import (
     ConfigurationError,
-    DomainError,
     EPS_GEOM,
     KERNEL_BUDGET,
     HullGenerator,
     PointPattern,
-    SpacePoint,
 )
 from . import sampling
 
@@ -154,27 +154,6 @@ def _affine_rank(coords: np.ndarray, tol: float) -> tuple[int, np.ndarray, np.nd
     return rank, c, vt[:rank]
 
 
-def convex_hull_vertices(points: Sequence[Sequence[float]]) -> list[int]:
-    """Indices of the extreme points of a planar or 3D point set.
-
-    Duplicates are reduced to their first occurrence; collinear or coplanar
-    non-extreme points are excluded.  The output is ordered so the selected
-    points are lexicographically sorted.
-    """
-    pts = [tuple(float(c) for c in p) for p in points]
-    if not pts:
-        return []
-    dim = len(pts[0])
-    if dim not in (2, 3):
-        raise DomainError("convex hull kernel supports dimensions 2 and 3")
-    first: dict[tuple, int] = {}
-    for i, p in enumerate(pts):
-        first.setdefault(p, i)
-    distinct = list(first)
-    ext = _extreme_points(distinct, dim)
-    return sorted((first[p] for p in ext), key=lambda i: pts[i])
-
-
 def _extreme_points(distinct: list[tuple], dim: int) -> list[tuple]:
     if dim == 2:
         return list(distinct) if len(distinct) <= 2 else _extreme_2d(distinct)
@@ -267,14 +246,14 @@ class ConvexHullGen(HullGenerator):
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         return self._extreme(mu)[0]
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         """In the closed hull, widened at the scale of the pattern and the query; no vertex."""
         if mu.is_empty:
-            return [False] * len(points)
+            return [False] * len(queries)
         _, ext, solid = self._extreme(mu)
         inside = solid.contains if solid else partial(_point_in_polygon, ext, _coord_scale(ext))
         vertices = set(ext)
-        return [q not in vertices and inside(q) for q in (x.coords for x in points)]
+        return [q not in vertices and inside(q) for q in map(tuple, queries.tolist())]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators; planar patterns use the angular-gap kernel.
@@ -316,13 +295,12 @@ class CoordMinGen(HullGenerator):
         keep = set(self._argmins(mu))
         return tuple(r in keep for r in mu.rows)
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         """Lexicographically above both minima: adding the query moves neither."""
         if mu.is_empty:
-            return [False] * len(points)
+            return [False] * len(queries)
         (ax, ay), (bx, by) = self._argmins(mu)
-        return [(qx, qy) > (ax, ay) and (qy, qx) > (by, bx)
-                for qx, qy in (x.coords for x in points)]
+        return [(qx, qy) > (ax, ay) and (qy, qx) > (by, bx) for qx, qy in queries.tolist()]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators: the (x, y)- and (y, x)-lexicographic minima.
@@ -370,14 +348,14 @@ class ParetoGen(HullGenerator):
             return (True,) + (False,) * (len(mu.mults) - 1) if mu.mults else ()
         return self._minimal(mu)
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         """Coordinatewise >= some support point, and not a minimal point itself."""
         if self.dim == 1:  # above the least row (none above an empty pattern's +inf)
-            least = mu.rows[0][0] if mu.rows else math.inf
-            return [x.coords[0] > least for x in points]
+            least = mu.coords[0, 0] if mu.mults else math.inf
+            return (queries[:, 0] > least).tolist()
         # a minimal row is below no other row, so leaving q itself out answers False for it
         return [any(r != q and all(a <= b for a, b in zip(r, q)) for r in mu.rows)
-                for q in (x.coords for x in points)]
+                for q in map(tuple, queries.tolist())]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from a domination matrix.
@@ -504,13 +482,13 @@ class EnvelopeGen(HullGenerator):
         """
         return self.boundary_mask(mu)
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         """An atom: is it dominated?  Any other query: is it on or below the envelope?"""
 
         def below(q: np.ndarray) -> np.ndarray:
             return q[:, -1] <= self.envelope_at(mu, q[:, :-1])
 
-        return _split_atoms(self, mu, points, below)
+        return _split_atoms(self, mu, queries, below)
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +631,13 @@ class HalfPlaneGen(HullGenerator):
             alone = np.where(np.array(mu.mults) > 1, spread > EPS_GEOM * max(1.0, W), alone)
         return tuple(alone.tolist())
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         """An atom: is it off the boundary?  Any other line: does its half-plane hold the body?"""
 
         def holds_body(q: np.ndarray) -> np.ndarray:
             return q[:, 1] >= self.hull_support(mu, q[:, 0])
 
-        return _split_atoms(self, mu, points, holds_body)
+        return _split_atoms(self, mu, queries, holds_body)
 
 
 def _unit(angles: np.ndarray) -> np.ndarray:
@@ -667,18 +645,29 @@ def _unit(angles: np.ndarray) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _split_atoms(gen: HullGenerator, mu: PointPattern, points: Sequence[SpacePoint],
+def _split_atoms(gen: HullGenerator, mu: PointPattern, queries: np.ndarray,
                  off_atoms: Callable[[np.ndarray], np.ndarray]) -> list[bool]:
     """Membership with the queries that are atoms of ``mu`` read from its boundary mask.
 
-    The other queries go to ``off_atoms`` as the rows of one array, in one
-    call; the mask is computed only when some query is an atom.
+    A query is an atom where it equals a row of ``mu.coords``, compared one
+    column at a time (so 0.0 equals -0.0, as in the pattern's rows): the
+    largest array is m x n bools, within ``KERNEL_BUDGET`` at every
+    ``point_limit``.  The other queries go to ``off_atoms`` as the rows of
+    one array, in one call; the mask is computed only when some query is an
+    atom.
     """
-    at = [mu.rows.index(x.row) if x in mu else None for x in points]
-    mask = gen.boundary_mask(mu) if any(i is not None for i in at) else ()
-    rest = np.array([x.row for x, i in zip(points, at) if i is None], dtype=float)
-    answers = iter(off_atoms(rest).tolist() if len(rest) else [])
-    return [next(answers) if i is None else not mask[i] for i in at]
+    if mu.is_empty:
+        return off_atoms(queries).tolist()
+    coords = mu.coords
+    same = queries[:, None, 0] == coords[:, 0]  # same[j, i]: query j equals row i
+    for c in range(1, coords.shape[1]):
+        same &= queries[:, None, c] == coords[:, c]
+    if not same.any():
+        return off_atoms(queries).tolist()
+    mask, atom = gen.boundary_mask(mu), same.any(axis=1)
+    row = same.argmax(axis=1).tolist()  # the rows are distinct: an atom query equals one
+    off = iter(() if atom.all() else off_atoms(queries[~atom]).tolist())
+    return [not mask[i] if a else next(off) for a, i in zip(atom.tolist(), row)]
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +716,9 @@ class DiskHullGen(HullGenerator):
         rows = mu.rows
         return tuple(self._separable(q, [r for r in rows if r != q]) for q in rows)
 
-    def contains_mask(self, mu: PointPattern, points: Sequence[SpacePoint]) -> list[bool]:
+    def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
         return [not self._separable(q, [r for r in mu.rows if r != q])
-                for q in (x.coords for x in points)]
+                for q in map(tuple, queries.tolist())]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from the dual angular test, not ``_separable``.

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.stats import ks_2samp, norm
 
 from . import analytics, estimators, generators, sampling
-from .core import ConfigurationError, DomainError, HullGenerator
+from .core import ConfigurationError, DomainError, HullGenerator, checked_array
 
 
 # ---------------------------------------------------------------------------
@@ -581,34 +581,37 @@ def _nested_chunk(args, lo: int, hi: int) -> list[int]:
     """Per probe, how many of its fresh replicas leave the probe off the hull."""
     scenario_name, t, base_seed, replicas, probes = args
     scen = get_scenario(scenario_name)
-    model = scen.make_model(t)
+    gen, model = scen.gen, scen.make_model(t)
     root = sampling.RngStream(base_seed).child(22)
     out = []
     for i in range(lo, hi):
-        ns = root.child(i)
+        ns, probe = root.child(i), probes[i:i + 1]  # the probe as a one-row query array
         etas = (sampling.sample_poisson(model, ns.stream(r)) for r in range(replicas))
-        out.append(sum(not scen.gen.hull_contains(eta, probes[i]) for eta in etas))
+        out.append(sum(not gen.contains_mask(eta, probe)[0] for eta in etas))
     return out
 
 
 def nested_h_integral(
     config: ExperimentConfig,
-    weight: Callable[[object], float],
+    weight: Callable[[np.ndarray], Sequence[float]],
 ) -> NestedIntegral:
     """Estimate int weight(x) E[H_x] dlambda at the first t of the grid, by fresh replicas.
 
-    Probes are drawn lambda-proportionally; each probe gets its own bundle of
-    fresh patterns, so the probe-level terms are independent and the reported
-    standard error is honest.
+    Probes are drawn lambda-proportionally, as one checked (n, k) array of
+    rows in the space of the scenario's model, which is its generator's;
+    ``weight`` maps that array to one float per probe.  Each probe gets
+    its own bundle of fresh patterns, so the probe-level terms are
+    independent and the reported standard error is honest.
     """
     t = config.grid()[0]
     model = get_scenario(config.scenario).make_model(t)
     root = sampling.RngStream(config.base_seed)
-    probes = model.sample_points(config.nested_probes, root.child(21).generator())
+    probes = checked_array(model.space_tag,
+                           model.sample_coords(config.nested_probes, root.child(21).generator()))
     args = (config.scenario, t, config.base_seed, config.nested_replicas, probes)
     hits = replicate(_nested_chunk, args, len(probes), config.threads)
     terms = np.array(
-        [model.total_mass * weight(x) * h / config.nested_replicas for x, h in zip(probes, hits)],
+        [model.total_mass * w * h / config.nested_replicas for w, h in zip(weight(probes), hits)],
         dtype=float,
     )
     return NestedIntegral(

@@ -8,8 +8,8 @@ one stream per replication.
 The sampler primitive of each model is ``sample_coords``: n i.i.d. draws as an
 (n, k) array of coordinate rows in its ``space_tag``.  The base class turns
 those rows into a pattern (``sample_pattern``, through
-``PointPattern.from_array``) or into point objects (``sample_points``), so no
-model builds points itself.
+``PointPattern.from_array``); callers that want the draws themselves, such
+as the nested probes, read the array.  No sampler builds a point object.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    DomainError,
-    PointPattern,
-    SpacePoint,
-    checked_array,
-    point_from_row,
-)
+from .core import ConfigurationError, DomainError, PointPattern
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -86,11 +79,6 @@ class IntensityModel:
     def sample_coords(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws from the normalized intensity, as (n, k) coordinate rows."""
         raise NotImplementedError
-
-    def sample_points(self, n: int, rng: np.random.Generator) -> list[SpacePoint]:
-        """The draws of ``sample_coords`` as point objects, in draw order."""
-        rows = checked_array(self.space_tag, self.sample_coords(n, rng)).tolist()
-        return [point_from_row(self.space_tag, tuple(r)) for r in rows]
 
     def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
         n = int(rng.poisson(self.total_mass))
@@ -264,6 +252,10 @@ class HoelderBand(IntensityModel):
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or not 1 <= len(self.lo) <= 2:
             raise ConfigurationError("band window must be 1- or 2-dimensional")
+        if any(not l < h for l, h in zip(self.lo, self.hi)):
+            raise ConfigurationError(f"band window needs lo < hi, got {self.lo} and {self.hi}")
+        if self.resolution < 1:
+            raise ConfigurationError(f"band resolution must be >= 1, got {self.resolution}")
         if self.phi_sup <= 0 or self.phi_integral <= 0:
             raise ConfigurationError("phi must be positive on the window")
         if not 0 < self.holder_exp <= 1 or self.holder_const < 0:
@@ -408,5 +400,7 @@ def trimmed_resample(model, gen, observed: PointPattern, stream: RngStream) -> P
     fresh = sample_poisson(model, stream)
     if fresh.is_empty:
         return fresh
-    mask = gen.hull_contains_many(observed, fresh.support())
+    gen.check_pattern(observed)
+    gen.check_pattern(fresh)
+    mask = gen.contains_mask(observed, fresh.coords)
     return fresh.with_mults(m if keep else 0 for m, keep in zip(fresh.mults, mask))

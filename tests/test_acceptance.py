@@ -286,8 +286,8 @@ def test_c05_variance_identity(capsys, convex20, hoelder20):
             threads=THREADS,
         )
         scen = mc.get_scenario(scenario)
-        f = scen.make_integrand(20.0)
-        nested = mc.nested_h_integral(cfg, lambda x: f.value(x) ** 2)
+        f, tag = scen.make_integrand(20.0), scen.gen.space_tag
+        nested = mc.nested_h_integral(cfg, lambda q: [v ** 2 for v in f.values(q, tag).tolist()])
         emp = mc.variance_ci99(summary.samples[20.0]["values"])
         hatv = mc.mean_ci99(summary.samples[20.0]["varest"])
         pairs = [
@@ -330,7 +330,8 @@ def test_c06_covariance_identity(capsys):
     scen = mc.get_scenario("hoelder_d1")
     f = scen.make_integrand(t)
     g = scen.covariate(t)
-    nested = mc.nested_h_integral(cfg, lambda x: f.value(x) * g.value(x))
+    tag = scen.gen.space_tag
+    nested = mc.nested_h_integral(cfg, lambda q: f.values(q, tag) * g.values(q, tag))
     cov = mc.covariance_ci99(paired.values_f, paired.values_g)
     overlap = mc.intervals_overlap(cov[:2], nested.ci99)
     _report(

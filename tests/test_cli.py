@@ -260,14 +260,22 @@ def test_experiment_config_rejects_threads_below_one(threads):
         montecarlo.ExperimentConfig(scenario="coordmin", replications=10, threads=threads)
 
 
+def _refuse_draws(monkeypatch, refuse):
+    """``refuse`` in place of ``sample_poisson`` and of every model's ``sample_coords``."""
+    monkeypatch.setattr(sampling, "sample_poisson", refuse)
+    models = sampling.IntensityModel.__subclasses__()
+    assert len(models) == 7
+    for cls in models:
+        monkeypatch.setattr(cls, "sample_coords", refuse)
+
+
 @pytest.mark.parametrize("covariance", [False, True])
 def test_huge_nested_probes_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, covariance):
     # the probes are drawn as one array, so the count is refused before any work starts
     def refuse(*args):
         raise AssertionError("sampled before the config was checked")
 
-    monkeypatch.setattr(sampling.IntensityModel, "sample_points", refuse)
-    monkeypatch.setattr(sampling, "sample_poisson", refuse)
+    _refuse_draws(monkeypatch, refuse)
     cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", "scenario": "hoelder_d1",
                                       "replications": 10, "nested_probes": 10**12,
                                       "covariance": covariance})
@@ -325,8 +333,7 @@ def test_oversized_work_exit_2_before_anything_is_built(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("drew or built before the config was checked")
 
-    monkeypatch.setattr(sampling, "sample_poisson", refuse)
-    monkeypatch.setattr(sampling.IntensityModel, "sample_points", refuse)
+    _refuse_draws(monkeypatch, refuse)
     monkeypatch.setattr(corpora, "_corpus", refuse)
     cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **body})
     out = tmp_path / "o"

@@ -104,6 +104,22 @@ _ROWS = {
 _ROW_SUM = CustomIntegrand("row_sum", lambda p: 1.0 + 0.25 * sum(p.row))
 
 
+def _scalar_formula(f, p):
+    """f at the point p by the scalar formula of each built-in integrand (the oracle of
+    ``values``); a custom integrand answers through its function."""
+    if isinstance(f, Constant):
+        return f.c
+    if isinstance(f, PowerTail):
+        return (f.p - 1.0) * p.coords[0] ** (-f.p)
+    if isinstance(f, Indicator):
+        return 1.0 if p.level >= 0.0 else 0.0
+    if isinstance(f, PowerDepth):
+        return f.p * p.level ** (f.p - 1.0) if p.level > 0.0 else 0.0
+    if isinstance(f, RadialPower):
+        return f.weight * f.beta * p.offset ** (f.beta - 1.0)
+    return f.fn(p)
+
+
 @pytest.mark.parametrize("f, tag", [
     (Constant(0.3), ("param", 1)), (Constant(-2.5), ("euclid", 2)),
     (PowerTail(2.0), ("euclid", 1)), (PowerTail(3.0), ("euclid", 1)),
@@ -116,19 +132,24 @@ _ROW_SUM = CustomIntegrand("row_sum", lambda p: 1.0 + 0.25 * sum(p.row))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_values_equal_value_of_each_row_bit_for_bit(f, tag, data):
+    # ``values`` on the array and ``value`` of each point against the scalar formula:
     # both zeros, subnormals and negative levels; an overflow or a zero to a negative
-    # power raises the same error either way
+    # power raises the same error every way
     rows = data.draw(st.lists(_ROWS[tag], max_size=8))
     width = 2 if tag == ("line",) else tag[1] + (tag[0] == "param")
     coords = np.array(rows, dtype=float).reshape(len(rows), width)
+    points = [point_from_row(tag, r) for r in rows]
     try:
-        want = np.array([f.value(point_from_row(tag, r)) for r in rows], dtype=float)
+        want = np.array([_scalar_formula(f, p) for p in points], dtype=float)
     except ArithmeticError as exc:
         with pytest.raises(type(exc)):
             f.values(coords, tag)
+        with pytest.raises(type(exc)):
+            [f.value(p) for p in points]
         return
     got = f.values(coords, tag)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array([f.value(p) for p in points], dtype=float).tobytes() == want.tobytes()
 
 
 # -- hull estimate ------------------------------------------------------------

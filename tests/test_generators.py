@@ -16,7 +16,6 @@ from hullforge import (
     HalfPlaneGen,
     ParetoGen,
     PointPattern,
-    convex_hull_vertices,
     euclid,
     hull_mass,
     line,
@@ -27,6 +26,7 @@ from hullforge.core import (
     ConfigurationError,
     SpaceMismatchError,
     check_axioms,
+    point_from_row,
     prime_factorization_holds,
 )
 from hullforge.corpora import GENERATOR_SUITE, euclid_corpus
@@ -42,25 +42,6 @@ from hullforge.sampling import (
 
 
 # -- convex hull kernel -------------------------------------------------------
-
-
-def test_convex_hull_vertices_examples():
-    idx = convex_hull_vertices([(0, 0), (1, 0), (0, 1), (0.25, 0.25)])
-    assert sorted(idx) == [0, 1, 2]
-    idx = convex_hull_vertices([(0, 0), (1, 0), (2, 0)])
-    assert sorted(idx) == [0, 2]
-    cube = list(itertools.product((0.0, 1.0), repeat=3))
-    idx = convex_hull_vertices(cube + [(0.5, 0.5, 0.5)])
-    assert sorted(idx) == list(range(8))
-    assert convex_hull_vertices([]) == []
-    assert convex_hull_vertices([(3.0, 4.0)]) == [0]
-    assert sorted(convex_hull_vertices([(0, 0), (1, 1)])) == [0, 1]
-
-
-def test_convex_hull_vertices_lexicographic_order():
-    pts = [(1.0, 0.0), (0.0, 0.0), (0.5, 1.0)]
-    idx = convex_hull_vertices(pts)
-    assert [pts[i] for i in idx] == sorted(pts[i] for i in idx)
 
 
 def test_convex_boundary_excludes_face_points():
@@ -197,6 +178,55 @@ def test_batch_membership_equals_single_queries_on_suite_corpus(name):
         queries = probes + list(mu.support())
         assert gen.hull_contains_many(mu, queries) == [gen.hull_contains(mu, q) for q in queries]
         assert gen.hull_contains_many(mu, []) == []
+
+
+def _atom_rule(gen, mu, points, off_atoms):
+    """Membership as the point-based ``_split_atoms`` answered it: a query in ``mu``
+    (``x in mu``, so 0.0 equals -0.0) reads the boundary mask, and the others go to
+    ``off_atoms`` as the rows of one array."""
+    at = [mu.rows.index(x.row) if x in mu else None for x in points]
+    mask = gen.boundary_mask(mu) if any(i is not None for i in at) else ()
+    rest = np.array([x.row for x, i in zip(points, at) if i is None], dtype=float)
+    answers = iter(off_atoms(rest).tolist() if len(rest) else [])
+    return [next(answers) if i is None else not mask[i] for i in at]
+
+
+def _off_atom_rule(gen, mu):
+    """The off-atom membership of ``_atom_rule``: the envelope and the support function
+    of the array kernels, the definitional form for the other generators."""
+    if isinstance(gen, EnvelopeGen):
+        return lambda q: q[:, -1] <= gen.envelope_at(mu, q[:, :-1])
+    if isinstance(gen, HalfPlaneGen):
+        return lambda q: q[:, 1] >= gen.hull_support(mu, q[:, 0])
+    return lambda q: np.array([gen.hull_contains_definitional(mu, point_from_row(gen.space_tag, r))
+                               for r in map(tuple, q.tolist())], dtype=bool)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SUITE))
+def test_array_membership_equals_the_point_adapters_and_the_atom_rule(name):
+    # atom queries, atoms given with the other sign of zero, repeated atoms and repeated
+    # queries, patterns stored as rows or as an array, the empty pattern, the empty batch
+    gen, make_corpus = GENERATOR_SUITE[name]
+    tag = gen.space_tag
+    patterns, probes = make_corpus(24, 6, 41)
+    cases = [PointPattern.empty()]
+    for k, mu in enumerate(p for p in patterns if not p.is_empty):
+        first = mu.rows[0]  # its first coordinate set to a zero of either sign
+        signed = PointPattern.from_points([point_from_row(tag, (-0.0 if k % 2 else 0.0,
+                                                                *first[1:])),
+                                           *mu.support()[1:]])
+        cases += [mu, signed, signed.add(signed.support()[-1], 2),
+                  PointPattern.from_array(tag, signed.coords)]
+    width, flips = len(probes[0].row), 0
+    for mu in cases:
+        flipped = [point_from_row(tag, (-r[0], *r[1:])) for r in mu.rows if r[0] == 0.0]
+        flips += len(flipped)
+        points = probes[:4] + list(mu.support()) + list(mu.support()[:1]) * 2 + flipped
+        got = gen.contains_mask(mu, np.array([x.row for x in points]))
+        assert got == gen.hull_contains_many(mu, points)
+        assert got == _atom_rule(gen, mu, points, _off_atom_rule(gen, mu)), mu
+        assert gen.contains_mask(mu, np.empty((0, width))) == []
+    assert flips >= len(cases) // 2  # three of every four patterns hold a signed zero
 
 
 @pytest.mark.parametrize("owner, kernel, gen, reads", [
@@ -416,7 +446,7 @@ def test_pareto_1d_fast_path_matches_the_pairwise_reference(dim, values, queries
     least = set(itertools.compress(mu.rows, minimal))
     want = [x.row not in least and any(all(a <= b for a, b in zip(r, x.coords)) for r in mu.rows)
             for x in points]
-    assert gen.contains_mask(mu, points) == want
+    assert gen.contains_mask(mu, np.array([x.row for x in points]).reshape(-1, dim)) == want
 
 
 # -- half-plane generator -----------------------------------------------------

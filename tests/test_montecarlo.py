@@ -80,20 +80,43 @@ def test_run_replications_deterministic():
     assert np.array_equal(a.samples[50.0]["values"], b.samples[50.0]["values"])
 
 
+def _refuse_point_objects(monkeypatch):
+    """Make every point view (``point_from_row``) and every point constructor raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point object was built")
+
+    for mod in (core, estimators):  # the modules that import it
+        monkeypatch.setattr(mod, "point_from_row", refuse)
+    for cls in (core.EuclidPoint, core.ParamPoint, core.LinePoint):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+
+
 @pytest.mark.parametrize("scenario", mc.scenario_names())
 def test_replications_build_no_point_objects(monkeypatch, scenario):
     # sampling, the hull term, the boundary f-sum and the error representation read
     # coordinate arrays: no point view and no constructed point on the way
-    def refuse(*args, **kwargs):
-        raise AssertionError("a point object was built")
-
-    for mod in (core, estimators, sampling):
-        monkeypatch.setattr(mod, "point_from_row", refuse)
-    for cls in (core.EuclidPoint, core.ParamPoint, core.LinePoint):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+    _refuse_point_objects(monkeypatch)
     cfg = mc.ExperimentConfig(scenario=scenario, replications=20, base_seed=6)
     row, = mc.run_replications(cfg).rows
     assert row.mean_boundary_count > 0 and row.ks_resid_max <= 1e-10 * (1.0 + abs(row.target))
+
+
+@pytest.mark.parametrize("scenario", ["convex_square", "pareto_square", "hoelder_d1"])
+def test_markov_and_nested_paths_build_no_point_objects(monkeypatch, scenario):
+    # both Markov arms, the negative control and the nested probes ask membership and
+    # read integrands on coordinate arrays: no point view and no constructed point
+    _refuse_point_objects(monkeypatch)
+    for negative in (False, True):
+        cfg = mc.ExperimentConfig(scenario=scenario, replications=30, base_seed=12,
+                                  t_grid=(10.0,), negative_control=negative)
+        report = mc.markov_two_sample(cfg)
+        assert report.pairs == 30 and len(report.pvalues) == 3
+    cfg = mc.ExperimentConfig(scenario=scenario, replications=10, base_seed=13, t_grid=(10.0,),
+                              nested_probes=24, nested_replicas=5)
+    scen = mc.get_scenario(scenario)
+    f = scen.make_integrand(10.0)
+    nested = mc.nested_h_integral(cfg, lambda q: f.values(q, scen.gen.space_tag) ** 2)
+    assert nested.probes == 24 and nested.estimate > 0.0
 
 
 def _run_replications(threads):
@@ -107,7 +130,7 @@ def _nested(threads):
     cfg = mc.ExperimentConfig(scenario="convex_square", replications=10, base_seed=4,
                               t_grid=(15.0,), nested_probes=70, nested_replicas=6,
                               threads=threads)
-    nested = mc.nested_h_integral(cfg, lambda x: 1.0 + x.coords[0])
+    nested = mc.nested_h_integral(cfg, lambda q: 1.0 + q[:, 0])
     return nested.estimate, nested.se
 
 
@@ -335,7 +358,7 @@ def test_nested_integral_matches_prime_closed_form():
         nested_probes=192,
         nested_replicas=120,
     )
-    nested = mc.nested_h_integral(cfg, lambda x: 1.0)
+    nested = mc.nested_h_integral(cfg, lambda q: [1.0] * len(q))
 
     ns, nu, nq = 240, 120, 1200
     s = (np.arange(ns) + 0.5) / ns

@@ -15,6 +15,7 @@ from hullforge import (
     sample_poisson,
     trimmed_resample,
 )
+from hullforge.core import ConfigurationError
 from hullforge.generators import EnvelopeGen
 from hullforge.montecarlo import _hoelder_band
 from hullforge.sampling import (
@@ -122,14 +123,27 @@ def test_band_levels_marginally_uniform_for_flat_boundary():
     rng = RngStream(7).generator()
     levels = []
     while len(levels) < 100_000:
-        for p in model.sample_points(1000, rng):
-            levels.append(p.level)
+        levels.extend(model.sample_coords(1000, rng)[:, -1].tolist())
     levels = np.array(levels[:100_000])
     assert abs(levels.mean() - 0.5) < 0.005
     hist, _ = np.histogram(levels, bins=20, range=(0, 1))
     expected = len(levels) / 20
     stat = float(((hist - expected) ** 2 / expected).sum())
     assert chi2.sf(stat, df=19) > 1e-3
+
+
+@pytest.mark.parametrize("window", [
+    {"lo": (1.0,), "hi": (0.0,)}, {"lo": (0.5,), "hi": (0.5,)},
+    {"lo": (0.0, 1.0), "hi": (1.0, 1.0)}, {"lo": (0.0,), "hi": (math.nan,)},
+    {"resolution": 0}, {"resolution": -3},
+], ids=["reversed", "empty", "flat-2d", "nan", "resolution-0", "resolution-negative"])
+def test_band_refuses_a_bad_window_or_resolution(window):
+    # refused at construction: not later by numpy's uniform or by a division in band_grid
+    args = dict(lo=(0.0,), hi=(1.0,), phi=lambda s: np.ones(len(s)), phi_sup=1.0,
+                phi_integral=1.0, holder_const=0.0, holder_exp=1.0)
+    with pytest.raises(ConfigurationError, match="lo < hi|resolution"):
+        HoelderBand(**{**args, **window})
+    HoelderBand(**args)
 
 
 def test_band_envelopes_stay_below_boundary():
