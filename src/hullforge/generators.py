@@ -88,7 +88,7 @@ def _point_in_polygon(poly: list[tuple[float, float]], poly_scale: float,
     ``_coord_scale``) and q's largest absolute coordinate.
     """
     scale = max(poly_scale, abs(q[0]), abs(q[1]))
-    tol = EPS_GEOM * scale**2
+    tol = EPS_GEOM * (scale * scale)
     n = len(poly)
     if n == 1:
         return False
@@ -98,6 +98,28 @@ def _point_in_polygon(poly: list[tuple[float, float]], poly_scale: float,
         if _cross(poly[i - 1], poly[i], q) < -tol:
             return False
     return True
+
+
+#: the fewest queries ``ConvexHullGen.contains_mask`` answers with ``_polygon_mask``: its
+#: numpy calls cost about as much as the scalar rule on 16 queries of a 9-vertex polygon
+_ARRAY_QUERIES = 16
+
+
+def _polygon_mask(poly: list[tuple[float, float]], queries: np.ndarray) -> np.ndarray:
+    """Per query row: in the CCW polygon (3 or more vertices) and not one of its vertices.
+
+    ``_point_in_polygon`` for every query in one array pass: the same edge
+    cross products, each against the same per-query tolerance, so every
+    decision is the scalar one bit for bit.
+    """
+    a = np.array(poly)
+    o = np.array(poly[-1:] + poly[:-1])  # edge i runs from poly[i - 1] to poly[i]
+    d = a - o
+    cross = d[:, :1] * (queries[:, 1] - o[:, 1:]) - d[:, 1:] * (queries[:, 0] - o[:, :1])
+    scale = np.maximum(_coord_scale(poly), np.abs(queries).max(axis=1))
+    tol = EPS_GEOM * (scale * scale)
+    vertex = (queries[:, None, :] == a).all(axis=2).any(axis=1)
+    return ~vertex & ~(cross < -tol).any(axis=0)
 
 
 def _on_segment(a, b, q, tol_len: float) -> bool:
@@ -251,6 +273,8 @@ class ConvexHullGen(HullGenerator):
         if mu.is_empty:
             return [False] * len(queries)
         _, ext, solid = self._extreme(mu)
+        if solid is None and len(ext) >= 3 and len(queries) >= _ARRAY_QUERIES:
+            return _polygon_mask(ext, queries).tolist()
         inside = solid.contains if solid else partial(_point_in_polygon, ext, _coord_scale(ext))
         vertices = set(ext)
         return [q not in vertices and inside(q) for q in map(tuple, queries.tolist())]

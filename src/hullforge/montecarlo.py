@@ -3,7 +3,9 @@
 Each replication draws its pattern from a dedicated RNG stream (stream index
 = replication index inside a per-scenario namespace), so summaries do not
 depend on execution order or worker count; aggregation happens on arrays in
-replication order.  Every Monte Carlo loop runs through ``replicate``.
+replication order.  A chunk takes its streams' Generators from
+``sampling.stream_generators``, which seeds them in blocks.  Every Monte Carlo
+loop runs through ``replicate``.
 
 A run with two or more workers uses this process's one worker pool.  The
 first such call forks it, and it lives as long as the process: later calls
@@ -21,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,7 +178,8 @@ def scenario_names() -> list[str]:
 #: the largest expected pattern size (a model's total mass) an experiment may ask
 #: for, and the most nested probes, which are drawn as one array
 MAX_PATTERN_MASS = 1e7
-#: the most replications (or Markov pairs) of one run; every record is kept until it ends
+#: the most replications (or Markov pairs) of one run, where every record is kept until
+#: it ends, and the most nested replicas per probe
 MAX_REPLICATIONS = 10**6
 
 
@@ -208,6 +212,9 @@ class ExperimentConfig:
         if self.nested_probes > MAX_PATTERN_MASS:
             raise ConfigurationError(f"{self.nested_probes} nested probes are above the cap "
                                      f"of {MAX_PATTERN_MASS:.0e}")
+        if self.nested_replicas > MAX_REPLICATIONS:
+            raise ConfigurationError(f"{self.nested_replicas} nested replicas are above the cap "
+                                     f"of {MAX_REPLICATIONS:.0e}")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigurationError("t grid must be strictly increasing")
         scen = get_scenario(self.scenario)
@@ -354,8 +361,8 @@ def _replicate_chunk(args, lo: int, hi: int) -> list[list[tuple]]:
     model = scen.make_model(t)
     streams = sampling.RngStream(base_seed).child(stream_tag)
     out = []
-    for rep in range(lo, hi):
-        pattern = sampling.sample_poisson(model, streams.stream(rep))
+    for rng in sampling.stream_generators(streams.stream(rep) for rep in range(lo, hi)):
+        pattern = sampling.sample_poisson(model, rng)
         record = []
         for f, target in zip(integrands, targets):
             est = estimators.hull_estimate(scen.gen, model, f, pattern)
@@ -471,16 +478,18 @@ def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
     f = scen.make_integrand(t)
     gen = scen.gen
     root = sampling.RngStream(base_seed)
+    names = [root.child(tag) for tag in (11, 12, 13)]  # arm A, arm B's hull, arm B's fresh draw
+    rngs = sampling.stream_generators(ns.stream(i) for i in range(lo, hi) for ns in names)
     out = []
-    for i in range(lo, hi):
-        eta = sampling.sample_poisson(model, root.child(11).stream(i))
+    for rng_a, rng_b, rng_fresh in zip(rngs, rngs, rngs):  # the three streams of pair i
+        eta = sampling.sample_poisson(model, rng_a)
         stats_a = _interior_stats(gen, model, f, eta)
 
-        eta2 = sampling.sample_poisson(model, root.child(12).stream(i))
+        eta2 = sampling.sample_poisson(model, rng_b)
         if negative_control:
-            fresh = sampling.sample_poisson(model, root.child(13).stream(i))
+            fresh = sampling.sample_poisson(model, rng_fresh)
         else:
-            fresh = sampling.trimmed_resample(model, gen, eta2, root.child(13).stream(i))
+            fresh = sampling.trimmed_resample(model, gen, eta2, rng_fresh)
         fsum = estimators.weighted_sum(*estimators.atom_values(f, fresh, [True] * len(fresh.mults)))
         mass = generators.hull_mass(gen, eta2, model)
         out.append((stats_a, (float(fresh.total_mass), fsum, mass)))
@@ -583,10 +592,12 @@ def _nested_chunk(args, lo: int, hi: int) -> list[int]:
     scen = get_scenario(scenario_name)
     gen, model = scen.gen, scen.make_model(t)
     root = sampling.RngStream(base_seed).child(22)
+    rngs = sampling.stream_generators(root.child(i).stream(r)
+                                      for i in range(lo, hi) for r in range(replicas))
     out = []
     for i in range(lo, hi):
-        ns, probe = root.child(i), probes[i:i + 1]  # the probe as a one-row query array
-        etas = (sampling.sample_poisson(model, ns.stream(r)) for r in range(replicas))
+        probe = probes[i:i + 1]  # the probe as a one-row query array
+        etas = (sampling.sample_poisson(model, rng) for rng in islice(rngs, replicas))
         out.append(sum(not gen.contains_mask(eta, probe)[0] for eta in etas))
     return out
 

@@ -1,9 +1,18 @@
 """Poisson process simulation over structured intensity models.
 
-Every sampler is a pure function of an :class:`RngStream` value, so a fixed
-(model, base seed, stream index) triple reproduces the same pattern bit for
-bit on any machine and under any degree of parallelism.  The harness assigns
-one stream per replication.
+Every pattern is drawn from its own random stream.  An :class:`RngStream`
+names the stream by a (base seed, stream index) pair, and its Generator is
+``np.random.Generator(np.random.PCG64(stream.seed()))`` bit for bit, so a
+fixed (model, base seed, stream index) triple reproduces the same pattern on
+any machine and under any degree of parallelism.  The harness assigns one
+stream per replication.
+
+Seeding is the costly part of a small pattern: PCG64 hashes its int seed
+through ``SeedSequence`` first.  ``seed_words`` computes that hash for many
+seeds at once with uint32 array arithmetic, and ``stream_generators`` turns
+a run of streams into Generators, hashing the seeds in blocks and building
+each Generator only when it is asked for.  ``RngStream.generator`` is the
+one-stream case of it, so every stream is seeded the same way.
 
 The sampler primitive of each model is ``sample_coords``: n i.i.d. draws as an
 (n, k) array of coordinate rows in its ``space_tag``.  The base class turns
@@ -17,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,9 +45,78 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+# SeedSequence's hash of an int seed (numpy/random/bit_generator.pyx, after
+# O'Neill's seed_seq_fe): its multipliers advance the same way for every seed
+_M32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The hash multipliers init * mult**i mod 2**32, i = 0..n, as a uint32 column."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_POOL_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # mixing the 4-word pool
+_STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generating 8 state words
+#: per source word of the pool: the other words it mixes into, in order, and its multipliers
+_MIX_STEPS = tuple((src, [d for d in range(4) if d != src],
+                    _POOL_CONSTS[4 + 3 * src:7 + 3 * src], _POOL_CONSTS[5 + 3 * src:8 + 3 * src])
+                   for src in range(4))
+
+
+def _hashmix(v: np.ndarray, c_in: np.ndarray, c_out: np.ndarray) -> np.ndarray:
+    v = (v ^ c_in) * c_out  # uint32 arithmetic wraps, as in the C original
+    return v ^ (v >> 16)
+
+
+def seed_words(seeds: Iterable[int]) -> np.ndarray:
+    """Per seed in [0, 2**64), the row ``SeedSequence(s).generate_state(4, np.uint64)``.
+
+    One array pass for all the seeds.  A seed enters as its low and high
+    32-bit words followed by zeros, which is how ``SeedSequence`` pads an
+    entropy shorter than its 4-word pool, so seeds below 2**32 need no
+    special case.  Returns a C-ordered (n, 4) uint64 array.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0] = s & _M32
+    pool[1] = s >> 32
+    pool = _hashmix(pool, _POOL_CONSTS[:4], _POOL_CONSTS[1:5])
+    for src, dst, c_in, c_out in _MIX_STEPS:
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], c_in, c_out) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS[:8], _STATE_CONSTS[1:])
+    state = state.astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)  # little-endian pairs
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words are already hashed: one row of ``seed_words``.
+
+    ``PCG64`` asks it for 4 uint64 words once, at construction.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+#: seeds hashed per ``seed_words`` call by ``stream_generators``
+_SEED_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """A (base seed, stream index) pair naming one reproducible random stream."""
+    """A (base seed, stream index) pair naming one reproducible random stream.
+
+    Its Generator is ``Generator(PCG64(self.seed()))``, bit for bit.  A loop
+    over many streams takes their Generators from ``stream_generators``.
+    """
 
     base_seed: int
     stream_index: int = 0
@@ -46,7 +125,7 @@ class RngStream:
         return mix64(self.base_seed ^ ((self.stream_index * _GOLDEN) & _MASK))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed()))
+        return next(stream_generators([self]))
 
     def stream(self, index: int) -> "RngStream":
         """Sibling stream under the same base seed."""
@@ -59,6 +138,19 @@ class RngStream:
         indexing cannot collide with a sibling namespace.
         """
         return RngStream(mix64(self.seed() ^ ((tag * _GOLDEN) & _MASK)), 0)
+
+
+def stream_generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """One Generator per stream, in order, each equal to ``Generator(PCG64(stream.seed()))``.
+
+    The seeds are hashed ``_SEED_BLOCK`` at a time by ``seed_words``; each
+    Generator is built when the caller asks for it, so a loop that draws one
+    pattern per Generator holds one at a time.
+    """
+    it = iter(streams)
+    while block := [s.seed() for s in islice(it, _SEED_BLOCK)]:
+        for words in seed_words(block):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +476,25 @@ class HalfLine(IntensityModel):
 # sampling operations
 
 
-def sample_poisson(model: IntensityModel, stream: RngStream) -> PointPattern:
-    """One Poisson pattern: N ~ Poisson(total mass), then N i.i.d. points."""
+def sample_poisson(model: IntensityModel, rng: np.random.Generator) -> PointPattern:
+    """One Poisson pattern: N ~ Poisson(total mass), then N i.i.d. points, all from ``rng``.
+
+    ``rng`` is the Generator of the pattern's own stream (``RngStream.generator``
+    or one of ``stream_generators``), so the pattern is a pure function of the
+    model and the stream.
+    """
     if model.total_mass < 0 or not math.isfinite(model.total_mass):
         raise DomainError("model must have finite nonnegative total mass")
-    return model.sample_pattern(stream.generator())
+    return model.sample_pattern(rng)
 
 
-def trimmed_resample(model, gen, observed: PointPattern, stream: RngStream) -> PointPattern:
-    """Fresh Poisson sample restricted to the hull of ``observed``.
+def trimmed_resample(model, gen, observed: PointPattern, rng: np.random.Generator) -> PointPattern:
+    """Fresh Poisson sample from ``rng``, restricted to the hull of ``observed``.
 
     Restriction of a Poisson process is Poisson, so thinning a fresh pattern
     through hull membership realises the hull-trimmed intensity exactly.
     """
-    fresh = sample_poisson(model, stream)
+    fresh = sample_poisson(model, rng)
     if fresh.is_empty:
         return fresh
     gen.check_pattern(observed)

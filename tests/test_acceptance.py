@@ -32,7 +32,7 @@ from hullforge.cli import main as cli_main
 from hullforge.corpora import run_axiom_battery
 from hullforge.estimators import Constant
 from hullforge.generators import hull_mass
-from hullforge.sampling import UniformBox
+from hullforge.sampling import UniformBox, stream_generators
 
 pytestmark = pytest.mark.acceptance
 
@@ -387,8 +387,8 @@ def test_c08_joint_moments(capsys):
     vals = {2: np.empty(n), 3: np.empty(n)}
     resid = 0.0
     root = RngStream(871).child(0)
-    for rep in range(n):
-        pattern = sample_poisson(model, root.stream(rep))
+    for rep, rng in enumerate(stream_generators(map(root.stream, range(n)))):
+        pattern = sample_poisson(model, rng)
         for k in (2, 3):
             vals[k][rep] = hull_estimate_k(gen, model, k, pattern)
         est = hull_estimate(gen, model, f1, pattern)

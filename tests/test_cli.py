@@ -135,6 +135,8 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                               "nested_probes": 1}, id="nested_probes-1"),
     pytest.param("variance", {"scenario": "convex_square", "replications": 10,
                               "nested_replicas": 0}, id="nested_replicas-0"),
+    pytest.param("variance", {"scenario": "convex_square", "replications": 10,
+                              "nested_replicas": 10**12}, id="nested_replicas-huge"),
     pytest.param("variance", {"scenario": "hoelder_d1", "replications": 10,
                               "covariance": "no"}, id="covariance-string"),
     pytest.param("markov", {"scenario": "convex_square", "pairs": 10,
@@ -351,6 +353,16 @@ def test_experiment_config_caps_nested_probes():
         with pytest.raises(ConfigurationError, match="nested probes"):
             montecarlo.ExperimentConfig(scenario="coordmin", replications=10,
                                         nested_probes=probes)
+
+
+def test_experiment_config_caps_nested_replicas():
+    cap = montecarlo.MAX_REPLICATIONS
+    assert montecarlo.ExperimentConfig(scenario="coordmin", replications=10,
+                                       nested_replicas=cap).nested_replicas == cap
+    for replicas in (cap + 1, 10**12):
+        with pytest.raises(ConfigurationError, match="nested replicas"):
+            montecarlo.ExperimentConfig(scenario="coordmin", replications=10,
+                                        nested_replicas=replicas)
 
 
 @pytest.mark.parametrize("t", [0, 0.0, -5.0, "abc", "20", True])

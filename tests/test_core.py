@@ -215,7 +215,7 @@ _SAMPLERS = [
 def test_sampled_patterns_are_array_first(model, spy):
     calls = spy(PointPattern, "from_array")
     for i in range(5):
-        mu = sample_poisson(model, RngStream(17, i))
+        mu = sample_poisson(model, RngStream(17, i).generator())
         (tag, drawn), = calls[-1:]
         _assert_array_first(mu, tag, drawn.tolist())
     assert len(calls) == 5

@@ -45,6 +45,7 @@ from hullforge.sampling import (
     UniformDisk,
     UniformPolygon,
     sample_poisson,
+    stream_generators,
 )
 
 
@@ -219,7 +220,7 @@ def test_integrand_on_another_space_is_a_configuration_error(f):
     for gen, model in SPACE_PAIRINGS:
         if f.space == gen.space_tag[0]:
             continue
-        sampled = sample_poisson(model, RngStream(8))
+        sampled = sample_poisson(model, RngStream(8).generator())
         assert not sampled.is_empty
         for mu in (PointPattern.empty(), sampled):
             for run in (lambda: hull_estimate(gen, model, f, mu),
@@ -244,8 +245,8 @@ def test_flat_integrands_match_hull_mass():
     pairings = [(g, m) for g, m in pairings if not isinstance(m, HalfLine)]  # infinite mass
     assert len({(type(g), type(m)) for g, m in pairings}) == 8  # every table row but one
     for gen, model in pairings:
-        for i in range(12):
-            mu = sample_poisson(model, RngStream(31).stream(i))
+        for rng in stream_generators(RngStream(31).stream(i) for i in range(12)):
+            mu = sample_poisson(model, rng)
             mass = hull_mass(gen, mu, model)
             for c in (1.0, 0.37, 1.0 / 7.0):
                 assert hull_integral(gen, model, Constant(c), mu) == c * mass, model
@@ -265,7 +266,7 @@ def test_hull_estimate_reads_the_geometry_once(spy, scenario, t, owner, kernel):
     # disk-hull kernel runs once per atom
     scen = get_scenario(scenario)
     model, f = scen.make_model(t), scen.make_integrand(t)
-    mu = sample_poisson(model, RngStream(41))
+    mu = sample_poisson(model, RngStream(41).generator())
     assert len(mu.entries) >= 3
     calls = spy(owner, kernel)
     est = hull_estimate(scen.gen, model, f, mu)
@@ -321,8 +322,8 @@ def test_ks_identity_on_random_patterns(scenario, t):
     model = scen.make_model(t)
     f = scen.make_integrand(t)
     target = scen.target(t)
-    for rep in range(60):
-        pattern = sample_poisson(model, RngStream(77, rep))
+    for rng in stream_generators(RngStream(77, rep) for rep in range(60)):
+        pattern = sample_poisson(model, rng)
         est = hull_estimate(scen.gen, model, f, pattern)
         err = ks_error(scen.gen, model, f, pattern, target)
         assert abs(est.value - target - err) <= 1e-10 * (1.0 + abs(target))
@@ -331,7 +332,7 @@ def test_ks_identity_on_random_patterns(scenario, t):
 def test_band_grid_error_diagnostic_small():
     model = _hoelder_band(20.0)
     gen = EnvelopeGen(dim=1, env_const=1.0, beta=1.0)
-    pattern = sample_poisson(model, RngStream(5))
+    pattern = sample_poisson(model, RngStream(5).generator())
     err = envelope_grid_error(gen, model, Indicator(), pattern)
     assert err < 1e-4
 

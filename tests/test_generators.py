@@ -126,6 +126,30 @@ def test_convex_membership_matches_relint_oracle(dim):
             assert not gen.hull_contains(mu, euclid(*p))
 
 
+_PLANE_COORD = st.one_of(st.integers(-128, 128).map(lambda k: k / 64),
+                         st.floats(-1e3, 1e3, allow_nan=False))
+_PLANE_ROW = st.tuples(_PLANE_COORD, _PLANE_COORD)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PLANE_ROW, min_size=1, max_size=12), st.lists(_PLANE_ROW, max_size=12))
+def test_planar_contains_mask_equals_scalar_rule(atoms, extra):
+    # the array pass against the scalar rule, query for query, called directly and
+    # through contains_mask: the atoms, the edge midpoints of the polygon (ties on
+    # the k/64 lattice) and free rows
+    gen = ConvexHullGen(2)
+    mu = PointPattern.from_array(("euclid", 2), atoms)
+    _, ext, _ = gen._extreme(mu)
+    mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in zip(ext, ext[1:] + ext[:1])]
+    queries = np.array(list(mu.rows) + mids + extra, dtype=float)
+    scale, vertices = generators._coord_scale(ext), set(ext)
+    want = [q not in vertices and generators._point_in_polygon(ext, scale, q)
+            for q in map(tuple, queries.tolist())]
+    assert gen.contains_mask(mu, queries) == want
+    if len(ext) >= 3:
+        assert generators._polygon_mask(ext, queries).tolist() == want
+
+
 def test_convex3_membership_builds_one_hull_per_call(spy):
     # the vertex test and the facet test read one qhull build, and a batch of
     # probes shares it
@@ -401,7 +425,7 @@ def test_band_rule_reads_the_model_grid_bit_for_bit(dim):
     fine = dataclasses.replace(model, resolution=2 * model.resolution)
     assert fine.band_grid[0].shape != sites.shape  # its own grid, not the coarse one
     for i in range(6):
-        mu = sample_poisson(model, RngStream(23, i))
+        mu = sample_poisson(model, RngStream(23, i).generator())
         if mu.is_empty:
             continue
         fresh_sites, fresh_cell = model.grid_sites()

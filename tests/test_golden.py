@@ -219,7 +219,7 @@ SAMPLER_GOLDEN = {
 
 def sampler_digest(name: str, seed: int) -> str:
     """sha256 of the repr of the entries of one sampled pattern."""
-    pattern = sample_poisson(SAMPLER_MODELS[name], RngStream(seed, 7 * seed))
+    pattern = sample_poisson(SAMPLER_MODELS[name], RngStream(seed, 7 * seed).generator())
     return hashlib.sha256(repr(pattern.entries).encode()).hexdigest()
 
 
@@ -289,7 +289,7 @@ def pairing_digest(case: str) -> str:
     """
     gen, name = PAIRING_CASES[case]
     model = SAMPLER_MODELS[name]
-    patterns = [PointPattern.empty()] + [sample_poisson(model, RngStream(41).stream(i))
+    patterns = [PointPattern.empty()] + [sample_poisson(model, RngStream(41).stream(i).generator())
                                          for i in range(4)]
     record = []
     for mu in patterns:

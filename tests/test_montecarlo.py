@@ -68,7 +68,8 @@ def test_complement_is_total_minus_hull_mass(scenario, t):
         assert np.isnan(got).all()
         return
     streams = sampling.RngStream(8).child(0)
-    patterns = [sampling.sample_poisson(model, streams.stream(i)) for i in range(40)]
+    patterns = [sampling.sample_poisson(model, rng)
+                for rng in sampling.stream_generators(streams.stream(i) for i in range(40))]
     assert got.tolist() == [model.total_mass - hull_mass(scen.gen, mu, model) for mu in patterns]
 
 
@@ -320,8 +321,9 @@ def test_markov_identical_streams_degenerate_smoke():
     model = scen.make_model(10.0)
     f = scen.make_integrand(10.0)
     arm = []
-    for i in range(200):
-        eta = sampling.sample_poisson(model, sampling.RngStream(3).child(11).stream(i))
+    arm_a = sampling.RngStream(3).child(11)
+    for rng in sampling.stream_generators(arm_a.stream(i) for i in range(200)):
+        eta = sampling.sample_poisson(model, rng)
         arm.append(mc._interior_stats(scen.gen, model, f, eta))
     arm = np.asarray(arm)
     for j in range(3):
@@ -392,3 +394,27 @@ def test_paired_estimates_requires_covariate():
     cfg = mc.ExperimentConfig(scenario="convex_square", replications=10, base_seed=0)
     with pytest.raises(ConfigurationError):
         mc.paired_estimates(cfg)
+
+
+def test_monte_carlo_loops_never_seed_through_seed_sequence(monkeypatch):
+    # every loop seeds its streams from seed_words: a SeedSequence built anywhere,
+    # or PCG64 handed an int (whose hash is SeedSequence's, inside numpy), fails
+    real_pcg64 = np.random.PCG64
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was seeded through SeedSequence")
+
+    def pcg64(seed):
+        if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+            refuse()
+        return real_pcg64(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    with pytest.raises(AssertionError):
+        np.random.Generator(np.random.PCG64(5))
+    config = mc.ExperimentConfig(scenario="convex_square", replications=40, t_grid=(10.0,),
+                                 nested_probes=4, nested_replicas=3)
+    assert mc.run_replications(config).rows[0].mean > 0
+    assert len(mc.markov_two_sample(config).pvalues) == 3
+    assert mc.nested_h_integral(config, lambda x: np.ones(len(x))).estimate > 0

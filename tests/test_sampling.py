@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -26,7 +27,10 @@ from hullforge.sampling import (
     UniformBox,
     UniformDisk,
     UniformPolygon,
+    _SEED_BLOCK,
     mix64,
+    seed_words,
+    stream_generators,
 )
 
 
@@ -49,19 +53,42 @@ def test_box_draw_equals_numpy_uniform(box, n, seed):
 def test_stream_determinism_and_independence():
     model = UniformBox((0, 0), (1, 1), rate=4.0)
     s = RngStream(123, 5)
-    a = sample_poisson(model, s)
-    b = sample_poisson(model, s)
+    a = sample_poisson(model, s.generator())
+    b = sample_poisson(model, s.generator())
     assert a == b
-    c = sample_poisson(model, RngStream(123, 6))
+    c = sample_poisson(model, RngStream(123, 6).generator())
     assert a != c
     assert mix64(1) != mix64(2)
     assert RngStream(123, 5).seed() != RngStream(123, 6).seed()
     assert RngStream(123, 5).child(0).seed() != RngStream(123, 5).seed()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_and_generators_match_numpy_seeding(seeds):
+    # the array hash is SeedSequence's, word for word, and PCG64 seeded from its
+    # words is PCG64 seeded from the int, in one word of entropy or two
+    words = seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    streams = [SimpleNamespace(seed=lambda s=s: s) for s in seeds]  # stream_generators reads .seed()
+    for s, row, rng in zip(seeds, words, stream_generators(streams), strict=True):
+        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+        assert rng.bit_generator.state == np.random.PCG64(s).state
+
+
+def test_stream_generators_across_seed_blocks():
+    # more streams than one block: each Generator draws what one-stream seeding draws
+    streams = [RngStream(9, i) for i in range(2 * _SEED_BLOCK + 3)]
+    got = [rng.random() for rng in stream_generators(streams)]
+    assert got == [np.random.Generator(np.random.PCG64(s.seed())).random() for s in streams]
+    assert RngStream(9, 4).generator().random() == got[4]
+    assert list(stream_generators([])) == []
+
+
 def test_zero_rate_gives_empty_pattern():
     model = UniformBox((0, 0), (1, 1), rate=0.0)
-    assert sample_poisson(model, RngStream(1)).is_empty
+    assert sample_poisson(model, RngStream(1).generator()).is_empty
 
 
 MODELS = {
@@ -151,8 +178,8 @@ def test_band_envelopes_stay_below_boundary():
     gen = EnvelopeGen(dim=1, env_const=1.0, beta=1.0)
     grid, _ = dataclasses.replace(model, resolution=512).grid_sites()
     phi = model.phi_at(grid)
-    for rep in range(100):
-        pattern = sample_poisson(model, RngStream(55, rep))
+    for rng in stream_generators(RngStream(55, rep) for rep in range(100)):
+        pattern = sample_poisson(model, rng)
         if pattern.is_empty:
             continue
         env = gen.envelope_at(pattern, grid)
@@ -161,7 +188,7 @@ def test_band_envelopes_stay_below_boundary():
 
 def test_halfline_truncation_keeps_minimum():
     model = HalfLine(start=1.0, rate=1.0, horizon=50.0)
-    pattern = sample_poisson(model, RngStream(9))
+    pattern = sample_poisson(model, RngStream(9).generator())
     xs = [p.coords[0] for p in pattern.support()]
     assert min(xs) >= 1.0
     assert max(xs) <= 51.0
@@ -171,20 +198,20 @@ def test_trimmed_resample_examples():
     gen = ConvexHullGen(2)
     model = UniformBox((0, 0), (1, 1), rate=20.0)
     empty = PointPattern.empty()
-    assert trimmed_resample(model, gen, empty, RngStream(3)).is_empty
+    assert trimmed_resample(model, gen, empty, RngStream(3).generator()).is_empty
 
     square = PointPattern.from_points(
         [euclid(0, 0), euclid(1, 0), euclid(0, 1), euclid(1, 1)]
     )
-    kept = trimmed_resample(model, gen, square, RngStream(4))
-    fresh = sample_poisson(model, RngStream(4))
+    kept = trimmed_resample(model, gen, square, RngStream(4).generator())
+    fresh = sample_poisson(model, RngStream(4).generator())
     assert kept.total_mass == fresh.total_mass  # hull is the whole carrier
 
     # retention count is Poisson with the hull mass as mean
     tri = PointPattern.from_points([euclid(0, 0), euclid(1, 0), euclid(0, 1)])
     counts = [
-        trimmed_resample(model, gen, tri, RngStream(100, i)).total_mass
-        for i in range(3000)
+        trimmed_resample(model, gen, tri, rng).total_mass
+        for rng in stream_generators(RngStream(100, i) for i in range(3000))
     ]
     mean = float(np.mean(counts))
     assert mean == pytest.approx(10.0, abs=4 * math.sqrt(10.0 / 3000) + 0.05)
