@@ -286,11 +286,11 @@ class PointPattern:
         n = len(arr)
         if n == 0:
             return _EMPTY
-        order = np.argsort(arr[:, 0], kind="stable")
-        lead = arr[order, 0]
+        srt = arr.take(np.argsort(arr[:, 0], kind="stable"), axis=0)
+        lead = srt[:, 0]
         if np.count_nonzero(lead[1:] == lead[:-1]) == 0:
             # distinct first coordinates, as sampled rows have: they alone give lexsort's order
-            arr, mults = arr[order], (1,) * n
+            arr, mults = srt, (1,) * n
         else:
             arr = arr.take(np.lexsort(arr.T[::-1]), axis=0)
             new = (arr[1:] != arr[:-1]).any(axis=1)  # row i + 1 differs from row i

@@ -19,6 +19,12 @@ The sampler primitive of each model is ``sample_coords``: n i.i.d. draws as an
 those rows into a pattern (``sample_pattern``, through
 ``PointPattern.from_array``); callers that want the draws themselves, such
 as the nested probes, read the array.  No sampler builds a point object.
+
+Each batch of a sampler takes its doubles from one ``rng.random`` call and
+maps a double u to ``low + (high - low) * u``, the arithmetic of
+``Generator.uniform``.  The doubles are drawn in the order the equivalent
+``uniform`` calls would draw them, so every pattern, and the Generator's
+state after it, is what those calls give, bit for bit.
 """
 
 from __future__ import annotations
@@ -177,6 +183,11 @@ class IntensityModel:
         return PointPattern.from_array(self.space_tag, self.sample_coords(n, rng))
 
 
+def _check_rate(rate: float) -> None:
+    if not 0 <= rate < math.inf:
+        raise ConfigurationError(f"rate must be finite and >= 0, got {rate!r}")
+
+
 def _unit_circle(ang: np.ndarray) -> np.ndarray:
     """Rows (cos, sin) of the angles, from ``math``: libm values on every platform."""
     return np.array([(math.cos(a), math.sin(a)) for a in ang.tolist()]).reshape(len(ang), 2)
@@ -193,8 +204,9 @@ class UniformBox(IntensityModel):
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or not 1 <= len(self.lo) <= 3:
             raise ConfigurationError("box bounds must share a dimension in 1..3")
-        if any(h <= l for l, h in zip(self.lo, self.hi)) or self.rate < 0:
-            raise ConfigurationError("box must be nondegenerate and rate >= 0")
+        if any(h <= l for l, h in zip(self.lo, self.hi)):
+            raise ConfigurationError("box must be nondegenerate")
+        _check_rate(self.rate)
         vol = math.prod(h - l for l, h in zip(self.lo, self.hi))
         object.__setattr__(self, "_volume", vol)
         object.__setattr__(self, "_mass", self.rate * vol)
@@ -218,7 +230,7 @@ class UniformBox(IntensityModel):
         return self._mass
 
     def sample_coords(self, n, rng):
-        return self._lo + self._span * rng.random((n, self.dim))  # the draws of rng.uniform(lo, hi)
+        return self._lo + self._span * rng.random((n, self.dim))
 
 
 @dataclass(frozen=True)
@@ -231,16 +243,18 @@ class UniformDisk(IntensityModel):
     space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or self.rate < 0:
-            raise ConfigurationError("disk radius must be positive and rate >= 0")
+        if self.radius <= 0:
+            raise ConfigurationError("disk radius must be positive")
+        _check_rate(self.rate)
 
     @property
     def total_mass(self) -> float:
         return self.rate * math.pi * self.radius**2
 
     def sample_coords(self, n, rng):
-        r = self.radius * np.sqrt(rng.uniform(size=n))
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        u = rng.random(2 * n)
+        r = self.radius * np.sqrt(u[:n])
+        ang = 2.0 * math.pi * u[n:]
         return np.asarray(self.center, dtype=float) + r[:, None] * _unit_circle(ang)
 
 
@@ -256,15 +270,35 @@ def polygon_area(poly) -> float:
 
 @dataclass(frozen=True)
 class UniformPolygon(IntensityModel):
-    """rate * Lebesgue on a convex polygon (counterclockwise vertices)."""
+    """rate * Lebesgue on a convex polygon (counterclockwise vertices; others are refused)."""
 
     vertices: tuple[tuple[float, float], ...]
     rate: float = 1.0
     space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
+        v = self.vertices
+        if len(v) < 3:
             raise ConfigurationError("polygon needs at least 3 vertices")
+        # the sampler keeps the points on the left of every edge, which is the
+        # polygon only when it is convex, counterclockwise and winds once; an
+        # edge of length 0 has no direction, so the turn is read across it
+        w = [p for p, q in zip(v, v[1:] + v[:1]) if tuple(p) != tuple(q)]
+        turn = 0.0
+        for (ax, ay), (bx, by), (cx, cy) in zip(w[-1:] + w[:-1], w, w[1:] + w[:1]):
+            ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
+            cross = ux * wy - uy * wx
+            if cross < 0:
+                raise ConfigurationError(f"polygon turns clockwise at vertex {(bx, by)}: "
+                                         "it must be convex with counterclockwise vertices")
+            # abs: a reversal turns by +pi, also when its cross is -0.0
+            turn += math.atan2(abs(cross), ux * wx + uy * wy)
+        if not (0 < polygon_area(v) < math.inf and turn < 3 * math.pi):
+            raise ConfigurationError("polygon must wind once around a positive finite area")
+        _check_rate(self.rate)
+        xs, ys = zip(*v)
+        object.__setattr__(self, "_lo", np.array((min(xs), min(ys)), dtype=float))
+        object.__setattr__(self, "_span", np.array((max(xs), max(ys)), dtype=float) - self._lo)
 
     @property
     def area(self) -> float:
@@ -284,16 +318,13 @@ class UniformPolygon(IntensityModel):
         return ok
 
     def sample_coords(self, n, rng):
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        lo = (min(xs), min(ys))
-        hi = (max(xs), max(ys))
-        parts, have = [np.empty((0, 2))], 0
-        while have < n:  # accepted rows of each batch, until n
-            cand = rng.uniform(lo, hi, size=(max(n - have, 8), 2))
-            parts.append(cand[self._inside(cand)][: n - have])
-            have += len(parts[-1])
-        return np.concatenate(parts)
+        out, have = np.empty((n, 2)), 0
+        while have < n:  # the first accepted rows of each bounding-box batch, until n
+            cand = self._lo + self._span * rng.random((max(n - have, 8), 2))
+            keep = cand[self._inside(cand)][: n - have]
+            out[have:have + len(keep)] = keep
+            have += len(keep)
+        return out
 
 
 @dataclass(frozen=True)
@@ -308,16 +339,16 @@ class UniformAnnulus(IntensityModel):
     def __post_init__(self) -> None:
         if not 0 <= self.r_inner < self.r_outer:
             raise ConfigurationError("annulus needs 0 <= r_inner < r_outer")
+        _check_rate(self.rate)
 
     @property
     def total_mass(self) -> float:
         return self.rate * math.pi * (self.r_outer**2 - self.r_inner**2)
 
     def sample_coords(self, n, rng):
-        u = rng.uniform(size=n)
-        r = np.sqrt(self.r_inner**2 + u * (self.r_outer**2 - self.r_inner**2))
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return r[:, None] * _unit_circle(ang)
+        u = rng.random(2 * n)
+        r = np.sqrt(self.r_inner**2 + u[:n] * (self.r_outer**2 - self.r_inner**2))
+        return r[:, None] * _unit_circle(2.0 * math.pi * u[n:])
 
 
 @dataclass(frozen=True)
@@ -352,6 +383,9 @@ class HoelderBand(IntensityModel):
             raise ConfigurationError("phi must be positive on the window")
         if not 0 < self.holder_exp <= 1 or self.holder_const < 0:
             raise ConfigurationError("need holder_exp in (0,1] and holder_const >= 0")
+        _check_rate(self.rate)
+        object.__setattr__(self, "_lo", np.array(self.lo, dtype=float))
+        object.__setattr__(self, "_span", np.array(self.hi, dtype=float) - self._lo)
 
     @property
     def dim(self) -> int:
@@ -399,18 +433,19 @@ class HoelderBand(IntensityModel):
         return sites, cell, phi
 
     def sample_coords(self, n, rng):
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        parts, have = [np.empty((0, self.dim + 1))], 0
-        while have < n:  # accepted rows of each batch, until n
-            batch = max(2 * (n - have), 16)
-            s = rng.uniform(lo, hi, size=(batch, self.dim))
+        d = self.dim
+        out, have = np.empty((n, d + 1)), 0
+        while have < n:  # the first accepted rows of each batch, until n
+            need = n - have
+            batch = max(2 * need, 16)
+            u = rng.random(batch * (d + 2))  # sites, then acceptance draws, then level draws
+            s = self._lo + self._span * u[:batch * d].reshape(batch, d)
             p = self.phi_at(s)
-            accept = rng.uniform(0.0, self.phi_sup, size=batch) < p
-            u = rng.uniform(size=batch) * p
-            parts.append(np.column_stack([s[accept], u[accept]])[: n - have])
-            have += len(parts[-1])
-        return np.concatenate(parts)
+            keep = np.flatnonzero(self.phi_sup * u[batch * d:batch * (d + 1)] < p)[:need]
+            out[have:have + len(keep), :d] = s[keep]
+            out[have:have + len(keep), d] = u[batch * (d + 1):][keep] * p[keep]
+            have += len(keep)
+        return out
 
 
 @dataclass(frozen=True)
@@ -430,6 +465,7 @@ class LinesBand(IntensityModel):
     def __post_init__(self) -> None:
         if not 0 <= self.h_inner < self.h_outer:
             raise ConfigurationError("need 0 <= h_inner < h_outer")
+        _check_rate(self.rate)
 
     @property
     def gap(self) -> float:
@@ -440,9 +476,8 @@ class LinesBand(IntensityModel):
         return self.rate * 2.0 * math.pi * self.gap
 
     def sample_coords(self, n, rng):
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        u = rng.uniform(self.h_inner, self.h_outer, size=n)
-        return np.column_stack([ang, u])
+        u = rng.random(2 * n)
+        return np.column_stack([2.0 * math.pi * u[:n], self.h_inner + self.gap * u[n:]])
 
 
 @dataclass(frozen=True)
@@ -460,8 +495,8 @@ class HalfLine(IntensityModel):
     space_tag = ("euclid", 1)
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.horizon <= 0:
-            raise ConfigurationError("need positive rate and horizon")
+        if not (0 < self.rate < math.inf and 0 < self.horizon < math.inf):
+            raise ConfigurationError("need a positive finite rate and horizon")
 
     @property
     def total_mass(self) -> float:
@@ -469,7 +504,7 @@ class HalfLine(IntensityModel):
         return self.rate * self.horizon
 
     def sample_coords(self, n, rng):
-        return (self.start + rng.uniform(0.0, self.horizon, size=n))[:, None]
+        return (self.start + self.horizon * rng.random(n))[:, None]
 
 
 # ---------------------------------------------------------------------------

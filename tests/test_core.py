@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullforge import (
@@ -24,6 +24,7 @@ from hullforge import (
 )
 from hullforge.core import (
     check_axioms,
+    checked_array,
     higher_difference_closed_form,
     point_from_row,
     prime_factorization_holds,
@@ -159,9 +160,26 @@ def _assert_array_first(mu, tag, rows):
     assert mu.coords.shape == want.shape and mu.coords.tobytes() == want.tobytes()
 
 
+def _from_array_by_fancy_index(tag, coords) -> tuple:
+    """(coords, mults) as ``from_array`` built them with two fancy indexes before its ``take``."""
+    arr = checked_array(tag, coords)
+    if len(arr) == 0:
+        return arr, ()
+    order = np.argsort(arr[:, 0], kind="stable")
+    lead = arr[order, 0]
+    if np.count_nonzero(lead[1:] == lead[:-1]) == 0:
+        return arr[order], (1,) * len(arr)
+    arr = arr.take(np.lexsort(arr.T[::-1]), axis=0)
+    new = (arr[1:] != arr[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return arr[starts], tuple(np.diff(starts, append=len(arr)).tolist())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_SPACES)).flatmap(
     lambda tag: st.tuples(st.just(tag), st.lists(_SPACES[tag], max_size=12))))
+@example((("euclid", 2), [euclid(-0.0, 1.0)]))
+@example((("euclid", 2), [euclid(0.0, 3.0), euclid(-0.0, 1.0), euclid(0.0, 1.0), euclid(0.0, 3.0)]))
 def test_from_array_keeps_the_first_of_equal_rows(space_points):
     # small pools with both zeros: most lists repeat rows, many only up to the sign of a zero
     tag, pts = space_points
@@ -171,6 +189,8 @@ def test_from_array_keeps_the_first_of_equal_rows(space_points):
     given_bytes = arr.tobytes()
     mu = PointPattern.from_array(tag, arr)
     _assert_array_first(mu, tag, rows)
+    want, mults = _from_array_by_fancy_index(tag, arr)
+    assert mu.coords.tobytes() == want.tobytes() and mu.mults == mults
     assert arr.flags.writeable and arr.tobytes() == given_bytes  # the caller's array is untouched
 
 

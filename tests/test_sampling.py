@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,26 +30,11 @@ from hullforge.sampling import (
     UniformDisk,
     UniformPolygon,
     _SEED_BLOCK,
+    _unit_circle,
     mix64,
     seed_words,
     stream_generators,
 )
-
-
-_bound = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_bound, st.floats(1e-6, 1e3)), min_size=1, max_size=3),
-       st.integers(0, 60), st.integers(0, 2**32))
-def test_box_draw_equals_numpy_uniform(box, n, seed):
-    # lo + span * random is what Generator.uniform computes; the draws agree bytewise
-    lo = tuple(l for l, _ in box)
-    hi = tuple(l + w for l, w in box)
-    model = UniformBox(lo, hi)
-    got = model.sample_coords(n, np.random.default_rng(seed))
-    want = np.random.default_rng(seed).uniform(lo, hi, size=(n, len(lo)))
-    assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_stream_determinism_and_independence():
@@ -100,6 +87,123 @@ MODELS = {
     "halfline": HalfLine(start=1.0, rate=1.0, horizon=6.0),
     "band": _hoelder_band(4.0),
 }
+
+
+def _uniform_draws(model, n, rng):
+    """``model.sample_coords(n, rng)`` as the samplers drew it with ``Generator.uniform``."""
+    if isinstance(model, UniformBox):
+        return rng.uniform(model.lo, model.hi, size=(n, model.dim))
+    if isinstance(model, UniformDisk):
+        r = model.radius * np.sqrt(rng.uniform(size=n))
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return np.asarray(model.center, dtype=float) + r[:, None] * _unit_circle(ang)
+    if isinstance(model, UniformAnnulus):
+        u = rng.uniform(size=n)
+        r = np.sqrt(model.r_inner**2 + u * (model.r_outer**2 - model.r_inner**2))
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return r[:, None] * _unit_circle(ang)
+    if isinstance(model, LinesBand):
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return np.column_stack([ang, rng.uniform(model.h_inner, model.h_outer, size=n)])
+    if isinstance(model, HalfLine):
+        return (model.start + rng.uniform(0.0, model.horizon, size=n))[:, None]
+    if isinstance(model, UniformPolygon):
+        xs, ys = zip(*model.vertices)
+        lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
+        parts, have = [np.empty((0, 2))], 0
+        while have < n:
+            cand = rng.uniform(lo, hi, size=(max(n - have, 8), 2))
+            parts.append(cand[model._inside(cand)][: n - have])
+            have += len(parts[-1])
+        return np.concatenate(parts)
+    assert isinstance(model, HoelderBand)
+    parts, have = [np.empty((0, model.dim + 1))], 0
+    while have < n:
+        batch = max(2 * (n - have), 16)
+        s = rng.uniform(np.asarray(model.lo), np.asarray(model.hi), size=(batch, model.dim))
+        p = model.phi_at(s)
+        accept = rng.uniform(0.0, model.phi_sup, size=batch) < p
+        u = rng.uniform(size=batch) * p
+        parts.append(np.column_stack([s[accept], u[accept]])[: n - have])
+        have += len(parts[-1])
+    return np.concatenate(parts)
+
+
+_bound = st.floats(-1e3, 1e3, allow_nan=False)
+_boxes = st.lists(st.tuples(_bound, st.floats(1e-6, 1e3)), min_size=1, max_size=3).map(
+    lambda box: UniformBox(tuple(l for l, _ in box), tuple(l + w for l, w in box)))
+#: besides MODELS, other shapes and dimensions; the triangle and the low band
+#: need a second rejection batch for most n
+ORACLE_MODELS = {
+    **MODELS,
+    "triangle": UniformPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+    "polygon-collinear": UniformPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (2, 1), (0, 1))),
+    "disk-offset": UniformDisk((2.0, -1.0), 0.5),
+    "band-low": HoelderBand(lo=(-1.0,), hi=(3.0,), phi=lambda s: 0.05 + 0.01 * s[:, 0],
+                            phi_sup=1.0, phi_integral=0.24, holder_const=0.01, holder_exp=1.0),
+    "band-2d": HoelderBand(lo=(0.0, -1.0), hi=(1.0, 1.0),
+                           phi=lambda s: 0.2 + 0.1 * np.abs(s[:, 0] - s[:, 1]),
+                           phi_sup=2.0, phi_integral=0.6, holder_const=0.1, holder_exp=1.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(ORACLE_MODELS)).map(ORACLE_MODELS.get), _boxes),
+       st.integers(0, 2000), st.integers(0, 2**64 - 1))
+@example(ORACLE_MODELS["triangle"], 500, 3)
+@example(ORACLE_MODELS["band-low"], 2000, 5)
+@example(UniformBox((0.0,), (1.0,)), 0, 7)
+def test_sample_coords_equals_uniform_draws(model, n, seed):
+    # one rng.random call per batch gives the Generator.uniform draws byte for
+    # byte and leaves the Generator in the same state
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = model.sample_coords(n, rng)
+    want = _uniform_draws(model, n, ref)
+    assert got.shape == want.shape == (n, want.shape[1])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_models_check_the_rate_at_construction(name, rate):
+    # refused when built, not at the first draw; the half line needs rate > 0
+    if rate == 0.0 and name != "halfline":
+        assert dataclasses.replace(MODELS[name], rate=rate).total_mass == 0.0
+        return
+    with pytest.raises(ConfigurationError, match="rate"):
+        dataclasses.replace(MODELS[name], rate=rate)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)),
+    ((0, 0), (0, 1), (1, 1), (1, 0)),
+    ((0, 0), (2, 0), (2, 1), (1, 0.5), (0, 1)),
+    ((0, 0), (2, 0), (2, 1), (1, 0.5), (1, 0.5), (0, 1)),
+    tuple((math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)) for k in range(5)),
+    ((0, 0), (1, 0), (1, 1), (0, 1)) * 2,
+    ((0, 0), (1, 0), (2, 0)),
+    ((0, 0), (1, 0), (math.nan, 1)),
+], ids=["u-shape", "clockwise", "dent", "dent-repeated-vertex", "pentagram", "twice-around", "flat", "nan"])
+def test_polygon_refuses_what_its_sampler_cannot_fill(vertices):
+    # the sampler keeps the points left of every edge: on the U shape that set is
+    # empty, so it would draw forever, and on the dent it is part of the polygon;
+    # the alarm turns a hang into a failure
+    with _time_limit(10), pytest.raises(ConfigurationError, match="polygon"):
+        UniformPolygon(vertices).sample_coords(3, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
