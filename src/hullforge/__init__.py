@@ -12,9 +12,7 @@ from .core import (
     SpaceMismatchError,
     check_axioms,
     euclid,
-    first_difference_h,
     h_indicator,
-    higher_difference_h,
     line,
     param,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "SpaceMismatchError",
     "check_axioms",
     "euclid",
-    "first_difference_h",
     "h_indicator",
-    "higher_difference_h",
     "hull_estimate",
     "hull_estimate_k",
     "hull_mass",

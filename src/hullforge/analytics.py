@@ -56,15 +56,13 @@ class HoelderScenarioParams:
 
     ``f_profiles[i]`` is the depth profile u -> int |f(s, phi(s) - u)|^i ds
     for i in {1, 2, 3, 4}; ``f_sup`` bounds |f| on the band (the cone bounds
-    on the local mass functions scale with it).  ``gamma`` is the low-depth
-    exponent of the squared profile.
+    on the local mass functions scale with it).
     """
 
     dim: int
     beta: float
     env_const: float
     holder_const: float
-    gamma: float
     rate: float
     f_profiles: dict[int, Callable[[float], float]]
     f_sup: float = 1.0
@@ -72,8 +70,8 @@ class HoelderScenarioParams:
     def __post_init__(self):
         if not 0 <= self.holder_const <= self.env_const:
             raise DomainError("need 0 <= holder_const <= env_const")
-        if not 0 < self.beta <= 1 or not 0 < self.gamma <= 1:
-            raise DomainError("need beta, gamma in (0, 1]")
+        if not 0 < self.beta <= 1:
+            raise DomainError("need beta in (0, 1]")
         if self.dim not in KAPPA:
             raise DomainError("dimension must be 1, 2 or 3")
 

@@ -255,11 +255,13 @@ def cmd_estimate(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
 
 def cmd_variance(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     config = _experiment_config(cfg, threads)
+    scen = montecarlo.get_scenario(config.scenario)
+    if cfg.get("covariance", False) and scen.covariate is None:
+        raise ConfigurationError(f"scenario {config.scenario} declares no covariate integrand")
     t = config.grid()[0]
     summary = montecarlo.run_replications(config)
     values = summary.samples[t]["values"]
     varests = summary.samples[t]["varest"]
-    scen = montecarlo.get_scenario(config.scenario)
     f, tag = scen.make_integrand(t), scen.gen.space_tag
     # f^2 by Python's ** on floats: numpy's power may round otherwise
     nested = montecarlo.nested_h_integral(

@@ -1,4 +1,4 @@
-"""Counting measures, the hull-generator contract, and difference-operator calculus.
+"""Counting measures, the hull-generator contract, the H indicator and the axiom battery.
 
 A pattern holds one coordinate row per distinct atom, in lexicographic
 order, with its multiplicity; kernels read the rows or their array, and
@@ -14,8 +14,8 @@ store ``rows``.
 Queries have one form inside the library too: an (m, k) array of checked
 rows.  Point objects belong to the public edge: the point adapters
 ``hull_contains`` and ``hull_contains_many``, the measure algebra,
-``check_axioms`` and the difference calculus take them, and turn them into
-rows before any kernel runs.
+``h_indicator`` and ``check_axioms`` take them, and turn them into rows
+before any kernel runs.
 
 A generator is a thinning map ``mu -> boundary(mu)`` on finite counting
 measures satisfying four axioms:
@@ -523,54 +523,6 @@ def h_indicator(gen: HullGenerator, mu: PointPattern, x: SpacePoint) -> int:
     return 0 if gen.hull_contains(mu, x) else 1
 
 
-def first_difference_h(
-    gen: HullGenerator, mu: PointPattern, x: SpacePoint, z: SpacePoint
-) -> int:
-    """Change of the indicator at z under addition of x; always in {-1, 0}."""
-    return h_indicator(gen, mu.add(x), z) - h_indicator(gen, mu, z)
-
-
-def higher_difference_h(
-    gen: HullGenerator, mu: PointPattern, xs: Sequence[SpacePoint], z: SpacePoint
-) -> int:
-    """Iterated add-one-point difference of the indicator at z.
-
-    Evaluated by the recursive definition
-    ``D^{m}_{x_1..x_m} G(mu) = D^{m-1} G(mu + d_{x_m}) - D^{m-1} G(mu)``.
-    """
-    if not xs:
-        raise DomainError("higher_difference_h needs at least one added point")
-    if len(xs) == 1:
-        return first_difference_h(gen, mu, xs[0], z)
-    head = list(xs[:-1])
-    return higher_difference_h(gen, mu.add(xs[-1]), head, z) - higher_difference_h(
-        gen, mu, head, z
-    )
-
-
-def higher_difference_closed_form(
-    gen: HullGenerator, mu: PointPattern, xs: Sequence[SpacePoint], z: SpacePoint
-) -> int:
-    """Inclusion-exclusion form of the iterated difference (oracle for tests)."""
-    if not xs:
-        raise DomainError("closed form needs at least one added point")
-    m = len(xs)
-    h0 = h_indicator(gen, mu, z)
-    if h0 == 0:
-        return 0
-    total = 0
-    for mask in range(1, 1 << m):
-        added = mu
-        bits = 0
-        for j in range(m):
-            if mask >> j & 1:
-                added = added.add(xs[j])
-                bits += 1
-        hbar = 1 - h_indicator(gen, added, z)
-        total += (-1) ** (bits - 1) * hbar
-    return (-1) ** m * h0 * total
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
 
@@ -593,11 +545,10 @@ class AxiomReport:
 
     checks: dict[str, CheckCounter] = field(default_factory=dict)
     counterexamples: list[tuple[str, PointPattern, str]] = field(default_factory=list)
-    max_counterexamples: int = 20
 
     def record(self, name: str, ok: bool, mu: PointPattern, detail: str = "") -> None:
         self.checks.setdefault(name, CheckCounter()).record(ok)
-        if not ok and len(self.counterexamples) < self.max_counterexamples:
+        if not ok and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append((name, mu, detail))
 
     @property
@@ -609,7 +560,7 @@ class AxiomReport:
             mine = self.checks.setdefault(name, CheckCounter())
             mine.passed += counter.passed
             mine.failed += counter.failed
-        room = self.max_counterexamples - len(self.counterexamples)
+        room = MAX_COUNTEREXAMPLES - len(self.counterexamples)
         if room > 0:
             self.counterexamples.extend(other.counterexamples[:room])
         return self
@@ -624,6 +575,8 @@ class AxiomReport:
 # Exhaustive sub-pattern enumeration is exponential in the total mass, so the
 # checker enumerates only up to this mass and samples above it.
 EXHAUSTIVE_MASS_CAP = 6
+#: the most counterexamples an ``AxiomReport`` keeps
+MAX_COUNTEREXAMPLES = 20
 SAMPLED_SUBSETS = 64
 
 
@@ -756,14 +709,3 @@ def check_axioms(
 
     return report
 
-
-def prime_factorization_holds(
-    gen: HullGenerator, mu: PointPattern, z: SpacePoint
-) -> bool:
-    """Whether H_z(mu) equals the product of H_z over the single-atom patterns."""
-    product = 1
-    for p, _ in mu.entries:
-        product *= h_indicator(gen, PointPattern.from_points([p]), z)
-        if product == 0:
-            break
-    return h_indicator(gen, mu, z) == product

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import generators, sampling
+from . import generators
 from .core import (
     ConfigurationError,
     HullGenerator,
@@ -209,18 +209,6 @@ def hull_integral(
 ) -> float:
     """int f d(lambda restricted to the hull of mu): the hull term of ``_evaluate``."""
     return _evaluate(gen, model, f, mu)[2]
-
-
-def envelope_grid_error(gen, model, f: Integrand, mu: PointPattern) -> float:
-    """Quadrature error indicator: |I(grid) - I(doubled grid)| for band integrals."""
-    if not isinstance(model, sampling.HoelderBand):
-        raise ConfigurationError("grid-error diagnostic applies to band models")
-    coarse = hull_integral(gen, model, f, mu)
-    import dataclasses
-
-    fine_model = dataclasses.replace(model, resolution=2 * model.resolution)
-    fine = hull_integral(gen, fine_model, f, mu)
-    return abs(coarse - fine)
 
 
 # ---------------------------------------------------------------------------

@@ -176,12 +176,6 @@ def _affine_rank(coords: np.ndarray, tol: float) -> tuple[int, np.ndarray, np.nd
     return rank, c, vt[:rank]
 
 
-def _extreme_points(distinct: list[tuple], dim: int) -> list[tuple]:
-    if dim == 2:
-        return list(distinct) if len(distinct) <= 2 else _extreme_2d(distinct)
-    return _Solid(distinct).ext
-
-
 class _Solid:
     """The convex hull of distinct points of R^3, from one affine-rank pass.
 
@@ -261,7 +255,7 @@ class ConvexHullGen(HullGenerator):
         """
         rows = list(mu.rows)
         solid = _Solid(rows) if self.dim == 3 else None
-        ext = solid.ext if solid else _extreme_points(rows, 2)
+        ext = solid.ext if solid else _extreme_2d(rows)
         keep = set(ext)
         return tuple(r in keep for r in rows), ext, solid
 

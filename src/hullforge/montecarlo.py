@@ -83,7 +83,7 @@ def hoelder_scenario_params(t: float) -> analytics.HoelderScenarioParams:
     gen, band = scen.gen, scen.make_model(t)
     return analytics.HoelderScenarioParams(
         dim=gen.dim, beta=gen.beta, env_const=gen.env_const, holder_const=band.holder_const,
-        gamma=1.0, rate=band.rate, f_profiles=dict.fromkeys((1, 2, 3, 4), _ramp_superlevel))
+        rate=band.rate, f_profiles=dict.fromkeys((1, 2, 3, 4), _ramp_superlevel))
 
 
 _MEANWIDTH_K = 1.0
@@ -198,7 +198,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replications < 2:
-            raise ConfigurationError("need at least 2 replications")
+            raise ConfigurationError("need at least 2 replications (or pairs)")
         if self.replications > MAX_REPLICATIONS:
             raise ConfigurationError(f"{self.replications} replications (or pairs) are above "
                                      f"the cap of {MAX_REPLICATIONS:.0e}")

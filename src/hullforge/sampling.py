@@ -15,10 +15,10 @@ each Generator only when it is asked for.  ``RngStream.generator`` is the
 one-stream case of it, so every stream is seeded the same way.
 
 The sampler primitive of each model is ``sample_coords``: n i.i.d. draws as an
-(n, k) array of coordinate rows in its ``space_tag``.  The base class turns
-those rows into a pattern (``sample_pattern``, through
-``PointPattern.from_array``); callers that want the draws themselves, such
-as the nested probes, read the array.  No sampler builds a point object.
+(n, k) array of coordinate rows in its ``space_tag``.  ``sample_poisson``
+turns those rows into a pattern through ``PointPattern.from_array``; callers
+that want the draws themselves, such as the nested probes, read the array.
+No sampler builds a point object.
 
 Each batch of a sampler takes its doubles from one ``rng.random`` call and
 maps a double u to ``low + (high - low) * u``, the arithmetic of
@@ -178,14 +178,23 @@ class IntensityModel:
         """n i.i.d. draws from the normalized intensity, as (n, k) coordinate rows."""
         raise NotImplementedError
 
-    def sample_pattern(self, rng: np.random.Generator) -> PointPattern:
-        n = int(rng.poisson(self.total_mass))
-        return PointPattern.from_array(self.space_tag, self.sample_coords(n, rng))
-
 
 def _check_rate(rate: float) -> None:
     if not 0 <= rate < math.inf:
         raise ConfigurationError(f"rate must be finite and >= 0, got {rate!r}")
+
+
+def _check_finite(model: IntensityModel, *names: str) -> None:
+    """Refuse a NaN or infinite parameter when the model is built.
+
+    Such a parameter would fail only at the first draw, or make a rejection
+    sampler accept no row and loop forever.
+    """
+    for name in names:
+        value = getattr(model, name)
+        if not all(map(math.isfinite, value if isinstance(value, (tuple, list)) else (value,))):
+            raise ConfigurationError(f"{type(model).__name__} {name} must be finite, "
+                                     f"got {value!r}")
 
 
 def _unit_circle(ang: np.ndarray) -> np.ndarray:
@@ -204,11 +213,11 @@ class UniformBox(IntensityModel):
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or not 1 <= len(self.lo) <= 3:
             raise ConfigurationError("box bounds must share a dimension in 1..3")
+        _check_finite(self, "lo", "hi")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ConfigurationError("box must be nondegenerate")
         _check_rate(self.rate)
         vol = math.prod(h - l for l, h in zip(self.lo, self.hi))
-        object.__setattr__(self, "_volume", vol)
         object.__setattr__(self, "_mass", self.rate * vol)
         object.__setattr__(self, "_lo", np.array(self.lo, dtype=float))
         object.__setattr__(self, "_span", np.array(self.hi, dtype=float) - self._lo)
@@ -220,10 +229,6 @@ class UniformBox(IntensityModel):
     @property
     def space_tag(self) -> tuple:
         return ("euclid", self.dim)
-
-    @property
-    def volume(self) -> float:
-        return self._volume
 
     @property
     def total_mass(self) -> float:
@@ -243,6 +248,7 @@ class UniformDisk(IntensityModel):
     space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
+        _check_finite(self, "center", "radius")
         if self.radius <= 0:
             raise ConfigurationError("disk radius must be positive")
         _check_rate(self.rate)
@@ -337,6 +343,7 @@ class UniformAnnulus(IntensityModel):
     space_tag = ("euclid", 2)
 
     def __post_init__(self) -> None:
+        _check_finite(self, "r_inner", "r_outer")
         if not 0 <= self.r_inner < self.r_outer:
             raise ConfigurationError("annulus needs 0 <= r_inner < r_outer")
         _check_rate(self.rate)
@@ -375,6 +382,7 @@ class HoelderBand(IntensityModel):
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or not 1 <= len(self.lo) <= 2:
             raise ConfigurationError("band window must be 1- or 2-dimensional")
+        _check_finite(self, "lo", "hi", "phi_sup", "phi_integral", "holder_const", "holder_exp")
         if any(not l < h for l, h in zip(self.lo, self.hi)):
             raise ConfigurationError(f"band window needs lo < hi, got {self.lo} and {self.hi}")
         if self.resolution < 1:
@@ -463,6 +471,7 @@ class LinesBand(IntensityModel):
     space_tag = ("line",)
 
     def __post_init__(self) -> None:
+        _check_finite(self, "h_inner", "h_outer")
         if not 0 <= self.h_inner < self.h_outer:
             raise ConfigurationError("need 0 <= h_inner < h_outer")
         _check_rate(self.rate)
@@ -495,6 +504,7 @@ class HalfLine(IntensityModel):
     space_tag = ("euclid", 1)
 
     def __post_init__(self) -> None:
+        _check_finite(self, "start")
         if not (0 < self.rate < math.inf and 0 < self.horizon < math.inf):
             raise ConfigurationError("need a positive finite rate and horizon")
 
@@ -520,7 +530,8 @@ def sample_poisson(model: IntensityModel, rng: np.random.Generator) -> PointPatt
     """
     if model.total_mass < 0 or not math.isfinite(model.total_mass):
         raise DomainError("model must have finite nonnegative total mass")
-    return model.sample_pattern(rng)
+    n = int(rng.poisson(model.total_mass))
+    return PointPattern.from_array(model.space_tag, model.sample_coords(n, rng))
 
 
 def trimmed_resample(model, gen, observed: PointPattern, rng: np.random.Generator) -> PointPattern:

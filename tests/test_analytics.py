@@ -56,7 +56,6 @@ def _flat_params(rate=1.0, holder_const=0.0):
         beta=1.0,
         env_const=1.0,
         holder_const=holder_const,
-        gamma=1.0,
         rate=rate,
         f_profiles={i: prof for i in (1, 2, 3, 4)},
     )
@@ -102,7 +101,7 @@ def test_pair_bound_dominates_single_widecone_bound():
 
 def test_variance_bounds_zero_profile_and_order():
     zero = HoelderScenarioParams(
-        dim=1, beta=1.0, env_const=1.0, holder_const=0.5, gamma=1.0, rate=2.0,
+        dim=1, beta=1.0, env_const=1.0, holder_const=0.5, rate=2.0,
         f_profiles={i: (lambda u: 0.0) for i in (1, 2, 3, 4)},
     )
     assert hoelder_variance_bounds(zero) == (0.0, 0.0)
@@ -121,7 +120,7 @@ def test_variance_bounds_grow_at_square_root_rate():
 
 def test_clt_terms_zero_integrand():
     params = HoelderScenarioParams(
-        dim=1, beta=1.0, env_const=1.0, holder_const=0.5, gamma=1.0, rate=4.0,
+        dim=1, beta=1.0, env_const=1.0, holder_const=0.5, rate=4.0,
         f_profiles={i: (lambda u: 0.0) for i in (1, 2, 3, 4)},
     )
     with pytest.raises(DomainError):

@@ -289,6 +289,25 @@ def test_huge_nested_probes_exit_2_before_any_draw(tmp_path, capsys, monkeypatch
     assert not (out / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, body, loop, message", [
+    ("variance", {"scenario": "convex_square", "replications": 10, "covariance": True},
+     "run_replications", "scenario convex_square declares no covariate integrand"),
+    ("markov", {"scenario": "convex_square", "pairs": 1},
+     "markov_two_sample", "need at least 2 replications (or pairs)"),
+], ids=["covariance-without-covariate", "one-pair"])
+def test_refused_config_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                               command, body, loop, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr(montecarlo, loop, refuse)
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **body})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "x.csv").exists()
+
+
 def test_estimate_fails_on_a_nan_residual_after_the_first_replication(tmp_path,
                                                                       nan_residual_at):
     nan_residual_at(7)

@@ -27,7 +27,6 @@ from hullforge.core import (
     SpaceMismatchError,
     check_axioms,
     point_from_row,
-    prime_factorization_holds,
 )
 from hullforge.corpora import GENERATOR_SUITE, euclid_corpus
 from hullforge.estimators import Indicator, PowerDepth
@@ -39,6 +38,7 @@ from hullforge.sampling import (
     UniformBox,
     sample_poisson,
 )
+from oracles import prime_factorization_holds
 
 
 # -- convex hull kernel -------------------------------------------------------

@@ -212,7 +212,7 @@ def test_count_distribution_chi2(name):
     model = MODELS[name]
     stream = RngStream(2024)
     rng = stream.generator()
-    counts = np.array([model.sample_pattern(rng).total_mass for _ in range(100_000)])
+    counts = np.array([sample_poisson(model, rng).total_mass for _ in range(100_000)])
     lam = model.total_mass
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -267,14 +267,37 @@ def test_band_levels_marginally_uniform_for_flat_boundary():
     {"lo": (1.0,), "hi": (0.0,)}, {"lo": (0.5,), "hi": (0.5,)},
     {"lo": (0.0, 1.0), "hi": (1.0, 1.0)}, {"lo": (0.0,), "hi": (math.nan,)},
     {"resolution": 0}, {"resolution": -3},
-], ids=["reversed", "empty", "flat-2d", "nan", "resolution-0", "resolution-negative"])
+    {"hi": (math.inf,)}, {"lo": (-math.inf,)}, {"phi_sup": math.nan}, {"phi_sup": math.inf},
+], ids=["reversed", "empty", "flat-2d", "nan", "resolution-0", "resolution-negative",
+        "hi-inf", "lo-inf", "phi_sup-nan", "phi_sup-inf"])
 def test_band_refuses_a_bad_window_or_resolution(window):
-    # refused at construction: not later by numpy's uniform or by a division in band_grid
+    # refused at construction: not later by numpy's uniform or by a division in
+    # band_grid; an infinite window or phi_sup made the sampler accept no row,
+    # and the alarm turns that hang into a failure
     args = dict(lo=(0.0,), hi=(1.0,), phi=lambda s: np.ones(len(s)), phi_sup=1.0,
                 phi_integral=1.0, holder_const=0.0, holder_exp=1.0)
-    with pytest.raises(ConfigurationError, match="lo < hi|resolution"):
-        HoelderBand(**{**args, **window})
+    with _time_limit(10), pytest.raises(ConfigurationError, match="lo < hi|resolution|finite"):
+        sample_poisson(HoelderBand(**{**args, **window}), np.random.default_rng(0))
     HoelderBand(**args)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniformDisk((0, 0), math.nan),
+    lambda: UniformDisk((math.inf, 0), 1),
+    lambda: UniformBox((math.nan,), (1,)),
+    lambda: UniformBox((0,), (math.inf,)),
+    lambda: UniformAnnulus(0, math.inf),
+    lambda: LinesBand(0, math.inf),
+    lambda: HalfLine(start=math.nan),
+    lambda: HalfLine(start=math.inf),
+    lambda: HoelderBand(lo=(0.0,), hi=(1.0,), phi=lambda s: np.ones(len(s)), phi_sup=1.0,
+                        phi_integral=math.inf, holder_const=0.0, holder_exp=1.0),
+], ids=["disk-radius-nan", "disk-center-inf", "box-lo-nan", "box-hi-inf", "annulus-outer-inf",
+        "lines-outer-inf", "halfline-start-nan", "halfline-start-inf", "band-integral-inf"])
+def test_models_refuse_a_non_finite_parameter(build):
+    # refused at construction, not with a DomainError at the first draw
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        build()
 
 
 def test_band_envelopes_stay_below_boundary():
