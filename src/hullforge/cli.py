@@ -127,16 +127,13 @@ _t = _reader("a positive finite number", _t_value, lambda v: (float(v),))  # a o
 _grid = _reader("a list of positive finite numbers",
                 lambda v: isinstance(v, list) and all(map(_t_value, v)),
                 lambda v: tuple(map(float, v)))
-_band = _reader("two numbers lo <= hi",
-                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_real, v))
-                and v[0] <= v[1], tuple)
 _generators = _reader(f"a list of names from {sorted(corpora.GENERATOR_SUITE)}",
                       lambda v: isinstance(v, list) and all(
                           isinstance(n, str) and n in corpora.GENERATOR_SUITE for n in v))
 
 _EVERY = {"schema": _schema, "name": _name, "seed": _integer}
 _SCENARIO = {**_EVERY, "scenario": _text}
-_SLOPE = {**_SCENARIO, "replications": _integer, "t_grid": _grid, "slope_band": _band}
+_SLOPE = {**_SCENARIO, "replications": _integer, "t_grid": _grid}
 
 #: command -> {config key: reader}; the only keys a command's config may hold
 _KEYS = {
@@ -320,8 +317,8 @@ def cmd_markov(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     }
 
 
-def _slope_run(cfg: dict, threads: int, band: tuple[float, float]):
-    """(config, scenario, summary, slope band) of a run whose log-log slope is checked.
+def _slope_run(cfg: dict, threads: int):
+    """(config, scenario, summary) of a run whose log-log slope is checked.
 
     The fit needs 4 grid points; the scenario must have analytic bounds.
     """
@@ -331,18 +328,17 @@ def _slope_run(cfg: dict, threads: int, band: tuple[float, float]):
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
         raise ConfigurationError(f"scenario {scen.name} has no analytic bounds")
-    return config, scen, montecarlo.run_replications(config), cfg.get("slope_band", band)
+    return config, scen, montecarlo.run_replications(config)
 
 
 def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
-    config, scen, summary, (lo, hi) = _slope_run(cfg, threads, (-0.40, -0.10))
+    config, scen, summary = _slope_run(cfg, threads)
+    lo, hi = -0.40, -0.10  # the W1 slope band
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))
     bound = sum(terms)
     w1_last = summary.rows[-1].w1
-    slope_ok = (
-        summary.w1_slope is not None and lo <= summary.w1_slope <= hi
-    )
+    slope_ok = summary.w1_slope is not None and lo <= summary.w1_slope <= hi
     bound_ok = w1_last <= bound
     rows = [(r.t, r.mean, r.variance, r.w1, r.ks) for r in summary.rows]
     _write_csv(out / f"{cfg['name']}.csv", ["t", "mean", "variance", "w1", "ks"], rows)
@@ -362,10 +358,9 @@ def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
 
 
 def cmd_rates(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
-    config, scen, summary, (lo, hi) = _slope_run(cfg, threads, (0.40, 0.60))
-    slope_ok = (
-        summary.variance_slope is not None and lo <= summary.variance_slope <= hi
-    )
+    config, scen, summary = _slope_run(cfg, threads)
+    lo, hi = 0.40, 0.60  # the variance slope band
+    slope_ok = summary.variance_slope is not None and lo <= summary.variance_slope <= hi
     rows = []
     bracket_ok = True
     for r in summary.rows:

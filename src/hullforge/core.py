@@ -431,11 +431,11 @@ class HullGenerator(ABC):
     ``boundary`` and ``survival_mask`` check it and answer the empty one.
     ``leave_one_out_mask`` defaults to the definitional loop over
     ``hull_contains``, and an override must equal it.  Planar convex hulls,
-    coordmin, Pareto, half-planes and the disk hull override it with kernels
-    that never call ``boundary_mask``, so their error identity compares two
-    independent computations; ``EnvelopeGen`` returns its boundary mask, so
-    its identity compares that mask with itself; 3-D convex hulls and
-    ``corpora.LexDropGen`` keep the loop.
+    coordmin, Pareto (a domination matrix), half-planes and the disk hull
+    override it with kernels that never call ``boundary_mask``, so their
+    error identity compares two independent computations; ``EnvelopeGen``
+    returns its boundary mask, so its identity compares that mask with
+    itself; 3-D convex hulls and ``corpora.LexDropGen`` keep the loop.
 
     ``point_limit`` is the most expected points per pattern a class takes:
     where its largest kernel array, or Python loop, reaches ``KERNEL_BUDGET``

@@ -344,6 +344,12 @@ class ParetoGen(HullGenerator):
     A point dominates another when it is coordinatewise >= and distinct.  The
     hull is the region dominating at least one point, minus the minimal points
     themselves; H factorizes over atoms (prime property).
+
+    Sorted-prefix rule: row i of ``mu.coords`` is minimal iff no earlier row
+    is <= it in the coordinates after the first.  Sorted, distinct rows make
+    this sufficient: a row <= row i and distinct from it sorts before it, and
+    every earlier row is <= row i in the first coordinate.  A query is in the
+    hull iff some minimal row other than itself is coordinatewise <= it.
     """
 
     dim: int = 2
@@ -354,26 +360,27 @@ class ParetoGen(HullGenerator):
             raise ConfigurationError("pareto generator supports d in 1..3")
         object.__setattr__(self, "space_tag", ("euclid", self.dim))
 
-    def _minimal(self, mu: PointPattern) -> tuple[bool, ...]:
-        """Per row: is no other row coordinatewise <= it?"""
-        rows = mu.rows
-        return tuple(
-            not any(q != r and all(a <= b for a, b in zip(q, r)) for q in rows) for r in rows
-        )
+    def _frontier(self, mu: PointPattern) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, minimal rows) of ``mu.coords`` by the sorted-prefix rule."""
+        x = mu.coords.reshape(-1, self.dim)  # the empty pattern's (0, 0) coords as (0, dim)
+        if self.dim < 3:
+            # y strictly below every earlier y (Kung, Luccio and Preparata, 1975); in 1-D
+            # y is x, strictly increasing, so the first row alone is minimal
+            y = x[:, -1]
+            mask = y < np.minimum.accumulate(np.concatenate(([math.inf], y[:-1])))
+        else:
+            tail = x[:, 1:]
+            below = np.all(tail[None, :, :] <= tail[:, None, :], axis=2)  # tail_j <= tail_i
+            mask = ~np.tril(below, -1).any(axis=1)
+        return mask, x[mask]
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        if self.dim == 1:  # the rows are sorted and distinct: the first alone is minimal
-            return (True,) + (False,) * (len(mu.mults) - 1) if mu.mults else ()
-        return self._minimal(mu)
+        return tuple(self._frontier(mu)[0].tolist())
 
     def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
-        """Coordinatewise >= some support point, and not a minimal point itself."""
-        if self.dim == 1:  # above the least row (none above an empty pattern's +inf)
-            least = mu.coords[0, 0] if mu.mults else math.inf
-            return (queries[:, 0] > least).tolist()
-        # a minimal row is below no other row, so leaving q itself out answers False for it
-        return [any(r != q and all(a <= b for a, b in zip(r, q)) for r in mu.rows)
-                for q in map(tuple, queries.tolist())]
+        """Some minimal row other than the query itself is coordinatewise <= it."""
+        low, q = self._frontier(mu)[1], queries[:, None, :]
+        return (np.all(low <= q, axis=2) & np.any(low != q, axis=2)).any(axis=1).tolist()
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from a domination matrix.
@@ -876,13 +883,9 @@ def _coordmin_rule(gen: CoordMinGen, model, mu: PointPattern):
 def _pareto_box_rule(gen: ParetoGen, model, mu: PointPattern):
     if gen.dim > 2:
         raise ConfigurationError("pareto hull mass supports d <= 2 on boxes")
-    mask = gen.boundary_mask(mu)
-    minimal = list(compress(mu.rows, mask))
-    if gen.dim == 1:
-        mass = model.rate * max(0.0, model.hi[0] - max(model.lo[0], minimal[0][0]))
-    else:
-        mass = model.rate * _staircase_area(minimal, model.lo, model.hi)
-    return mask, mass, None
+    mask, low = gen._frontier(mu)
+    mass = model.rate * _staircase_area(low.tolist(), model.lo, model.hi)
+    return tuple(mask.tolist()), mass, None
 
 
 def _pareto_halfline_rule(gen: ParetoGen, model, mu: PointPattern):
@@ -973,17 +976,17 @@ def hull_mass(gen: HullGenerator, mu: PointPattern, model) -> float:
     return finite_mass(evaluate(gen, model, mu)[1])
 
 
-def _staircase_area(minimal: list[tuple[float, float]], lo, hi) -> float:
-    """Area of the union of upper-right quadrants of the minimal points, in a box.
+def _staircase_area(minimal: list[list[float]], lo, hi) -> float:
+    """Mass of the union of the minimal rows' upper orthants in a box, d <= 2.
 
-    ``minimal`` comes in row order: x increasing, y strictly falling.
+    ``minimal`` comes in row order: x increasing and, in 2-D, y strictly
+    falling.  Each row's slab runs from its x to the next row's, as high as
+    the box above its y (height 1 in 1-D); the slabs are summed left to right.
     """
-    (lx, ly), (hx, hy) = lo, hi
     area = 0.0
-    frontier = [(max(x, lx), max(y, ly)) for x, y in minimal]
-    for i, (x, y) in enumerate(frontier):
-        x_next = frontier[i + 1][0] if i + 1 < len(frontier) else hx
-        w = max(0.0, min(x_next, hx) - min(x, hx))
-        h = max(0.0, hy - y)
-        area += w * h
+    frontier = [[max(c, l) for c, l in zip(row, lo)] for row in minimal]
+    for i, (x, *ys) in enumerate(frontier):
+        x_next = frontier[i + 1][0] if i + 1 < len(frontier) else hi[0]
+        w = max(0.0, min(x_next, hi[0]) - min(x, hi[0]))
+        area += w * math.prod(max(0.0, h - y) for y, h in zip(ys, hi[1:]))
     return area

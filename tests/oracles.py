@@ -2,7 +2,8 @@
 
 Slow, direct forms of paper properties that the tests check generators
 against: iterated add-one-point differences of the indicator, their
-inclusion-exclusion closed form, and the prime factorisation of H.
+inclusion-exclusion closed form, the prime factorisation of H, and the
+pairwise Pareto minimality and membership rules.
 """
 
 from __future__ import annotations
@@ -66,3 +67,17 @@ def prime_factorization_holds(
         if product == 0:
             break
     return h_indicator(gen, mu, z) == product
+
+
+def pareto_minimal(mu: PointPattern) -> tuple[bool, ...]:
+    """Per row of ``mu``: is no other row coordinatewise <= it?  O(n^2) pairs."""
+    rows = mu.rows
+    return tuple(
+        not any(q != r and all(a <= b for a, b in zip(q, r)) for q in rows) for r in rows
+    )
+
+
+def pareto_contains(mu: PointPattern, queries) -> list[bool]:
+    """Per query row: is some row of ``mu`` other than the query coordinatewise <= it?"""
+    return [any(r != q and all(a <= b for a, b in zip(r, q)) for r in mu.rows)
+            for q in map(tuple, queries)]

@@ -214,7 +214,6 @@ _REFUSED = {
     cli._flag: "true",
     cli._t: True,
     cli._grid: 5.0,
-    cli._band: [1],
     cli._generators: ["convex9"],
 }
 _DECLARED = [(command, key) for command, keys in cli._KEYS.items() for key in keys]
@@ -230,6 +229,17 @@ def test_every_declared_key_refuses_a_bad_value(tmp_path, capsys, command, key):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (out / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["clt", "rates"])
+def test_slope_band_is_an_unknown_key(tmp_path, capsys, command):
+    # each command's slope band is a constant: a well-formed band is refused too
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **_VALID[command],
+                                      "slope_band": [-1.0, 1.0]})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['slope_band']\n"
     assert not (out / "x.csv").exists()
 
 

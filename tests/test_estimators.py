@@ -258,7 +258,7 @@ def test_flat_integrands_match_hull_mass():
 
 @pytest.mark.parametrize("scenario, t, owner, kernel", [
     pytest.param("convex_square", 50.0, generators, "_extreme_2d", id="convex_square"),
-    pytest.param("pareto_square", 20.0, ParetoGen, "_minimal", id="pareto_square"),
+    pytest.param("pareto_square", 20.0, ParetoGen, "_frontier", id="pareto_square"),
     pytest.param("disk_support_sanity", 8.0, DiskHullGen, "_separable", id="disk_support_sanity"),
 ])
 def test_hull_estimate_reads_the_geometry_once(spy, scenario, t, owner, kernel):

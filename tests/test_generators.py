@@ -38,7 +38,7 @@ from hullforge.sampling import (
     UniformBox,
     sample_poisson,
 )
-from oracles import prime_factorization_holds
+from oracles import pareto_contains, pareto_minimal, prime_factorization_holds
 
 
 # -- convex hull kernel -------------------------------------------------------
@@ -254,8 +254,7 @@ def test_array_membership_equals_the_point_adapters_and_the_atom_rule(name):
 
 
 @pytest.mark.parametrize("owner, kernel, gen, reads", [
-    # the Pareto rule leaves each query out of its own domination test: no minimal set
-    pytest.param(ParetoGen, "_minimal", ParetoGen(2), 0, id="pareto"),
+    pytest.param(ParetoGen, "_frontier", ParetoGen(2), 1, id="pareto"),
     pytest.param(CoordMinGen, "_argmins", CoordMinGen(), 1, id="coordmin"),
     pytest.param(ConvexHullGen, "_extreme", ConvexHullGen(2), 1, id="convex2"),
 ])
@@ -453,24 +452,21 @@ def _rows(values, dim):
     return [tuple(values[i:i + dim]) for i in range(0, len(values) - dim + 1, dim)]
 
 
-@given(st.sampled_from([1, 2]), st.lists(_LINE_VALUES, max_size=24),
-       st.lists(_LINE_VALUES, max_size=16), st.booleans())
-def test_pareto_1d_fast_path_matches_the_pairwise_reference(dim, values, queries, from_array):
-    # repeated values and both signs of zero; the pattern built either way; in 2-D the
-    # membership rule, which builds no minimal set, against the one that does
+@given(st.sampled_from([1, 2, 3]), st.lists(_LINE_VALUES, max_size=36),
+       st.lists(_LINE_VALUES, max_size=18), st.booleans())
+def test_pareto_masks_match_the_pairwise_reference(dim, values, queries, from_array):
+    # repeated values and both signs of zero, the empty pattern and atom queries; the
+    # pattern built either way
     gen = ParetoGen(dim)
     rows = _rows(values, dim)
     if from_array and rows:
         mu = PointPattern.from_array(("euclid", dim), np.array(rows))
     else:
         mu = PointPattern.from_points(euclid(*r) for r in rows)
-    minimal = gen._minimal(mu)
-    assert gen.boundary_mask(mu) == minimal
-    points = [euclid(*q) for q in _rows(queries, dim) + rows]  # atoms among the queries
-    least = set(itertools.compress(mu.rows, minimal))
-    want = [x.row not in least and any(all(a <= b for a, b in zip(r, x.coords)) for r in mu.rows)
-            for x in points]
-    assert gen.contains_mask(mu, np.array([x.row for x in points]).reshape(-1, dim)) == want
+    if rows:
+        assert gen.boundary_mask(mu) == pareto_minimal(mu)
+    q = np.array(_rows(queries, dim) + rows).reshape(-1, dim)  # atoms among the queries
+    assert gen.contains_mask(mu, q) == pareto_contains(mu, q.tolist())
 
 
 # -- half-plane generator -----------------------------------------------------

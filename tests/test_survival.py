@@ -196,7 +196,7 @@ def test_convex2_and_pareto_masks_do_not_use_the_boundary_map(monkeypatch):
     cases = ((convex, mu), (pareto, mu), (coordmin, mu), (halfplane, lines), (diskhull, mu))
     want = tuple(oracle(gen, nu) for gen, nu in cases)
     monkeypatch.setattr(generators, "_extreme_2d", _refuse)
-    monkeypatch.setattr(ParetoGen, "_minimal", _refuse)
+    monkeypatch.setattr(ParetoGen, "_frontier", _refuse)
     monkeypatch.setattr(CoordMinGen, "_argmins", _refuse)
     monkeypatch.setattr(ConvexHullGen, "_extreme", _refuse)
     monkeypatch.setattr(HalfPlaneGen, "_edge_mask", _refuse)
