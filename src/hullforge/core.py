@@ -6,10 +6,12 @@ point objects are views built on demand by ``point_from_row``.  Its store
 is either the array ``coords`` or the tuples ``rows``, and the other is
 built on first use.  Sampled patterns are built array-first by
 ``PointPattern.from_array``: the rows are sorted and merged as an array,
-which is the store, and the estimate path reads only that array.  The
-measure algebra (``add``, ``remove``, ``+``, ``-``, ``with_mults``) and
-``from_points`` work on row tuples through ``_canonical``, whose patterns
-store ``rows``.
+which is the store, and the estimate path reads only that array.
+``from_points`` sorts and merges point rows through ``_canonical``.  The
+measure algebra keeps the canonical order of its operands' row tuples, so
+nothing is re-sorted: ``with_mults`` filters them, ``add`` and ``remove``
+bisect one row in or out, and ``+`` and ``-`` merge two patterns' rows
+(``_merged``).  Every pattern they build stores ``rows``.
 
 Queries have one form inside the library too: an (m, k) array of checked
 rows.  Point objects belong to the public edge: the point adapters
@@ -233,7 +235,9 @@ class PointPattern:
     if ``from_array`` built it and ``rows`` otherwise, and builds the other on
     first use.  ``space_tag`` is None only for the empty pattern.  Point
     objects are views: ``support()`` and ``entries`` build them lazily, once
-    per pattern.  Patterns are immutable.
+    per pattern.  Patterns are immutable.  The measure algebra reads and
+    builds ``rows`` in their canonical order; where two operands hold rows
+    equal up to the sign of a zero, the result keeps the left operand's row.
     """
 
     mults: tuple[int, ...]
@@ -352,39 +356,58 @@ class PointPattern:
     # -- measure algebra ----------------------------------------------------
 
     def with_mults(self, mults: Iterable[int]) -> "PointPattern":
-        """The same atoms with new multiplicities, one per row; atoms given 0 drop out."""
-        return _canonical(self.space_tag, dict(zip(self.rows, mults)))
+        """The same atoms with new multiplicities, one per row; atoms given 0 drop out.
 
-    def _plus(self, rows: Iterable[tuple], deltas: Iterable[int]) -> dict:
-        """Row -> count map of this pattern with ``deltas`` added at ``rows``."""
-        counts = dict(zip(self.rows, self.mults))
-        for r, d in zip(rows, deltas):
-            counts[r] = counts.get(r, 0) + d
-        return counts
+        The kept rows stay in order.  Rows past the end of a short ``mults``
+        drop out too, as ``zip`` leaves them.
+        """
+        kept = [(r, m) for r, m in zip(self.rows, mults) if m > 0]
+        return PointPattern(*zip(*kept), self.space_tag) if kept else _EMPTY
+
+    def _bumped(self, point: SpacePoint, delta: int) -> "PointPattern":
+        """This pattern with ``delta`` added to the count of ``point``'s row.
+
+        The row is bisected in, or out where its count ends at 0 or below.  A
+        stored row equal to it up to the sign of a zero keeps its form.
+        """
+        rows, mults, row = self.rows, self.mults, point.row
+        i = j = bisect_left(rows, row)
+        if i < len(rows) and rows[i] == row:
+            row, delta, j = rows[i], mults[i] + delta, i + 1
+        keep = delta > 0
+        return _pattern(point.space_tag, rows[:i] + (row,) * keep + rows[j:],
+                        mults[:i] + (delta,) * keep + mults[j:])
 
     def add(self, point: SpacePoint, count: int = 1) -> "PointPattern":
         self.check_space(point)
-        return _canonical(point.space_tag, self._plus([point.row], [count]))
+        return self._bumped(point, count)
 
     def remove(self, point: SpacePoint, count: int = 1) -> "PointPattern":
+        self.check_space(point)
         if self.multiplicity(point) < count:
             raise DomainError("cannot remove more mass than present")
-        return _canonical(self.space_tag, self._plus([point.row], [-count]))
+        return self._bumped(point, -count)
+
+    def _check_other(self, other: "PointPattern") -> None:
+        if other.space_tag != self.space_tag:
+            raise SpaceMismatchError(f"mixed ground spaces {self.space_tag} vs {other.space_tag}")
 
     def __add__(self, other: "PointPattern") -> "PointPattern":
         if self.is_empty or other.is_empty:
             return other if self.is_empty else self
-        if other.space_tag != self.space_tag:
-            raise SpaceMismatchError(f"mixed ground spaces {self.space_tag} vs {other.space_tag}")
-        return _canonical(self.space_tag, self._plus(other.rows, other.mults))
+        self._check_other(other)
+        rows, mults, _ = _merged(self.rows, self.mults, other.rows, other.mults)
+        return _pattern(self.space_tag, rows, mults)
 
     def __sub__(self, other: "PointPattern") -> "PointPattern":
         if other.is_empty:
             return self
-        counts = self._plus(other.rows, (-m for m in other.mults))
-        if other.space_tag != self.space_tag or min(counts.values()) < 0:
+        if not self.is_empty:
+            self._check_other(other)
+        rows, mults, signed = _merged(self.rows, self.mults, other.rows, [-m for m in other.mults])
+        if signed:
             raise DomainError("subtraction would give a signed measure")
-        return _canonical(self.space_tag, counts)
+        return _pattern(self.space_tag, rows, mults)
 
     def __le__(self, other: "PointPattern") -> bool:
         if self.is_empty or other.space_tag != self.space_tag:
@@ -399,13 +422,45 @@ _EMPTY = PointPattern((), (), None)
 def _canonical(space_tag: tuple | None, counts: dict) -> PointPattern:
     """The pattern of a row -> count map: rows sorted, non-positive counts dropped.
 
-    Every constructor and every algebra operation ends here.  Rows that
-    compare equal (0.0 and -0.0) are one key of ``counts``, so they merge.
+    ``from_points`` ends here.  Rows that compare equal (0.0 and -0.0) are
+    one key of ``counts``, so they merge into the first one.
     """
     rows = sorted(r for r, m in counts.items() if m > 0)
     if not rows:
         return _EMPTY
     return PointPattern(tuple(rows), tuple(counts[r] for r in rows), space_tag)
+
+
+def _merged(rows: tuple, mults: tuple, more: tuple, deltas: Sequence[int]):
+    """(rows, counts, signed): ``rows`` with ``deltas[j]`` added to the count of ``more[j]``.
+
+    ``rows`` and ``more`` are sorted and distinct, so one merge pass of both
+    gives the result in order, without a sort.  A row of ``more`` equal to
+    one of ``rows`` up to the sign of a zero adds to it, and the row of
+    ``rows`` is kept, as ``_canonical``'s first key is.  Rows whose count
+    ends at 0 or below drop out; ``signed`` says whether one ended below 0.
+    """
+    out, counts, signed, i, n = [], [], False, 0, len(rows)
+    for r, d in zip(more, deltas):
+        while i < n and rows[i] < r:
+            out.append(rows[i])
+            counts.append(mults[i])
+            i += 1
+        if i < n and rows[i] == r:
+            r, d = rows[i], mults[i] + d
+            i += 1
+        if d > 0:
+            out.append(r)
+            counts.append(d)
+        signed = signed or d < 0
+    out += rows[i:]
+    counts += mults[i:]
+    return out, counts, signed
+
+
+def _pattern(space_tag: tuple | None, rows, mults) -> PointPattern:
+    """The pattern of sorted, distinct rows and their positive counts."""
+    return PointPattern(tuple(rows), tuple(mults), space_tag) if rows else _EMPTY
 
 
 class HullGenerator(ABC):
@@ -546,10 +601,16 @@ class AxiomReport:
     checks: dict[str, CheckCounter] = field(default_factory=dict)
     counterexamples: list[tuple[str, PointPattern, str]] = field(default_factory=list)
 
-    def record(self, name: str, ok: bool, mu: PointPattern, detail: str = "") -> None:
+    def record(self, name: str, ok: bool, mu: PointPattern, detail: str = "", *args) -> None:
+        """Count one check; keep a failed one as a counterexample while there is room.
+
+        ``detail`` is a ``str.format`` template of ``args``.  It is formatted
+        only when the check is kept, so a check that passes, or one failing
+        after ``MAX_COUNTEREXAMPLES`` are kept, formats nothing.
+        """
         self.checks.setdefault(name, CheckCounter()).record(ok)
         if not ok and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
-            self.counterexamples.append((name, mu, detail))
+            self.counterexamples.append((name, mu, detail.format(*args)))
 
     @property
     def all_passed(self) -> bool:
@@ -631,7 +692,7 @@ def check_axioms(
         # (H2) additivity on boundary points
         for p, _ in bd.entries:
             ok = gen.boundary(mu.add(p)) == bd.add(p)
-            report.record("H2", ok, mu, f"x={p}")
+            report.record("H2", ok, mu, "x={}", p)
 
         # (H3a) idempotency of the boundary
         report.record("H3a", gen.boundary(bd) == bd, mu)
@@ -643,7 +704,7 @@ def check_axioms(
         else:
             subs = [_sub_pattern_random(rest, rng) for _ in range(SAMPLED_SUBSETS)]
         for psi in subs:
-            report.record("H3", gen.boundary(bd + psi) == bd, mu, f"psi mass {psi.total_mass}")
+            report.record("H3", gen.boundary(bd + psi) == bd, mu, "psi mass {.total_mass}", psi)
 
         # candidates mu' <= mu with boundary(mu') == boundary(mu)
         candidates = [bd, mu]
@@ -672,18 +733,18 @@ def check_axioms(
         # remove-one-point identity: H_x(mu - d_x) == H_x(mu) for x in mu
         for (p, _), inside in zip(mu.entries, at_atoms):
             ok = gen.hull_contains(mu.remove(p), p) == inside
-            report.record("minus_point", ok, mu, f"x={p}")
+            report.record("minus_point", ok, mu, "x={}", p)
 
         # structural facts: hull(mu) == hull(boundary(mu)); boundary is the
         # restriction of mu to the hull complement; definitional membership
         in_bd = gen.hull_contains_many(bd, probe_slice)
         for q, inside, inside_bd in zip(probe_slice, in_mu, in_bd):
-            report.record("hull_of_boundary", inside == inside_bd, mu, f"q={q}")
+            report.record("hull_of_boundary", inside == inside_bd, mu, "q={}", q)
             ok = inside == (gen.boundary(mu.add(q)) == bd)
-            report.record("membership_definition", ok, mu, f"q={q}")
+            report.record("membership_definition", ok, mu, "q={}", q)
         for (p, m), inside in zip(mu.entries, at_atoms):
             expect = 0 if inside else m
-            report.record("boundary_restriction", bd.multiplicity(p) == expect, mu, f"x={p}")
+            report.record("boundary_restriction", bd.multiplicity(p) == expect, mu, "x={}", p)
 
         # two-point identity and cyclic products over probe tuples
         for _ in range(4):
@@ -694,7 +755,7 @@ def check_axioms(
             hx, hy = h_indicator(gen, mu, x), h_indicator(gen, mu, y)
             hxy, hyx = h_indicator(gen, mu.add(x), y), h_indicator(gen, mu.add(y), x)
             ok = (1 - hxy) * (1 - hyx) == (1 - hx) * (1 - hy)
-            report.record("two_point_identity", ok, mu, f"x={x} y={y}")
+            report.record("two_point_identity", ok, mu, "x={} y={}", x, y)
             report.record("cyclic_2", (hxy - hy) * (hyx - hx) == 0, mu)
         # cyclic identity for 3-tuples, with h(mu, z) of every probe asked in one batch
         triples = [rng.sample(probes, 3) for _ in range(4)] if len(probes) >= 3 else []

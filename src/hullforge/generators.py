@@ -442,12 +442,13 @@ class EnvelopeGen(HullGenerator):
             return np.full(len(query), -np.inf)
         sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
-            q = query[:, 0]
+            s, q = sites[:, 0], query[:, 0]
+            sweeps = self._sweeps(s, levels)
             if np.count_nonzero(q[1:] < q[:-1]) == 0:  # ascending, as the band grid is
-                return self._envelope_line(sites[:, 0], levels, q)
+                return self._envelope_line(s, q, *sweeps)
             order = np.argsort(q, kind="stable")
             env = np.empty(len(q))
-            env[order] = self._envelope_line(sites[:, 0], levels, q[order])
+            env[order] = self._envelope_line(s, q[order], *sweeps)
             return env
         return self.kernel_values(sites, levels, query).max(axis=1)
 
@@ -466,8 +467,11 @@ class EnvelopeGen(HullGenerator):
         np.maximum.accumulate((u - self.env_const * s)[::-1], out=fall[-2::-1])
         return rise, fall
 
-    def _envelope_line(self, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """d=1, beta=1 kernel on ascending queries: the two sweeps instead of the full matrix.
+    def _envelope_line(
+        self, s: np.ndarray, q: np.ndarray, rise: np.ndarray, fall: np.ndarray
+    ) -> np.ndarray:
+        """d=1, beta=1 kernel on ascending queries, from the sites' ``_sweeps``: the two
+        sweeps instead of the full matrix.
 
         The n sorted sites cut the queries into n + 1 runs: the queries of run
         k have exactly k sites on or left of them, so their left maximum is
@@ -475,7 +479,6 @@ class EnvelopeGen(HullGenerator):
         number of sites strictly left give the right maxima from ``fall`` the
         same way.  Only the n sites are searched, in the queries.
         """
-        rise, fall = self._sweeps(s, u)
         ends = np.empty(len(s) + 2, dtype=np.intp)  # run k is queries ends[k]:ends[k + 1]
         ends[0], ends[-1] = 0, len(q)
         ends[1:-1] = np.searchsorted(q, s, side="left")
@@ -488,15 +491,18 @@ class EnvelopeGen(HullGenerator):
         """Per support atom: does removing all its copies change the envelope?"""
         sites, levels = mu.coords[:, :-1], mu.coords[:, -1]
         if self.dim == 1 and self.beta == 1.0:
-            # the sweeps of _envelope_line, each atom left out: the maxima before and after it
-            ss = sites[:, 0]
-            rise, fall = self._sweeps(ss, levels)
-            dominated = levels <= np.maximum(rise[:-1] - self.env_const * ss,
-                                             fall[1:] + self.env_const * ss)
-        else:
-            vals = self.kernel_values(sites, levels, sites)
-            np.fill_diagonal(vals, -np.inf)
-            dominated = levels <= vals.max(axis=1)
+            s = sites[:, 0]
+            return self._sweep_mask(s, levels, *self._sweeps(s, levels))
+        vals = self.kernel_values(sites, levels, sites)
+        np.fill_diagonal(vals, -np.inf)
+        return tuple((~(levels <= vals.max(axis=1))).tolist())
+
+    def _sweep_mask(
+        self, s: np.ndarray, u: np.ndarray, rise: np.ndarray, fall: np.ndarray
+    ) -> tuple[bool, ...]:
+        """d=1, beta=1 ``boundary_mask`` from the sweeps, each atom left out: is its level
+        above the maxima of the sites before and after it?"""
+        dominated = u <= np.maximum(rise[:-1] - self.env_const * s, fall[1:] + self.env_const * s)
         return tuple((~dominated).tolist())
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
@@ -898,10 +904,16 @@ def _pareto_halfline_rule(gen: ParetoGen, model, mu: PointPattern):
 
 def _band_rule(gen: EnvelopeGen, model, mu: PointPattern):
     sites, cell, phi = model.band_grid
-    depth = np.clip(gen.envelope_at(mu, sites), 0.0, phi)
+    if gen.dim == 1 and gen.beta == 1.0:
+        # one pair of sweeps gives the mask and the envelope on the grid, which ascends
+        s, u = mu.coords[:, 0], mu.coords[:, 1]
+        sweeps = gen._sweeps(s, u)
+        mask, env = gen._sweep_mask(s, u, *sweeps), gen._envelope_line(s, sites[:, 0], *sweeps)
+    else:
+        mask, env = gen.boundary_mask(mu), gen.envelope_at(mu, sites)
+    depth = np.clip(env, 0.0, phi)
     mass = model.rate * float(depth.sum()) * cell
-    return (gen.boundary_mask(mu), mass,
-            lambda f: model.rate * float(f.depth_primitive(depth).sum()) * cell)
+    return mask, mass, lambda f: model.rate * float(f.depth_primitive(depth).sum()) * cell
 
 
 #: cell midpoints of the angular quadrature on line space, and their unit vectors

@@ -20,9 +20,9 @@ from hullforge import (
     line,
     param,
 )
-from hullforge.core import check_axioms, checked_array, point_from_row
+from hullforge.core import AxiomReport, check_axioms, checked_array, point_from_row
 from hullforge.corpora import LexDropGen
-from hullforge.generators import EnvelopeGen
+from hullforge.generators import EnvelopeGen, HalfPlaneGen
 from hullforge.montecarlo import _hoelder_band
 from hullforge.sampling import (
     HalfLine,
@@ -36,10 +36,16 @@ from hullforge.sampling import (
     sample_poisson,
 )
 from oracles import (
+    add_by_dict,
+    boundary_by_dict,
     first_difference_h,
     higher_difference_closed_form,
     higher_difference_h,
+    minus_by_dict,
+    plus_by_dict,
     prime_factorization_holds,
+    remove_by_dict,
+    with_mults_by_dict,
 )
 
 
@@ -64,6 +70,12 @@ def test_pattern_rejects_mixed_spaces_and_bad_values():
         euclid(float("nan"), 0.0)
     with pytest.raises(DomainError):
         PointPattern.from_points([euclid(0, 0)]).remove(euclid(0, 0), 2)
+    # an operand of another ground space is a space mismatch in every operation
+    mu, other = PointPattern.from_points([euclid(0, 0)]), PointPattern.from_points([param(0.5, 1.0)])
+    for op in (lambda: mu + other, lambda: mu - other,
+               lambda: mu.add(param(0.5, 1.0)), lambda: mu.remove(param(0.5, 1.0))):
+        with pytest.raises(SpaceMismatchError):
+            op()
 
 
 def test_space_mismatch_raises_in_ops():
@@ -143,6 +155,68 @@ def test_row_store_algebra_matches_counter(lists, k):
     else:
         with pytest.raises(DomainError):
             a - b
+
+
+#: a generator of each ground space, for ``boundary``
+_SPACE_GENS = {("euclid", 1): ParetoGen(1), ("euclid", 2): ConvexHullGen(2),
+               ("euclid", 3): ParetoGen(3), ("param", 1): EnvelopeGen(dim=1),
+               ("param", 2): EnvelopeGen(dim=2), ("line",): HalfPlaneGen()}
+
+
+@st.composite
+def _algebra_operands(draw):
+    """(a, b, x, count, mults, array_first): b and x mostly in a's space, else in another."""
+    tag = draw(st.sampled_from(sorted(_SPACES)))
+    same_or_other = st.one_of(st.just(tag), st.sampled_from(sorted(_SPACES)))
+    b_tag, x_tag = draw(same_or_other), draw(same_or_other)
+    a = draw(st.lists(_SPACES[tag], max_size=6))
+    mults = draw(st.lists(st.integers(-1, 3), max_size=len(set(a)) + 1))
+    return (a, draw(st.lists(_SPACES[b_tag], max_size=6)), draw(_SPACES[x_tag]),
+            draw(st.integers(0, 3)), mults, draw(st.booleans()))
+
+
+def _outcome(op):
+    """What ``op()`` gives: its pattern's entries (zeros' signs shown), mults and space, or its error."""
+    try:
+        mu = op()
+    except (DomainError, SpaceMismatchError) as e:
+        return type(e), str(e)
+    assert type(mu) is PointPattern and list(mu.rows) == sorted(set(mu.rows))
+    return repr(mu.entries), mu.mults, mu.space_tag
+
+
+_ZERO_TIE = [euclid(0.0, 1.0), euclid(1.0, 3.0)], [euclid(-0.0, 1.0)], euclid(-0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_algebra_operands())
+@example((*_ZERO_TIE, 1, [2], False))
+@example((_ZERO_TIE[1], _ZERO_TIE[0], euclid(0.0, 1.0), 2, [1], True))
+@example(([euclid(-0.0, 1.0)], [euclid(0.0, 1.0), euclid(-0.0, 1.0)], euclid(0.0, 1.0), 1, [], False))
+def test_order_keeping_algebra_matches_the_dict_oracle(operands):
+    # every operation gives the dict-and-sort reference's rows, signs of zero included (the
+    # left operand's row wins a tie), and its error type and message; a short mults truncates
+    pa, pb, x, k, mults, array_first = operands
+    a = PointPattern.from_array(pa[0].space_tag, [p.row for p in pa]) if array_first and pa \
+        else PointPattern.from_points(pa)
+    b = PointPattern.from_points(pb)
+    cases = [
+        (lambda: a.add(x, k), lambda: add_by_dict(a, x, k)),
+        (lambda: a.remove(x, k), lambda: remove_by_dict(a, x, k)),
+        (lambda: a.with_mults(mults), lambda: with_mults_by_dict(a, mults)),
+        (lambda: a.with_mults(iter(mults)), lambda: with_mults_by_dict(a, mults)),
+    ]
+    for left, right in ((a, b), (b, a), (a.add(x, k) if x.space_tag == a.space_tag else a, b)):
+        cases += [(lambda u=left, v=right: u + v, lambda u=left, v=right: plus_by_dict(u, v)),
+                  (lambda u=left, v=right: u - v, lambda u=left, v=right: minus_by_dict(u, v))]
+    if b.space_tag == a.space_tag:  # some differences that succeed
+        cases += [(lambda: (a + b) - b, lambda: minus_by_dict(plus_by_dict(a, b), b)),
+                  (lambda: a - a.with_mults(mults), lambda: minus_by_dict(a, a.with_mults(mults)))]
+    if a.space_tag is not None:
+        gen = _SPACE_GENS[a.space_tag]
+        cases.append((lambda: gen.boundary(a), lambda: boundary_by_dict(gen, a)))
+    for fast, oracle in cases:
+        assert _outcome(fast) == _outcome(oracle)
 
 
 def _first_occurrence_oracle(tag, rows) -> tuple:
@@ -382,7 +456,31 @@ def test_check_axioms_flags_broken_generator(planar_corpus):
     report = check_axioms(LexDropGen(), patterns[:20], probes, seed=1)
     assert not report.all_passed
     assert report.checks["H3a"].failed > 0 or report.checks["H3"].failed > 0
-    assert report.counterexamples
+    assert len(report.counterexamples) == 20
+    assert [(name, detail) for name, _, detail in report.counterexamples[:7]] == [
+        ("H3a", ""), ("H3", "psi mass 0"), ("H4", ""), ("H4", ""),
+        ("minus_point", "x=EuclidPoint(coords=(0.048520987208713895, 0.5035203562268835))"),
+        ("H3a", ""), ("H3", "psi mass 0"),
+    ]
+
+
+def test_axiom_report_formats_only_kept_details():
+    formatted = []
+
+    class Probe:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return "probe"
+
+    report, mu = AxiomReport(), PointPattern.from_points([euclid(0, 0)])
+    report.record("pass", True, mu, "x={} y={}", Probe(), Probe())
+    assert formatted == [] and report.counterexamples == []
+    report.record("fail", False, mu, "x={} y={}", Probe(), 2)
+    assert report.counterexamples == [("fail", mu, "x=probe y=2")] and formatted == [""]
+    for _ in range(30):
+        report.record("fail", False, mu, "x={}", Probe())
+    assert len(report.counterexamples) == 20 and len(formatted) == 20
+    assert report.checks["fail"].failed == 31 and report.checks["pass"].passed == 1
 
 
 def test_prime_factorization_probe():

@@ -30,6 +30,7 @@ from hullforge.core import (
 )
 from hullforge.corpora import GENERATOR_SUITE, euclid_corpus
 from hullforge.estimators import Indicator, PowerDepth
+from hullforge.montecarlo import _hoelder_band
 from hullforge.sampling import (
     HoelderBand,
     LinesBand,
@@ -372,7 +373,7 @@ def test_envelope_line_matches_the_search_per_query_bit_for_bit(atoms, queries, 
     q = np.array(queries, dtype=float)
     ordered = np.sort(q)
     want = _envelope_line_oracle(gen, s, u, ordered)
-    assert gen._envelope_line(s, u, ordered).tobytes() == want.tobytes()
+    assert gen._envelope_line(s, ordered, *gen._sweeps(s, u)).tobytes() == want.tobytes()
     assert gen.envelope_at(mu, ordered[:, None]).tobytes() == want.tobytes()
     assert gen.envelope_at(mu, q[:, None]).tobytes() == _envelope_line_oracle(gen, s, u, q).tobytes()
 
@@ -435,6 +436,23 @@ def test_band_rule_reads_the_model_grid_bit_for_bit(dim):
             want = model.rate * float(f.depth_primitive(depth).sum()) * fresh_cell
             assert integrate(f) == want
         assert mask == gen.boundary_mask(mu)
+
+
+def test_band_rule_sweeps_each_pattern_once(band_corpus, spy):
+    # at d = 1, beta = 1 one pair of sweeps gives both the mask and the envelope on the grid
+    gen, model = EnvelopeGen(dim=1, env_const=1.0, beta=1.0), _hoelder_band(48.0)
+    sites, cell, phi = model.band_grid
+    patterns, _ = band_corpus
+    calls = spy(EnvelopeGen, "_sweeps")
+    for mu in patterns:
+        if mu.is_empty:
+            continue
+        calls.clear()
+        mask, mass, _ = generators.evaluate(gen, model, mu)
+        assert len(calls) == 1
+        depth = np.clip(gen.envelope_at(mu, sites), 0.0, phi)
+        assert mask == gen.boundary_mask(mu)
+        assert repr(mass) == repr(model.rate * float(depth.sum()) * cell)
 
 
 def test_pareto_prime_property_on_corpus(planar_corpus):
