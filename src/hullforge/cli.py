@@ -336,7 +336,9 @@ def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     lo, hi = -0.40, -0.10  # the W1 slope band
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))
-    bound = sum(terms)
+    bound = 0.0  # a left-to-right sum: sum() compensates on Python >= 3.12
+    for term in terms:
+        bound += term
     w1_last = summary.rows[-1].w1
     slope_ok = summary.w1_slope is not None and lo <= summary.w1_slope <= hi
     bound_ok = w1_last <= bound

@@ -380,10 +380,12 @@ class PointPattern:
 
     def add(self, point: SpacePoint, count: int = 1) -> "PointPattern":
         self.check_space(point)
+        _check_count(count)
         return self._bumped(point, count)
 
     def remove(self, point: SpacePoint, count: int = 1) -> "PointPattern":
         self.check_space(point)
+        _check_count(count)
         if self.multiplicity(point) < count:
             raise DomainError("cannot remove more mass than present")
         return self._bumped(point, -count)
@@ -461,6 +463,12 @@ def _merged(rows: tuple, mults: tuple, more: tuple, deltas: Sequence[int]):
 def _pattern(space_tag: tuple | None, rows, mults) -> PointPattern:
     """The pattern of sorted, distinct rows and their positive counts."""
     return PointPattern(tuple(rows), tuple(mults), space_tag) if rows else _EMPTY
+
+
+def _check_count(count: int) -> None:
+    """Refuse a count of copies below 1, which would turn ``add`` into a removal."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
 
 
 class HullGenerator(ABC):

@@ -9,6 +9,9 @@ integral, evaluated here as
 
 which must agree with (estimate - F) to float precision on every pattern.
 The boundary f^2-sum is an unbiased estimator of the estimator's variance.
+For a product kernel g(x_1)...g(x_k) of any order k, ``hull_estimate_k``
+estimates (int g d(lambda))^k from the hull integral of g and the g-products
+over ordered tuples of distinct boundary copies.
 
 Each integrand states its formula once, as ``values`` on an array of
 coordinate rows; ``value`` of a point is ``values`` of its one row, so the
@@ -304,7 +307,7 @@ def ks_error(
 
 
 # ---------------------------------------------------------------------------
-# higher-order conditional statistics
+# higher-order symmetric statistics
 
 
 def hull_estimate_k(
@@ -314,28 +317,24 @@ def hull_estimate_k(
     mu: PointPattern,
     pair_factor: Integrand | None = None,
 ) -> float:
-    """k-th order conditional moment estimator.
+    """Unbiased estimate of (int g dlambda)^k for the product kernel g(x_1)...g(x_k).
 
-    With ``pair_factor`` omitted this is the f == 1 case: the estimator is
-    sum_i C(k, i) * hull_mass^i * (falling factorial of the boundary count),
-    valid for any k >= 1.  With ``pair_factor`` g it is the k = 2 estimator of
-    (int g dlambda)^2 for the product kernel g(x) g(y); the subtraction of the
-    diagonal realises the factorial measure over boundary atoms.
+    g is ``pair_factor``, or 1 where it is omitted.  With a the hull integral
+    of g and S_j the sum of g(z_1)...g(z_j) over ordered j-tuples of distinct
+    boundary copies, the estimate is sum_i C(k, i) a^i S_(k-i), added left to
+    right in i; S grows one copy of value v at a time, by S_j += j v S_(j-1).
+    For g == 1, S_j is the falling factorial (n)_j of the boundary count n.
     """
     if k < 1:
         raise ConfigurationError("order k must be >= 1")
-    if pair_factor is not None and k != 2:
-        raise ConfigurationError("product-form estimators support k = 2 only")
-    est = hull_estimate(gen, model, pair_factor or Constant(1.0), mu)
-    if pair_factor is not None:
-        a, b = est.hull_term, est.boundary_term
-        return a * a + 2.0 * a * b + (b * b - est.variance_estimate)
+    g = pair_factor or Constant(1.0)
+    mask, _, a = _evaluate(gen, model, g, mu)
+    sums = [1.0] + [0.0] * k
+    for v, m in zip(*atom_values(g, mu, mask)):
+        for _ in range(m):
+            for j in range(k, 0, -1):
+                sums[j] += j * v * sums[j - 1]
     total = 0.0
     for i in range(k + 1):
-        falling = 1.0
-        for j in range(k - i):
-            falling *= est.boundary_count - j
-            if falling == 0.0:
-                break
-        total += math.comb(k, i) * est.hull_mass**i * falling
+        total += math.comb(k, i) * a**i * sums[k - i]
     return total

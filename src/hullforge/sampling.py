@@ -364,9 +364,11 @@ class HoelderBand(IntensityModel):
 
     ``phi`` must be (holder_const, holder_exp)-Hoelder with holder_const no
     larger than the envelope constant of the paired generator; then every
-    sampled envelope stays below phi pointwise.  Only u >= 0 is sampled: lower
-    atoms can neither raise the envelope above zero nor carry weight for the
-    depth integrands used here, so the restriction is exact for this band.
+    sampled envelope stays below phi pointwise.  On ``band_grid`` phi must be
+    finite, within [0, phi_sup] and somewhere positive.  Only u >= 0 is
+    sampled: lower atoms can neither raise the envelope above zero nor carry
+    weight for the depth integrands used here, so the restriction is exact for
+    this band.
     """
 
     lo: tuple[float, ...]
@@ -388,12 +390,22 @@ class HoelderBand(IntensityModel):
         if self.resolution < 1:
             raise ConfigurationError(f"band resolution must be >= 1, got {self.resolution}")
         if self.phi_sup <= 0 or self.phi_integral <= 0:
-            raise ConfigurationError("phi must be positive on the window")
+            raise ConfigurationError("phi_sup and phi_integral must be positive")
         if not 0 < self.holder_exp <= 1 or self.holder_const < 0:
             raise ConfigurationError("need holder_exp in (0,1] and holder_const >= 0")
         _check_rate(self.rate)
         object.__setattr__(self, "_lo", np.array(self.lo, dtype=float))
         object.__setattr__(self, "_span", np.array(self.hi, dtype=float) - self._lo)
+        # the sampler accepts no row where phi is nowhere positive, caps acceptance at
+        # phi_sup, and the band rule clips depths into [0, phi]: each needs phi checked
+        phi = self.band_grid[2]
+        if not np.isfinite(phi).all():
+            raise ConfigurationError("phi must be finite on the band grid")
+        if (phi < 0.0).any() or (phi > self.phi_sup).any():
+            raise ConfigurationError(f"phi must lie in [0, phi_sup] = [0, {self.phi_sup}] "
+                                     "on the band grid")
+        if not (phi > 0.0).any():
+            raise ConfigurationError("phi must be positive somewhere on the band grid")
 
     @property
     def dim(self) -> int:
@@ -430,9 +442,9 @@ class HoelderBand(IntensityModel):
     def band_grid(self) -> tuple[np.ndarray, float, np.ndarray]:
         """(sites, cell volume, phi at the sites) of ``grid_sites()``, read-only.
 
-        The band quadrature of every pattern reads this one grid, built on
-        first use; a model of another resolution is another instance with
-        its own grid.
+        The band quadrature of every pattern reads this one grid, built when
+        the model is constructed, which checks phi on it; a model of another
+        resolution is another instance with its own grid.
         """
         sites, cell = self.grid_sites()
         phi = self.phi_at(sites)

@@ -5,11 +5,13 @@ against: iterated add-one-point differences of the indicator, their
 inclusion-exclusion closed form, the prime factorisation of H, and the
 pairwise Pareto minimality and membership rules.  Also the reference
 measure algebra: each operation rebuilt through a row -> count dict and a
-sort, as ``core._canonical`` builds ``from_points``.
+sort, as ``core._canonical`` builds ``from_points``; and the two closed forms
+of the higher-order estimator that ``hull_estimate_k``'s tuple sums replace.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from hullforge.core import (
@@ -21,6 +23,7 @@ from hullforge.core import (
     _canonical,
     h_indicator,
 )
+from hullforge.estimators import Constant, Integrand, hull_estimate
 
 
 def first_difference_h(
@@ -93,6 +96,27 @@ def pareto_contains(mu: PointPattern, queries) -> list[bool]:
             for q in map(tuple, queries)]
 
 
+def hull_estimate_k_falling(gen: HullGenerator, model, k: int, mu: PointPattern) -> float:
+    """The g == 1 estimator: sum_i C(k, i) hull_mass^i (n)_(k-i), n the boundary count."""
+    est = hull_estimate(gen, model, Constant(1.0), mu)
+    total = 0.0
+    for i in range(k + 1):
+        falling = 1.0
+        for j in range(k - i):
+            falling *= est.boundary_count - j
+            if falling == 0.0:
+                break
+        total += math.comb(k, i) * est.hull_mass**i * falling
+    return total
+
+
+def hull_estimate_2_product(gen: HullGenerator, model, mu: PointPattern, g: Integrand) -> float:
+    """The k = 2 estimator for g(x) g(y): the expanded square minus the boundary diagonal."""
+    est = hull_estimate(gen, model, g, mu)
+    a, b = est.hull_term, est.boundary_term
+    return a * a + 2.0 * a * b + (b * b - est.variance_estimate)
+
+
 def _counts_plus(mu: PointPattern, rows, deltas) -> dict:
     """Row -> count map of ``mu`` with ``deltas`` added at ``rows``; equal rows keep ``mu``'s form."""
     counts = dict(zip(mu.rows, mu.mults))
@@ -125,13 +149,20 @@ def boundary_by_dict(gen: HullGenerator, mu: PointPattern) -> PointPattern:
     return with_mults_by_dict(mu, (m if keep else 0 for m, keep in zip(mu.mults, mask)))
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+
+
 def add_by_dict(mu: PointPattern, point: SpacePoint, count: int = 1) -> PointPattern:
     _check_point(mu, point)
+    _check_count(count)
     return _canonical(point.space_tag, _counts_plus(mu, [point.row], [count]))
 
 
 def remove_by_dict(mu: PointPattern, point: SpacePoint, count: int = 1) -> PointPattern:
     _check_point(mu, point)
+    _check_count(count)
     if mu.multiplicity(point) < count:
         raise DomainError("cannot remove more mass than present")
     return _canonical(point.space_tag, _counts_plus(mu, [point.row], [-count]))

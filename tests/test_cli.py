@@ -502,6 +502,16 @@ def test_rates_summary_fields(tmp_path):
     assert code in (0, 1)  # statistical outcome; field contract is the point here
 
 
+def test_clt_bound_sum_adds_its_terms_left_to_right(tmp_path):
+    # the summary bytes do not depend on the Python version: sum() compensates on >= 3.12
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "ct", **_VALID["clt"]})
+    assert main(["clt", "--config", cfg, "--out", str(tmp_path / "c")]) in (0, 1)
+    summary = json.loads((tmp_path / "c" / "ct.summary.json").read_text())
+    terms = summary["bound_terms"]
+    assert list(terms) == ["T1", "T3", "T4", "T5"]
+    assert summary["bound_sum"] == terms["T1"] + terms["T3"] + terms["T4"] + terms["T5"]
+
+
 def test_variance_command_runs(tmp_path):
     cfg = _write(
         tmp_path,

@@ -70,10 +70,17 @@ def test_pattern_rejects_mixed_spaces_and_bad_values():
         euclid(float("nan"), 0.0)
     with pytest.raises(DomainError):
         PointPattern.from_points([euclid(0, 0)]).remove(euclid(0, 0), 2)
-    # an operand of another ground space is a space mismatch in every operation
+    # a count below 1 is refused, not read as a removal (or an addition) of copies
+    one = PointPattern.from_points([euclid(0, 0)])
+    for count in (0, -1):
+        for op in (one.add, one.remove):
+            with pytest.raises(DomainError, match="count must be >= 1"):
+                op(euclid(0, 0), count)
+    # an operand of another ground space is a space mismatch in every operation, whatever the count
     mu, other = PointPattern.from_points([euclid(0, 0)]), PointPattern.from_points([param(0.5, 1.0)])
     for op in (lambda: mu + other, lambda: mu - other,
-               lambda: mu.add(param(0.5, 1.0)), lambda: mu.remove(param(0.5, 1.0))):
+               lambda: mu.add(param(0.5, 1.0)), lambda: mu.remove(param(0.5, 1.0)),
+               lambda: mu.add(param(0.5, 1.0), 0), lambda: mu.remove(param(0.5, 1.0), -1)):
         with pytest.raises(SpaceMismatchError):
             op()
 
@@ -206,7 +213,10 @@ def test_order_keeping_algebra_matches_the_dict_oracle(operands):
         (lambda: a.with_mults(mults), lambda: with_mults_by_dict(a, mults)),
         (lambda: a.with_mults(iter(mults)), lambda: with_mults_by_dict(a, mults)),
     ]
-    for left, right in ((a, b), (b, a), (a.add(x, k) if x.space_tag == a.space_tag else a, b)):
+    pairs = [(a, b), (b, a)]
+    if x.space_tag == a.space_tag and k >= 1:
+        pairs.append((a.add(x, k), b))
+    for left, right in pairs:
         cases += [(lambda u=left, v=right: u + v, lambda u=left, v=right: plus_by_dict(u, v)),
                   (lambda u=left, v=right: u - v, lambda u=left, v=right: minus_by_dict(u, v))]
     if b.space_tag == a.space_tag:  # some differences that succeed

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -35,6 +35,7 @@ from hullforge.estimators import (
 from hullforge import generators
 from hullforge.generators import EnvelopeGen, hull_mass
 from hullforge.montecarlo import _hoelder_band, get_scenario, scenario_names
+from oracles import hull_estimate_2_product, hull_estimate_k_falling
 from hullforge.sampling import (
     HalfLine,
     HoelderBand,
@@ -372,24 +373,61 @@ def test_hull_estimate_k_small_boundary():
     assert hull_estimate_k(gen, model, 3, mu) == pytest.approx(13.0)
 
 
-def test_hull_estimate_k_product_form_matches_enumeration():
+def _tuple_sum_estimate(gen, model, k, mu, g):
+    """sum_i C(k, i) a^i (the g-products summed over ordered (k-i)-tuples of distinct boundary
+    copies), by ``itertools.permutations``; and the same sum of absolute values, its scale."""
+    a = hull_integral(gen, model, g, mu)
+    copies = [g.value(p) for p, m in gen.boundary(mu).entries for _ in range(m)]
+    total = scale = 0.0
+    for i in range(k + 1):
+        products = [math.prod(t) for t in itertools.permutations(copies, k - i)]
+        total += math.comb(k, i) * a**i * sum(products)
+        scale += math.comb(k, i) * abs(a) ** i * sum(map(abs, products))
+    return total, scale
+
+
+#: lattice points of the unit square, so that drawn lists repeat atoms
+_LATTICE_POINT = st.builds(euclid, *[st.integers(0, 8).map(lambda i: i / 8)] * 2)
+#: g(x, y) = c (x - x0): signed, and zero on the lattice column x = 1/2 where x0 = 1/2
+_FACTOR_PARAMS = st.tuples(st.sampled_from([1.0, -2.5, 0.1]), st.sampled_from([0.5, -1.0]))
+_EXAMPLE_POINTS = [euclid(0.12, 0.77), euclid(0.93, 0.41), euclid(0.35, 0.08),
+                   euclid(0.61, 0.66), euclid(0.48, 0.95)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LATTICE_POINT, max_size=7), st.booleans(), _FACTOR_PARAMS, st.integers(1, 4))
+@example(_EXAMPLE_POINTS, False, (1.0, -1.0), 2)  # g = 1 + x on five atoms in general position
+def test_hull_estimate_k_matches_tuple_enumeration(points, array_first, factor, k):
+    # any order, any product kernel: the tuple sums equal the enumeration over ordered tuples of
+    # distinct boundary copies (copies of a repeated atom are distinct); with g omitted, the
+    # falling-factorial formula bit for bit; at k = 2, the expanded square
     gen = ConvexHullGen(2)
     model = UniformBox((0, 0), (1, 1), rate=3.0)
-    g = CustomIntegrand("gx", lambda p: 1.0 + p.coords[0])
-    rng = random.Random(4)
-    for _ in range(20):
-        pts = [euclid(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(1, 7))]
-        mu = PointPattern.from_points(pts)
-        got = hull_estimate_k(gen, model, 2, mu, pair_factor=g)
-        a = hull_integral(gen, model, g, mu)
-        copies = []
-        for p, m in gen.boundary(mu).entries:
-            copies.extend([g.value(p)] * m)
-        pair_sum = sum(
-            x * y for i, x in enumerate(copies) for j, y in enumerate(copies) if i != j
-        )
-        want = a * a + 2 * a * sum(copies) + pair_sum
-        assert got == pytest.approx(want, rel=1e-12)
+    mu = PointPattern.from_array(("euclid", 2), [p.row for p in points]) if array_first and points \
+        else PointPattern.from_points(points)
+    c, x0 = factor
+    g = CustomIntegrand("c(x-x0)", lambda p: c * (p.coords[0] - x0))
+    want, scale = _tuple_sum_estimate(gen, model, k, mu, g)
+    got = hull_estimate_k(gen, model, k, mu, pair_factor=g)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+    if k == 2:
+        assert got == pytest.approx(hull_estimate_2_product(gen, model, mu, g),
+                                    rel=1e-12, abs=1e-12 * scale)
+    assert repr(hull_estimate_k(gen, model, k, mu)) \
+        == repr(hull_estimate_k_falling(gen, model, k, mu))
+
+
+@pytest.mark.parametrize("scenario", [n for n in scenario_names()
+                                      if not isinstance(get_scenario(n).make_model(1.0), HalfLine)])
+def test_hull_estimate_k_without_factor_is_the_falling_factorial(scenario):
+    # on sampled patterns of every pairing with a finite hull mass, up to order 6, bit for bit
+    scen = get_scenario(scenario)
+    model = scen.make_model(scen.default_t)
+    for rng in stream_generators(RngStream(93, rep) for rep in range(20)):
+        mu = sample_poisson(model, rng)
+        for k in range(1, 7):
+            assert repr(hull_estimate_k(scen.gen, model, k, mu)) \
+                == repr(hull_estimate_k_falling(scen.gen, model, k, mu))
 
 
 def test_hull_estimate_k_validates_order():
@@ -397,5 +435,3 @@ def test_hull_estimate_k_validates_order():
     model = UniformBox((0, 0), (1, 1), rate=1.0)
     with pytest.raises(ConfigurationError):
         hull_estimate_k(gen, model, 0, SQUARE5)
-    with pytest.raises(ConfigurationError):
-        hull_estimate_k(gen, model, 3, SQUARE5, pair_factor=Constant(1.0))

@@ -268,15 +268,20 @@ def test_band_levels_marginally_uniform_for_flat_boundary():
     {"lo": (0.0, 1.0), "hi": (1.0, 1.0)}, {"lo": (0.0,), "hi": (math.nan,)},
     {"resolution": 0}, {"resolution": -3},
     {"hi": (math.inf,)}, {"lo": (-math.inf,)}, {"phi_sup": math.nan}, {"phi_sup": math.inf},
+    {"phi": lambda s: np.zeros(len(s))}, {"phi": lambda s: np.full(len(s), math.nan)},
+    {"phi": lambda s: np.full(len(s), 2.0)}, {"phi": lambda s: s[:, 0] - 0.5},
 ], ids=["reversed", "empty", "flat-2d", "nan", "resolution-0", "resolution-negative",
-        "hi-inf", "lo-inf", "phi_sup-nan", "phi_sup-inf"])
+        "hi-inf", "lo-inf", "phi_sup-nan", "phi_sup-inf",
+        "phi-zero", "phi-nan", "phi-above-sup", "phi-negative"])
 def test_band_refuses_a_bad_window_or_resolution(window):
     # refused at construction: not later by numpy's uniform or by a division in
-    # band_grid; an infinite window or phi_sup made the sampler accept no row,
-    # and the alarm turns that hang into a failure
+    # band_grid; an infinite window or phi_sup, or a phi nowhere positive or nan,
+    # made the sampler accept no row, and the alarm turns that hang into a
+    # failure; a phi above phi_sup or below 0 sampled another law without complaint
     args = dict(lo=(0.0,), hi=(1.0,), phi=lambda s: np.ones(len(s)), phi_sup=1.0,
                 phi_integral=1.0, holder_const=0.0, holder_exp=1.0)
-    with _time_limit(10), pytest.raises(ConfigurationError, match="lo < hi|resolution|finite"):
+    with _time_limit(10), pytest.raises(ConfigurationError,
+                                        match="lo < hi|resolution|finite|phi must"):
         sample_poisson(HoelderBand(**{**args, **window}), np.random.default_rng(0))
     HoelderBand(**args)
 
