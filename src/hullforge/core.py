@@ -10,8 +10,8 @@ which is the store, and the estimate path reads only that array.
 ``from_points`` sorts and merges point rows through ``_canonical``.  The
 measure algebra keeps the canonical order of its operands' row tuples, so
 nothing is re-sorted: ``with_mults`` filters them, ``add`` and ``remove``
-bisect one row in or out, and ``+`` and ``-`` merge two patterns' rows
-(``_merged``).  Every pattern they build stores ``rows``.
+bisect one row in or out, and ``+``, ``-`` and ``<=`` merge two patterns'
+rows (``_merged``).  Every pattern they build stores ``rows``.
 
 Queries have one form inside the library too: an (m, k) array of checked
 rows.  Point objects belong to the public edge: the point adapters
@@ -84,8 +84,8 @@ def checked_array(space_tag: tuple, coords) -> np.ndarray:
     """An (n, k) coordinate array as float, after the validity check of the ground spaces.
 
     The rules: dimension 1..3, a row width that fits the space, finite
-    values, and for lines an angle in [0, 2*pi) and an offset >= 0.
-    ``checked_row`` applies the same rules, with the same messages, to one row.
+    values, and for lines an angle in [0, 2*pi) and an offset >= 0.  Point
+    constructors check their row here, after ``float`` of each value.
     """
     width = _row_width(space_tag)
     arr = np.asarray(coords, dtype=float)
@@ -104,27 +104,6 @@ def checked_array(space_tag: tuple, coords) -> np.ndarray:
     return arr
 
 
-def checked_row(space_tag: tuple, row) -> tuple[float, ...]:
-    """One row as a tuple of floats, under the rules and messages of ``checked_array``.
-
-    The point constructors' check: scalar arithmetic, no array round trip.
-    The row width follows from ``space_tag``, which the points derive from
-    the row itself.
-    """
-    _row_width(space_tag)
-    row = tuple(map(float, row))
-    for v in row:
-        if not math.isfinite(v):
-            raise DomainError(f"coordinates must be finite, got {v!r}")
-    if space_tag[0] == "line":
-        angle, offset = row
-        if not 0.0 <= angle < 2.0 * math.pi:
-            raise DomainError(f"angle must lie in [0, 2*pi), got {angle!r}")
-        if not offset >= 0.0:
-            raise DomainError(f"offset must be >= 0, got {offset!r}")
-    return row
-
-
 @dataclass(frozen=True)
 class EuclidPoint:
     """Point of R^d, d <= 3; its row is its coordinates."""
@@ -132,7 +111,9 @@ class EuclidPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", checked_row(self.space_tag, self.coords))
+        coords = tuple(map(float, self.coords))
+        checked_array(self.space_tag, (coords,))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def space_tag(self) -> tuple:
@@ -154,7 +135,8 @@ class ParamPoint:
     level: float
 
     def __post_init__(self) -> None:
-        *site, level = checked_row(self.space_tag, (*self.site, self.level))
+        *site, level = row = tuple(map(float, (*self.site, self.level)))
+        checked_array(self.space_tag, (row,))
         object.__setattr__(self, "site", tuple(site))
         object.__setattr__(self, "level", level)
 
@@ -179,7 +161,8 @@ class LinePoint:
     offset: float
 
     def __post_init__(self) -> None:
-        angle, offset = checked_row(self.space_tag, (self.angle, self.offset))
+        angle, offset = row = tuple(map(float, (self.angle, self.offset)))
+        checked_array(self.space_tag, (row,))
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "offset", offset)
 
@@ -414,8 +397,7 @@ class PointPattern:
     def __le__(self, other: "PointPattern") -> bool:
         if self.is_empty or other.space_tag != self.space_tag:
             return self.is_empty
-        have = dict(zip(other.rows, other.mults))
-        return all(have.get(r, 0) >= m for r, m in zip(self.rows, self.mults))
+        return not _merged(other.rows, other.mults, self.rows, [-m for m in self.mults])[2]
 
 
 _EMPTY = PointPattern((), (), None)
@@ -474,18 +456,19 @@ def _check_count(count: int) -> None:
 class HullGenerator(ABC):
     """Contract every concrete hull implementation fulfils.
 
-    Two primitives, each one geometry pass per call: ``boundary_mask``, a
-    bool per support atom saying whether it is a boundary atom, and
-    ``contains_mask``, a bool per row of an (m, k) query array saying whether
-    it lies in the hull.  Both read coordinate arrays or rows, never point
-    objects.  ``boundary`` is derived from the first and must be a valid
-    generator (H1)-(H4); ``hull_contains`` and ``hull_contains_many`` are the
-    point adapters of the public edge: they check their arguments, stack the
-    points' rows into one array and read the second, which must agree with
-    the definitional form ``boundary(mu + d_x) == boundary(mu)``.  The
-    per-pattern call of the estimators is ``generators.evaluate``, which reads
-    the mask and the hull mass from one geometry pass and returns that pass's
-    ``integrate``; ``estimators`` turns an integrand into its hull term.
+    Two primitives, each answering a whole pattern per call:
+    ``boundary_mask``, a bool per support atom saying whether it is a
+    boundary atom, and ``contains_mask``, a bool per row of an (m, k) query
+    array saying whether it lies in the hull.  Both read coordinate arrays or
+    rows, never point objects.  ``boundary`` is derived from the first and
+    must be a valid generator (H1)-(H4); ``hull_contains`` and
+    ``hull_contains_many`` are the point adapters of the public edge: they
+    check their arguments, stack the points' rows into one array and read
+    the second, which must agree with the definitional form
+    ``boundary(mu + d_x) == boundary(mu)``.  The per-pattern call of the
+    estimators is ``generators.evaluate``, which reads the mask, the hull
+    mass and an ``integrate`` from one geometry pass (two in line space);
+    ``estimators`` turns an integrand into its hull term.
 
     Leave-one-out contract: ``survival_mask`` gives the indicators
     H_z(mu - d_z) that the error representation sums.  Both per-atom

@@ -1,8 +1,8 @@
 """Concrete hull generators, their geometry kernels and the exact hull integrals.
 
-Each generator implements two primitives, each from one geometry pass per
-call: ``boundary_mask`` (one bool per support atom) and ``contains_mask``
-(one bool per row of an (m, k) query array: is it in the hull?).  Kernels
+Each generator implements two primitives, each one call per pattern:
+``boundary_mask`` (one bool per support atom) and ``contains_mask`` (one
+bool per row of an (m, k) query array: is it in the hull?).  Kernels
 read a pattern's coordinate rows (``mu.rows``) or its ``mu.coords`` array,
 and the queries as an array or, in the scalar kernels, as its ``tolist()``
 rows; no kernel builds a point object.  The thinning map ``boundary`` and
@@ -10,11 +10,13 @@ the point adapters ``hull_contains`` and ``hull_contains_many`` are derived
 in ``core``.  The two primitives are kept
 mutually consistent so that the definitional identity ``hull_contains(mu, x)
 == (boundary(mu + d_x) == boundary(mu))`` holds everywhere outside degenerate
-tolerance shells.  ``evaluate`` is the per-pattern call: one geometry pass of
-a (generator, model) pairing gives the mask, the hull mass and the pass's
-``integrate``, which integrates a non-constant integrand over the hull from
-that same geometry.  No rule takes an integrand; ``estimators`` decides how
-one becomes a hull term.
+tolerance shells.  ``evaluate`` is the per-pattern call: a (generator,
+model) pairing's rule gives the mask, the hull mass and an ``integrate``
+of a non-constant integrand over the hull, from one geometry pass; line
+space takes two, ``_edge_mask`` for the mask and ``_corners`` for the
+support, so that the leave-one-out kernel, built on the corners, is checked
+against an independent mask.  No rule takes an integrand; ``estimators``
+decides how one becomes a hull term.
 
 Geometric predicates use the relative tolerance ``EPS_GEOM``: a point within
 tolerance of the hull boundary, but not coinciding with a vertex, counts as
@@ -41,6 +43,7 @@ from .core import (
     PointPattern,
 )
 from . import sampling
+from .sampling import _unit_circle
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +572,7 @@ class HalfPlaneGen(HullGenerator):
         return (d2 > 0.0) & ~blocked & (length > EPS_GEOM * max(1.0, W))
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
-        return tuple(self._edge_mask(_unit(mu.coords[:, 0]), mu.coords[:, 1]).tolist())
+        return tuple(self._edge_mask(_unit_circle(mu.coords[:, 0]), mu.coords[:, 1]).tolist())
 
     def _corners(self, dirs: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Corner candidates of the clipped body, each with the lines defining it.
@@ -616,10 +619,10 @@ class HalfPlaneGen(HullGenerator):
     def hull_support(self, mu: PointPattern, angles: np.ndarray) -> np.ndarray:
         """Support function of the clipped body at the query angles."""
         W = self.window_radius
-        S = _THETA_UNIT if angles is _THETA_GRID else _unit(angles)
+        S = _THETA_UNIT if angles is _THETA_GRID else _unit_circle(angles)
         if mu.is_empty:
             return np.full(len(angles), W)
-        dirs, offs = _unit(mu.coords[:, 0]), mu.coords[:, 1]
+        dirs, offs = _unit_circle(mu.coords[:, 0]), mu.coords[:, 1]
         verts = self._feasible_vertices(dirs, offs)
         h = (verts @ S.T).max(axis=0)
         arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
@@ -641,7 +644,7 @@ class HalfPlaneGen(HullGenerator):
         are not used.
         """
         W = self.window_radius
-        dirs, offs = _unit(mu.coords[:, 0]), mu.coords[:, 1]
+        dirs, offs = _unit_circle(mu.coords[:, 0]), mu.coords[:, 1]
         bound = offs + 1e-12 * max(1.0, W)
         C, a, b, P, inside = self._corners(dirs, offs)
         viol = P > bound  # viol[c, z]: candidate c lies outside line z
@@ -669,11 +672,6 @@ class HalfPlaneGen(HullGenerator):
             return q[:, 1] >= self.hull_support(mu, q[:, 0])
 
         return _split_atoms(self, mu, queries, holds_body)
-
-
-def _unit(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors (cos, sin) of the angles, one row each."""
-    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def _split_atoms(gen: HullGenerator, mu: PointPattern, queries: np.ndarray,
@@ -722,8 +720,11 @@ class DiskHullGen(HullGenerator):
             raise ConfigurationError("anchor radius must be positive")
         object.__setattr__(self, "space_tag", ("euclid", 2))
 
-    def _separable(self, q: tuple[float, float], others) -> bool:
-        """Is q strictly separable from conv(disk U others) by a line?"""
+    def _separable(self, q: tuple[float, float], rows) -> bool:
+        """Is q strictly separable from conv(disk U the rows other than q) by a line?
+
+        The rows at dx = dy = 0 are those equal to q, zeros' signs aside.
+        """
         r0 = self.anchor_radius
         nq = math.hypot(*q)
         if nq <= r0:
@@ -731,10 +732,10 @@ class DiskHullGen(HullGenerator):
         alpha = math.atan2(q[1], q[0])
         half = math.acos(max(-1.0, min(1.0, r0 / nq)))
         lo, hi = -half, half  # feasible normal directions relative to alpha
-        for p in others:
+        for p in rows:
             dx, dy = q[0] - p[0], q[1] - p[1]
             if dx == 0.0 and dy == 0.0:
-                return False
+                continue
             gamma = math.atan2(dy, dx)
             delta = (gamma - alpha + math.pi) % (2.0 * math.pi) - math.pi
             lo = max(lo, delta - 0.5 * math.pi)
@@ -745,11 +746,10 @@ class DiskHullGen(HullGenerator):
 
     def boundary_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         rows = mu.rows
-        return tuple(self._separable(q, [r for r in rows if r != q]) for q in rows)
+        return tuple(self._separable(q, rows) for q in rows)
 
     def contains_mask(self, mu: PointPattern, queries: np.ndarray) -> list[bool]:
-        return [not self._separable(q, [r for r in mu.rows if r != q])
-                for q in map(tuple, queries.tolist())]
+        return [not self._separable(q, mu.rows) for q in queries.tolist()]
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
         """Leave-one-out indicators from the dual angular test, not ``_separable``.
@@ -817,9 +817,10 @@ class DiskHullGen(HullGenerator):
 # exact hull integrals per (generator, intensity) pairing
 #
 # Each rule returns (boundary mask, hull mass, integrate) of a non-empty mu,
-# reading the mask and the mass from one geometry pass.  integrate(f) is
+# reading the mask and the mass from one geometry pass (two in line space, see
+# the module docstring).  integrate(f) is
 # int f d(lambda restricted to the hull) for a non-constant integrand f, read
-# from the geometry that same pass built (the polygon, the band depth on the
+# from the geometry of the mass (the polygon, the band depth on the
 # grid, the clipped support on _THETA_GRID, the half-line minimum) through the
 # integrand's array primitives; it is None where the pairing integrates
 # constants only.  Vertex-type exclusions from the hull carry zero mass under
@@ -918,7 +919,7 @@ def _band_rule(gen: EnvelopeGen, model, mu: PointPattern):
 
 #: cell midpoints of the angular quadrature on line space, and their unit vectors
 _THETA_GRID = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
-_THETA_UNIT = _unit(_THETA_GRID)
+_THETA_UNIT = _unit_circle(_THETA_GRID)
 
 
 def _lines_rule(gen: HalfPlaneGen, model, mu: PointPattern):
@@ -958,9 +959,9 @@ def evaluate(
     """(boundary mask, hull mass, integrate) of mu under its (generator, model) pairing.
 
     The per-pattern call: the pairing rule reads the mask and the mass from
-    one geometry pass, exactly, and ``integrate(f)`` integrates a
-    non-constant integrand over the hull from that pass's geometry; it is
-    None where the pairing integrates constants only.  The mask is
+    one geometry pass (two in line space), exactly, and ``integrate(f)``
+    integrates a non-constant integrand over the hull from the geometry of
+    the mass; it is None where the pairing integrates constants only.  The mask is
     ``gen.boundary_mask(mu)``; the mass is nan on the half line, whose hull
     has no finite mass.  The empty pattern has an empty hull, whatever the
     pairing.

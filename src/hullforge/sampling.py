@@ -25,6 +25,8 @@ maps a double u to ``low + (high - low) * u``, the arithmetic of
 ``Generator.uniform``.  The doubles are drawn in the order the equivalent
 ``uniform`` calls would draw them, so every pattern, and the Generator's
 state after it, is what those calls give, bit for bit.
+``_unit_circle`` is the one (cos, sin) rule, libm's values through ``math``,
+for the disk and annulus samplers and for the line space of ``generators``.
 """
 
 from __future__ import annotations
@@ -199,7 +201,11 @@ def _check_finite(model: IntensityModel, *names: str) -> None:
 
 def _unit_circle(ang: np.ndarray) -> np.ndarray:
     """Rows (cos, sin) of the angles, from ``math``: libm values on every platform."""
-    return np.array([(math.cos(a), math.sin(a)) for a in ang.tolist()]).reshape(len(ang), 2)
+    a = ang.tolist()
+    out = np.empty((len(a), 2))
+    out[:, 0] = list(map(math.cos, a))
+    out[:, 1] = list(map(math.sin, a))
+    return out
 
 
 @dataclass(frozen=True)
@@ -365,10 +371,11 @@ class HoelderBand(IntensityModel):
     ``phi`` must be (holder_const, holder_exp)-Hoelder with holder_const no
     larger than the envelope constant of the paired generator; then every
     sampled envelope stays below phi pointwise.  On ``band_grid`` phi must be
-    finite, within [0, phi_sup] and somewhere positive.  Only u >= 0 is
-    sampled: lower atoms can neither raise the envelope above zero nor carry
-    weight for the depth integrands used here, so the restriction is exact for
-    this band.
+    finite, within [0, phi_sup] and somewhere positive, and its midpoint sum
+    must meet ``phi_integral`` within the Hoelder bound of that rule.  Only
+    u >= 0 is sampled: lower atoms can neither raise the envelope above zero
+    nor carry weight for the depth integrands used here, so the restriction
+    is exact for this band.
     """
 
     lo: tuple[float, ...]
@@ -398,7 +405,7 @@ class HoelderBand(IntensityModel):
         object.__setattr__(self, "_span", np.array(self.hi, dtype=float) - self._lo)
         # the sampler accepts no row where phi is nowhere positive, caps acceptance at
         # phi_sup, and the band rule clips depths into [0, phi]: each needs phi checked
-        phi = self.band_grid[2]
+        sites, cell, phi = self.band_grid
         if not np.isfinite(phi).all():
             raise ConfigurationError("phi must be finite on the band grid")
         if (phi < 0.0).any() or (phi > self.phi_sup).any():
@@ -406,6 +413,14 @@ class HoelderBand(IntensityModel):
                                      "on the band grid")
         if not (phi > 0.0).any():
             raise ConfigurationError("phi must be positive somewhere on the band grid")
+        # total_mass reads phi_integral while the sampler follows phi; on a cell the midpoint
+        # value misses a (C, a)-Hoelder phi by at most C * (half the cell diagonal)^a
+        quad, vol = float(phi.sum() * cell), math.prod(self._span.tolist())
+        half_diag = 0.5 * math.hypot(*(self._span / len(sites) ** (1 / self.dim)))  # n per axis
+        slack = self.holder_const * half_diag**self.holder_exp * vol + 1e-12 * abs(quad)
+        if abs(self.phi_integral - quad) > slack:
+            raise ConfigurationError(f"phi must integrate to phi_integral = {self.phi_integral} "
+                                     f"within {slack:.3g}, got {quad!r} on the band grid")
 
     @property
     def dim(self) -> int:

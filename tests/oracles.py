@@ -5,8 +5,11 @@ against: iterated add-one-point differences of the indicator, their
 inclusion-exclusion closed form, the prime factorisation of H, and the
 pairwise Pareto minimality and membership rules.  Also the reference
 measure algebra: each operation rebuilt through a row -> count dict and a
-sort, as ``core._canonical`` builds ``from_points``; and the two closed forms
-of the higher-order estimator that ``hull_estimate_k``'s tuple sums replace.
+sort, as ``core._canonical`` builds ``from_points``; the two closed forms
+of the higher-order estimator that ``hull_estimate_k``'s tuple sums replace;
+and the retired second copies of library rules: the scalar row check of the
+point constructors, the per-angle (cos, sin) loop and numpy's rows, and the
+disk hull's test against a list of the other atoms.
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from hullforge.core import (
+    EPS_GEOM,
     DomainError,
     HullGenerator,
     PointPattern,
     SpaceMismatchError,
     SpacePoint,
     _canonical,
+    _row_width,
     h_indicator,
 )
 from hullforge.estimators import Constant, Integrand, hull_estimate
@@ -184,3 +191,75 @@ def minus_by_dict(a: PointPattern, b: PointPattern) -> PointPattern:
     if min(counts.values()) < 0:
         raise DomainError("subtraction would give a signed measure")
     return _canonical(a.space_tag, counts)
+
+
+def le_by_dict(a: PointPattern, b: PointPattern) -> bool:
+    """Multiset inclusion a <= b, read through a row -> count dict of b."""
+    if a.is_empty or b.space_tag != a.space_tag:
+        return a.is_empty
+    have = dict(zip(b.rows, b.mults))
+    return all(have.get(r, 0) >= m for r, m in zip(a.rows, a.mults))
+
+
+def checked_row(space_tag: tuple, row) -> tuple[float, ...]:
+    """One row as a tuple of floats, checked by scalar arithmetic, no array round trip.
+
+    The rules and messages of ``core.checked_array``: dimension first, then
+    ``float`` of each value, then finite values and, for lines, an angle in
+    [0, 2*pi) and an offset >= 0.
+    """
+    _row_width(space_tag)
+    row = tuple(map(float, row))
+    for v in row:
+        if not math.isfinite(v):
+            raise DomainError(f"coordinates must be finite, got {v!r}")
+    if space_tag[0] == "line":
+        angle, offset = row
+        if not 0.0 <= angle < 2.0 * math.pi:
+            raise DomainError(f"angle must lie in [0, 2*pi), got {angle!r}")
+        if not offset >= 0.0:
+            raise DomainError(f"offset must be >= 0, got {offset!r}")
+    return row
+
+
+def unit_circle_by_loop(angles: np.ndarray) -> np.ndarray:
+    """Rows (math.cos(a), math.sin(a)), one angle at a time."""
+    return np.array([(math.cos(a), math.sin(a)) for a in angles.tolist()]).reshape(len(angles), 2)
+
+
+def unit_by_numpy(angles: np.ndarray) -> np.ndarray:
+    """Rows (cos, sin) from numpy's ufuncs, which may round differently from libm."""
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _disk_separable(r0: float, q, others) -> bool:
+    """Is q strictly separable from conv(disk of radius r0 U others) by a line?"""
+    nq = math.hypot(*q)
+    if nq <= r0:
+        return False
+    alpha = math.atan2(q[1], q[0])
+    half = math.acos(max(-1.0, min(1.0, r0 / nq)))
+    lo, hi = -half, half  # feasible normal directions relative to alpha
+    for p in others:
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        if dx == 0.0 and dy == 0.0:
+            return False
+        gamma = math.atan2(dy, dx)
+        delta = (gamma - alpha + math.pi) % (2.0 * math.pi) - math.pi
+        lo = max(lo, delta - 0.5 * math.pi)
+        hi = min(hi, delta + 0.5 * math.pi)
+        if hi - lo <= EPS_GEOM:
+            return False
+    return hi - lo > EPS_GEOM
+
+
+def disk_boundary_by_others(gen, mu: PointPattern) -> tuple[bool, ...]:
+    """``DiskHullGen.boundary_mask``: each atom against the list of the rows != it."""
+    return tuple(_disk_separable(gen.anchor_radius, q, [r for r in mu.rows if r != q])
+                 for q in mu.rows)
+
+
+def disk_contains_by_others(gen, mu: PointPattern, queries) -> list[bool]:
+    """``DiskHullGen.contains_mask``: each query against the list of the rows != it."""
+    return [not _disk_separable(gen.anchor_radius, q, [r for r in mu.rows if r != q])
+            for q in map(tuple, queries.tolist())]

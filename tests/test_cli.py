@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,25 @@ def test_estimate_pass_and_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is True
     assert manifest["outputs"] == ["est.csv", "est.summary.json"]
+
+
+def test_cli_module_runs_as_a_process(tmp_path):
+    # ``python -m hullforge.cli``: its exit code and output streams, not main()'s return
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(cfg):
+        argv = ["estimate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)]
+        return subprocess.run([sys.executable, "-m", "hullforge.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run(_estimate_cfg())
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout == f"estimate: PASS -> {tmp_path / 'est.summary.json'}\n"
+    bad = run({**_estimate_cfg(), "replicates": 10})
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("config error:")
 
 
 def test_estimate_float_precision_17_digits(tmp_path):

@@ -38,9 +38,11 @@ from hullforge.sampling import (
 from oracles import (
     add_by_dict,
     boundary_by_dict,
+    checked_row,
     first_difference_h,
     higher_difference_closed_form,
     higher_difference_h,
+    le_by_dict,
     minus_by_dict,
     plus_by_dict,
     prime_factorization_holds,
@@ -183,11 +185,14 @@ def _algebra_operands(draw):
 
 
 def _outcome(op):
-    """What ``op()`` gives: its pattern's entries (zeros' signs shown), mults and space, or its error."""
+    """What ``op()`` gives: a bool, its pattern's entries (zeros' signs shown), mults and space,
+    or its error."""
     try:
         mu = op()
     except (DomainError, SpaceMismatchError) as e:
         return type(e), str(e)
+    if type(mu) is bool:
+        return mu
     assert type(mu) is PointPattern and list(mu.rows) == sorted(set(mu.rows))
     return repr(mu.entries), mu.mults, mu.space_tag
 
@@ -200,6 +205,8 @@ _ZERO_TIE = [euclid(0.0, 1.0), euclid(1.0, 3.0)], [euclid(-0.0, 1.0)], euclid(-0
 @example((*_ZERO_TIE, 1, [2], False))
 @example((_ZERO_TIE[1], _ZERO_TIE[0], euclid(0.0, 1.0), 2, [1], True))
 @example(([euclid(-0.0, 1.0)], [euclid(0.0, 1.0), euclid(-0.0, 1.0)], euclid(0.0, 1.0), 1, [], False))
+@example(([], [euclid(0.5)], euclid(0.5), 1, [], False))
+@example(([euclid(0.0, 1.0)], [line(1.0, 0.5)], euclid(0.0, 1.0), 1, [1], True))
 def test_order_keeping_algebra_matches_the_dict_oracle(operands):
     # every operation gives the dict-and-sort reference's rows, signs of zero included (the
     # left operand's row wins a tie), and its error type and message; a short mults truncates
@@ -218,10 +225,13 @@ def test_order_keeping_algebra_matches_the_dict_oracle(operands):
         pairs.append((a.add(x, k), b))
     for left, right in pairs:
         cases += [(lambda u=left, v=right: u + v, lambda u=left, v=right: plus_by_dict(u, v)),
-                  (lambda u=left, v=right: u - v, lambda u=left, v=right: minus_by_dict(u, v))]
-    if b.space_tag == a.space_tag:  # some differences that succeed
+                  (lambda u=left, v=right: u - v, lambda u=left, v=right: minus_by_dict(u, v)),
+                  (lambda u=left, v=right: u <= v, lambda u=left, v=right: le_by_dict(u, v))]
+    if b.space_tag == a.space_tag:  # some differences that succeed, and inclusions that hold
         cases += [(lambda: (a + b) - b, lambda: minus_by_dict(plus_by_dict(a, b), b)),
-                  (lambda: a - a.with_mults(mults), lambda: minus_by_dict(a, a.with_mults(mults)))]
+                  (lambda: a - a.with_mults(mults), lambda: minus_by_dict(a, a.with_mults(mults))),
+                  (lambda: a <= a + b, lambda: le_by_dict(a, plus_by_dict(a, b))),
+                  (lambda: a.with_mults(mults) <= a, lambda: le_by_dict(a.with_mults(mults), a))]
     if a.space_tag is not None:
         gen = _SPACE_GENS[a.space_tag]
         cases.append((lambda: gen.boundary(a), lambda: boundary_by_dict(gen, a)))
@@ -339,15 +349,47 @@ def test_from_array_rejects_bad_rows(tag, rows):
         PointPattern.from_array(tag, rows)
 
 
+#: (constructor, its arguments, their space): bad and edge rows of every space
+_ROW_CASES = [
+    (euclid, (0.0, math.nan), ("euclid", 2)),
+    (euclid, (math.inf, 1.0), ("euclid", 2)),
+    (euclid, (1.0, -math.inf, 2.0), ("euclid", 3)),
+    (euclid, (), ("euclid", 0)),
+    (euclid, (1.0, 2.0, 3.0, 4.0), ("euclid", 4)),
+    (euclid, ("a", 1.0), ("euclid", 2)),
+    (euclid, ("1.5", 2), ("euclid", 2)),
+    (euclid, (True, np.float32(0.1), -0.0), ("euclid", 3)),
+    (euclid, (10**400,), ("euclid", 1)),
+    (euclid, (1j, 0.0), ("euclid", 2)),
+    (param, ((0.5, 0.25), math.nan), ("param", 2)),
+    (param, ((), 1.0), ("param", 0)),
+    (line, (7.0, 1.0), ("line",)),
+    (line, (2.0 * math.pi, 0.5), ("line",)),
+    (line, (1.0, -2.0), ("line",)),
+    (line, (-0.0, -1e-300), ("line",)),
+    (line, (-0.0, 0.0), ("line",)),
+    (euclid, (None, 1.0), ("euclid", 2)),
+    (line, (None, 1.0), ("line",)),
+]
+
+
+def _row_outcome(op):
+    """The row ``op()`` gives (zeros' signs shown), or its error's type and message."""
+    try:
+        return repr(op())
+    except (TypeError, ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
 def test_from_array_messages_match_the_point_constructors():
-    for build, tag, row in [(lambda: euclid(0.0, float("nan")), ("euclid", 2), [0.0, float("nan")]),
-                            (lambda: line(7.0, 1.0), ("line",), [7.0, 1.0]),
-                            (lambda: line(1.0, -2.0), ("line",), [1.0, -2.0])]:
-        with pytest.raises(DomainError) as point_error:
-            build()
-        with pytest.raises(DomainError) as array_error:
-            PointPattern.from_array(tag, [row])
-        assert str(point_error.value) == str(array_error.value)
+    # the point constructors check their row through checked_array, as from_array
+    # does: same row or same error, type and message, as the retired scalar check
+    for build, args, tag in _ROW_CASES:
+        row = (*args[0], args[1]) if build is param else args
+        got = _row_outcome(lambda: build(*args).row)
+        assert got == _row_outcome(lambda: checked_row(tag, row)), (build, args)
+        if all(type(v) is float for v in row):
+            assert got == _row_outcome(lambda: PointPattern.from_array(tag, [row]).rows[0])
 
 
 # -- the indicator and its difference calculus --------------------------------

@@ -39,7 +39,13 @@ from hullforge.sampling import (
     UniformBox,
     sample_poisson,
 )
-from oracles import pareto_contains, pareto_minimal, prime_factorization_holds
+from oracles import (
+    disk_boundary_by_others,
+    disk_contains_by_others,
+    pareto_contains,
+    pareto_minimal,
+    prime_factorization_holds,
+)
 
 
 # -- convex hull kernel -------------------------------------------------------
@@ -683,6 +689,21 @@ def test_diskhull_area_matches_grid():
             inside[i] = not gen._separable((q[0], q[1]), support)
         approx = (mask.sum() + inside.sum()) * cell
         assert exact == pytest.approx(approx, abs=0.01)
+
+
+def test_diskhull_skips_a_query_equal_to_an_atom_up_to_a_zero_sign():
+    # (0.0, 1.0) and (1.0, -0.0) are the atoms (-0.0, 1.0) and (1.0, 0.0): _separable skips
+    # them as rows of zero distance, as the others-list rule left them out
+    gen = DiskHullGen(anchor_radius=0.3)
+    mu = PointPattern.from_points([euclid(-0.0, 1.0), euclid(1.0, 0.0), euclid(0.2, 0.2),
+                                   euclid(0.5, 0.5), euclid(-1.0, -1.0)])
+    queries = np.array([[0.0, 1.0], [1.0, -0.0], [0.2, 0.2], [0.5, 0.5], [-1.0, -1.0],
+                        [0.0, 0.0], [2.0, -0.0]])
+    mask = gen.boundary_mask(mu)
+    assert mask == disk_boundary_by_others(gen, mu) == (True, True, False, False, True)
+    inside = gen.contains_mask(mu, queries)
+    assert inside[:5] == [not mask[i] for i in (1, 4, 2, 3, 0)]  # rows in sorted order
+    assert inside == disk_contains_by_others(gen, mu, queries)
 
 
 def test_diskhull_mass_requires_matching_annulus():

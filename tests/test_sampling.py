@@ -19,7 +19,7 @@ from hullforge import (
     trimmed_resample,
 )
 from hullforge.core import ConfigurationError
-from hullforge.generators import EnvelopeGen
+from hullforge.generators import _THETA_GRID, EnvelopeGen
 from hullforge.montecarlo import _hoelder_band
 from hullforge.sampling import (
     HalfLine,
@@ -35,6 +35,7 @@ from hullforge.sampling import (
     seed_words,
     stream_generators,
 )
+from oracles import unit_by_numpy, unit_circle_by_loop
 
 
 def test_stream_determinism_and_independence():
@@ -143,7 +144,7 @@ ORACLE_MODELS = {
                             phi_sup=1.0, phi_integral=0.24, holder_const=0.01, holder_exp=1.0),
     "band-2d": HoelderBand(lo=(0.0, -1.0), hi=(1.0, 1.0),
                            phi=lambda s: 0.2 + 0.1 * np.abs(s[:, 0] - s[:, 1]),
-                           phi_sup=2.0, phi_integral=0.6, holder_const=0.1, holder_exp=1.0),
+                           phi_sup=2.0, phi_integral=8 / 15, holder_const=0.1, holder_exp=1.0),
 }
 
 
@@ -270,14 +271,17 @@ def test_band_levels_marginally_uniform_for_flat_boundary():
     {"hi": (math.inf,)}, {"lo": (-math.inf,)}, {"phi_sup": math.nan}, {"phi_sup": math.inf},
     {"phi": lambda s: np.zeros(len(s))}, {"phi": lambda s: np.full(len(s), math.nan)},
     {"phi": lambda s: np.full(len(s), 2.0)}, {"phi": lambda s: s[:, 0] - 0.5},
+    {"phi_integral": 0.5},
 ], ids=["reversed", "empty", "flat-2d", "nan", "resolution-0", "resolution-negative",
         "hi-inf", "lo-inf", "phi_sup-nan", "phi_sup-inf",
-        "phi-zero", "phi-nan", "phi-above-sup", "phi-negative"])
+        "phi-zero", "phi-nan", "phi-above-sup", "phi-negative", "phi_integral-off"])
 def test_band_refuses_a_bad_window_or_resolution(window):
     # refused at construction: not later by numpy's uniform or by a division in
     # band_grid; an infinite window or phi_sup, or a phi nowhere positive or nan,
     # made the sampler accept no row, and the alarm turns that hang into a
-    # failure; a phi above phi_sup or below 0 sampled another law without complaint
+    # failure; a phi above phi_sup or below 0, or a phi_integral that phi misses
+    # (here by half: the Poisson count was half the band's), sampled another law
+    # without complaint
     args = dict(lo=(0.0,), hi=(1.0,), phi=lambda s: np.ones(len(s)), phi_sup=1.0,
                 phi_integral=1.0, holder_const=0.0, holder_exp=1.0)
     with _time_limit(10), pytest.raises(ConfigurationError,
@@ -303,6 +307,20 @@ def test_models_refuse_a_non_finite_parameter(build):
     # refused at construction, not with a DomainError at the first draw
     with pytest.raises(ConfigurationError, match="must be finite"):
         build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), max_size=40))
+@example([0.0, math.nextafter(2.0 * math.pi, 0.0)])
+@example(_THETA_GRID.tolist())
+def test_unit_circle_is_the_libm_loop(angles):
+    # the one (cos, sin) rule equals the per-angle math loop bit for bit, signs of
+    # zero included, and numpy's retired rows to within an ulp
+    ang = np.array(angles, dtype=float)
+    got = _unit_circle(ang)
+    assert got.shape == (len(ang), 2)
+    assert got.tobytes() == unit_circle_by_loop(ang).tobytes()
+    np.testing.assert_array_max_ulp(got, unit_by_numpy(ang), maxulp=1)
 
 
 def test_band_envelopes_stay_below_boundary():

@@ -10,6 +10,7 @@ representation cross-checks them against.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hullforge import generators
 from hullforge.core import HullGenerator, h_indicator
 from hullforge.corpora import GENERATOR_SUITE
 from hullforge.generators import ConvexHullGen, CoordMinGen, DiskHullGen, HalfPlaneGen, ParetoGen
+from oracles import disk_boundary_by_others, disk_contains_by_others
 
 
 def oracle(gen, mu):
@@ -270,6 +272,10 @@ def test_diskhull_mask_matches_loop(coords, repeats):
     pts += [pts[i] for i in repeats if i < len(pts)]
     mu = PointPattern.from_points(pts)
     assert gen.survival_mask(mu) == oracle(gen, mu)
+    if not mu.is_empty:  # the masks skip the atom itself, as the others-list rule did
+        queries = np.concatenate([-mu.coords, np.where(mu.coords == 0.0, -mu.coords, mu.coords)])
+        assert gen.boundary_mask(mu) == disk_boundary_by_others(gen, mu)
+        assert gen.contains_mask(mu, queries) == disk_contains_by_others(gen, mu, queries)
 
 
 def test_convex_tolerance_shell_counts_as_inside():
