@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DomainError
 
@@ -140,6 +139,17 @@ def _profile(params: HoelderScenarioParams, i: int) -> Callable[[float], float]:
         raise DomainError(f"scenario params lack the order-{i} depth profile") from exc
 
 
+def _quad_to_inf(fn: Callable[[float], float]) -> float:
+    """int_0^inf fn(u) du by ``scipy.integrate.quad`` (epsrel 1e-6, 200 subintervals).
+
+    ``scipy.integrate`` is imported on the first call, not with hullforge.
+    """
+    from scipy.integrate import quad
+
+    val, _ = quad(fn, 0.0, np.inf, epsrel=1e-6, limit=200)
+    return val
+
+
 def hoelder_variance_bounds(params: HoelderScenarioParams) -> tuple[float, float]:
     """Two-sided bracket for the variance of the band estimator at rate t.
 
@@ -153,14 +163,7 @@ def hoelder_variance_bounds(params: HoelderScenarioParams) -> tuple[float, float
     def bound(coef: float) -> float:
         if math.isinf(coef):
             return 0.0
-        val, _ = quad(
-            lambda u: f2(u) * math.exp(-coef * t * u**q),
-            0.0,
-            np.inf,
-            epsrel=1e-6,
-            limit=200,
-        )
-        return t * val
+        return t * _quad_to_inf(lambda u: f2(u) * math.exp(-coef * t * u**q))
 
     return bound(params.decay_conservative), bound(params.decay_sharp)
 
@@ -194,9 +197,7 @@ def clt_bound_terms(
         return params.f_sup**2 * params.cone_mass(v)
 
     def decayed(fn) -> float:
-        val, _ = quad(lambda u: fn(u) * math.exp(-b * t * u**q), 0.0, np.inf,
-                      epsrel=1e-6, limit=200)
-        return val
+        return _quad_to_inf(lambda u: fn(u) * math.exp(-b * t * u**q))
 
     t3 = t / sigma**3 * decayed(f3)
     t4 = t**2 / sigma**3 * decayed(lambda v: 3.0 * cone1(v) * f2(v) + 2.0 * cone2(v) * f1(v))
@@ -232,7 +233,7 @@ def clt_bound_terms(
         inner = 0.5 * v * float(in_w @ vals)
         return fv * math.exp(-b * t * v**q) * inner
 
-    outer, _ = quad(outer_integrand, 0.0, np.inf, epsrel=1e-6, limit=200)
+    outer = _quad_to_inf(outer_integrand)
     t1 = t**1.5 / sigma**2 * math.sqrt(max(2.0 * outer, 0.0))
     return t1, t3, t4, t5
 

@@ -317,14 +317,18 @@ def cmd_markov(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     }
 
 
-def _slope_run(cfg: dict, threads: int):
+def _slope_run(cfg: dict, threads: int, min_replications: int = 0):
     """(config, scenario, summary) of a run whose log-log slope is checked.
 
-    The fit needs 4 grid points; the scenario must have analytic bounds.
+    The fit needs 4 grid points; the scenario must have analytic bounds; a
+    run needs ``min_replications``.
     """
     config = _experiment_config(cfg, threads)
     if len(config.t_grid) < 4:
         raise ConfigurationError(f"a slope fit needs 4 't_grid' points, got {config.t_grid}")
+    if config.replications < min_replications:
+        raise ConfigurationError(f"the W1 distance needs at least {min_replications} "
+                                 f"replications, got {config.replications}")
     scen = montecarlo.get_scenario(config.scenario)
     if scen.hoelder_params is None:
         raise ConfigurationError(f"scenario {scen.name} has no analytic bounds")
@@ -332,7 +336,7 @@ def _slope_run(cfg: dict, threads: int):
 
 
 def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
-    config, scen, summary = _slope_run(cfg, threads)
+    config, scen, summary = _slope_run(cfg, threads, montecarlo.MIN_NORMALITY_SAMPLES)
     lo, hi = -0.40, -0.10  # the W1 slope band
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))

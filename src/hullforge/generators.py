@@ -32,8 +32,6 @@ from itertools import chain, compress
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull as _SciPyHull
-from scipy.spatial import QhullError
 
 from .core import (
     ConfigurationError,
@@ -179,6 +177,13 @@ def _affine_rank(coords: np.ndarray, tol: float) -> tuple[int, np.ndarray, np.nd
     return rank, c, vt[:rank]
 
 
+def _SciPyHull(coords: np.ndarray):
+    """``scipy.spatial.ConvexHull(coords)``; ``scipy.spatial`` loads on the first 3-D build."""
+    from scipy.spatial import ConvexHull
+
+    return ConvexHull(coords)
+
+
 class _Solid:
     """The convex hull of distinct points of R^3, from one affine-rank pass.
 
@@ -194,6 +199,8 @@ class _Solid:
         self.rank, self.c, self.basis = _affine_rank(coords, EPS_GEOM * self.scale)
         self.qhull, self.volume = None, 0.0
         if self.rank == 3:
+            from scipy.spatial import QhullError
+
             try:
                 self.qhull = _SciPyHull(coords)
             except QhullError:

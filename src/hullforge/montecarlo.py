@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp, norm
+from scipy.special import ndtr, ndtri
 
 from . import analytics, estimators, generators, sampling
 from .core import ConfigurationError, DomainError, HullGenerator, checked_array
@@ -181,6 +181,8 @@ MAX_PATTERN_MASS = 1e7
 #: the most replications (or Markov pairs) of one run, where every record is kept until
 #: it ends, and the most nested replicas per probe
 MAX_REPLICATIONS = 10**6
+#: the fewest samples the normality distances (W1, KS) are computed from
+MIN_NORMALITY_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -395,7 +397,7 @@ def replication_rows(config: ExperimentConfig) -> Iterator[tuple[TRow, dict[str,
         mean = float(values.mean())
         var = float(values.var(ddof=1))
         se = math.sqrt(var / R)
-        if R >= 100 and var > 0:
+        if R >= MIN_NORMALITY_SAMPLES and var > 0:
             w1, ks = normality_diagnostics(values)
         else:
             w1, ks = math.nan, math.nan
@@ -496,6 +498,13 @@ def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
     return out
 
 
+def ks_2samp(data1, data2, *args, **kwargs):
+    """``scipy.stats.ks_2samp``; ``scipy.stats`` loads on the first call, not with hullforge."""
+    from scipy.stats import ks_2samp as scipy_ks_2samp
+
+    return scipy_ks_2samp(data1, data2, *args, **kwargs)
+
+
 def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
     """Two-sample test of the hull-trimmed conditional law.
 
@@ -533,16 +542,16 @@ def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
 def normality_diagnostics(samples: Sequence[float]) -> tuple[float, float]:
     """(W1, KS) distances of the standardized sample to the standard normal."""
     x = np.asarray(samples, dtype=float)
-    if len(x) < 100:
-        raise DomainError("need at least 100 samples")
+    if len(x) < MIN_NORMALITY_SAMPLES:
+        raise DomainError(f"need at least {MIN_NORMALITY_SAMPLES} samples")
     sd = x.std(ddof=1)
     if sd <= 0:
         raise DomainError("sample variance must be positive")
     z = np.sort((x - x.mean()) / sd)
     n = len(z)
-    quantiles = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    quantiles = ndtri((np.arange(1, n + 1) - 0.5) / n)
     w1 = float(np.mean(np.abs(z - quantiles)))
-    cdf = norm.cdf(z)
+    cdf = ndtr(z)
     upper = np.abs(np.arange(1, n + 1) / n - cdf)
     lower = np.abs(np.arange(0, n) / n - cdf)
     ks = float(np.max(np.maximum(upper, lower)))

@@ -8,8 +8,9 @@ measure algebra: each operation rebuilt through a row -> count dict and a
 sort, as ``core._canonical`` builds ``from_points``; the two closed forms
 of the higher-order estimator that ``hull_estimate_k``'s tuple sums replace;
 and the retired second copies of library rules: the scalar row check of the
-point constructors, the per-angle (cos, sin) loop and numpy's rows, and the
-disk hull's test against a list of the other atoms.
+point constructors, the per-angle (cos, sin) loop and numpy's rows, the
+disk hull's test against a list of the other atoms, and the normality
+distances through ``scipy.stats.norm``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.stats import norm
 
 from hullforge.core import (
     EPS_GEOM,
@@ -263,3 +265,20 @@ def disk_contains_by_others(gen, mu: PointPattern, queries) -> list[bool]:
     """``DiskHullGen.contains_mask``: each query against the list of the rows != it."""
     return [not _disk_separable(gen.anchor_radius, q, [r for r in mu.rows if r != q])
             for q in map(tuple, queries.tolist())]
+
+
+def normality_diagnostics_by_norm(samples) -> tuple[float, float]:
+    """``montecarlo.normality_diagnostics`` through ``norm.ppf`` and ``norm.cdf``.
+
+    The samples are taken as valid: at least 100 of them, with positive variance.
+    """
+    x = np.asarray(samples, dtype=float)
+    z = np.sort((x - x.mean()) / x.std(ddof=1))
+    n = len(z)
+    quantiles = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    w1 = float(np.mean(np.abs(z - quantiles)))
+    cdf = norm.cdf(z)
+    upper = np.abs(np.arange(1, n + 1) / n - cdf)
+    lower = np.abs(np.arange(0, n) / n - cdf)
+    ks = float(np.max(np.maximum(upper, lower)))
+    return w1, ks

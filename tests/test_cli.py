@@ -66,6 +66,54 @@ def test_cli_module_runs_as_a_process(tmp_path):
     assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("config error:")
 
 
+_LAZY_SCIPY = """
+import json, sys
+from hullforge import analytics, cli, generators, montecarlo
+from hullforge.core import EuclidPoint, PointPattern
+
+LAZY = ("scipy.spatial", "scipy.integrate", "scipy.stats")  # each imports the ones before it
+solid = PointPattern.from_points(EuclidPoint(c) for c in
+                                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+calls = {
+    "scipy.spatial": lambda: [generators.ConvexHullGen(3).hull_contains(solid, EuclidPoint(q))
+                              for q in [(0.2, 0.3, 0.4), (1.5, 0.5, 0.5)]],
+    "scipy.integrate": lambda: analytics.hoelder_variance_bounds(
+        montecarlo.hoelder_scenario_params(64.0)),
+    "scipy.stats": lambda: montecarlo.markov_two_sample(montecarlo.ExperimentConfig(
+        scenario="convex_square", replications=50, base_seed=3, t_grid=(10.0,))),
+}
+code = cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[2]])
+report = {"estimate": [code, [m for m in LAZY if m in sys.modules]]}
+for name, call in calls.items():
+    report[name] = [repr(call()), [m for m in LAZY if m in sys.modules]]
+print(json.dumps(report))
+"""
+
+
+def test_estimate_imports_no_lazy_scipy_module(tmp_path):
+    # a fresh process: estimate loads none of the three; each later call loads its own,
+    # and answers as it does where all three were imported up front
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    cfg = _write(tmp_path, "c.json", _estimate_cfg(reps=100))
+
+    def run(preamble):
+        proc = subprocess.run([sys.executable, "-c", preamble + _LAZY_SCIPY, cfg, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    cold = run("")
+    assert cold["estimate"] == [0, []]
+    assert cold["scipy.spatial"][1] == ["scipy.spatial"]
+    assert cold["scipy.integrate"][1] == ["scipy.spatial", "scipy.integrate"]
+    assert cold["scipy.stats"][1] == ["scipy.spatial", "scipy.integrate", "scipy.stats"]
+    assert cold["scipy.spatial"][0] == "[True, False]"
+    warm = run("import scipy.integrate, scipy.spatial, scipy.stats\n")
+    assert [answer for answer, _ in cold.values()] == [answer for answer, _ in warm.values()]
+
+
 def test_estimate_float_precision_17_digits(tmp_path):
     cfg = _write(tmp_path, "c.json", _estimate_cfg())
     out = tmp_path / "out"
@@ -224,7 +272,7 @@ _VALID = {
     "variance": {"scenario": "convex_square", "replications": 10, "t": 5.0,
                  "nested_probes": 4, "nested_replicas": 2},
     "markov": {"scenario": "convex_square", "pairs": 10, "t": 5.0},
-    "clt": {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4},
+    "clt": {"scenario": "hoelder_d1", "replications": 100, "t_grid": _GRID4},
     "rates": {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4},
 }
 _REFUSED = {
@@ -326,7 +374,9 @@ def test_huge_nested_probes_exit_2_before_any_draw(tmp_path, capsys, monkeypatch
      "run_replications", "scenario convex_square declares no covariate integrand"),
     ("markov", {"scenario": "convex_square", "pairs": 1},
      "markov_two_sample", "need at least 2 replications (or pairs)"),
-], ids=["covariance-without-covariate", "one-pair"])
+    ("clt", {"scenario": "hoelder_d1", "replications": 99, "t_grid": _GRID4},
+     "run_replications", "the W1 distance needs at least 100 replications, got 99"),
+], ids=["covariance-without-covariate", "one-pair", "clt-below-100-replications"])
 def test_refused_config_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
                                                command, body, loop, message):
     def refuse(*args, **kwargs):

@@ -23,6 +23,7 @@ from hullforge import (
 )
 from hullforge import generators
 from hullforge.core import (
+    EPS_GEOM,
     ConfigurationError,
     SpaceMismatchError,
     check_axioms,
@@ -174,6 +175,34 @@ def test_convex3_membership_builds_one_hull_per_call(spy):
     builds.clear()
     assert gen.hull_contains_many(mu, probes) == want
     assert len(builds) == 1
+
+
+def test_flat_solid_takes_the_planar_path_when_qhull_refuses(monkeypatch):
+    # a square with its centre lifted a hair above the rank tolerance: the rank pass
+    # says 3, and when qhull refuses the set the hull is taken in its best-fit plane
+    from scipy.spatial import QhullError
+
+    builds = []
+
+    def refuse(coords):
+        builds.append(len(coords))
+        raise QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(generators, "_SciPyHull", refuse)
+    rows = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+            (0.5, 0.5, 1e-8)]
+    assert generators._affine_rank(np.array(rows), EPS_GEOM)[0] == 3
+    solid = generators._Solid(rows)
+    assert builds == [5] and solid.rank == 2 and solid.qhull is None and solid.volume == 0.0
+    assert sorted(solid.ext) == sorted(rows[:4])
+
+    gen = ConvexHullGen(3)
+    mu = PointPattern.from_points(euclid(*r) for r in rows)
+    plane = solid.c + np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2)) @ solid.basis
+    probes = [euclid(*q) for q in plane.tolist()]
+    got = [gen.hull_contains(mu, x) for x in probes]
+    assert got == [gen.hull_contains_definitional(mu, x) for x in probes]
+    assert 0 < sum(got) < len(got)
 
 
 def test_far_query_in_the_batch_leaves_an_answer_unchanged():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import hullforge.montecarlo as mc
@@ -14,6 +16,7 @@ from hullforge import core, estimators, sampling
 from hullforge.core import ConfigurationError, DomainError
 from hullforge.corpora import run_axiom_battery
 from hullforge.generators import hull_mass
+from oracles import normality_diagnostics_by_norm
 
 
 def test_config_validation():
@@ -291,6 +294,35 @@ def test_normality_diagnostics_oracle_values():
         mc.normality_diagnostics(np.ones(500))
     with pytest.raises(DomainError):
         mc.normality_diagnostics(exact[:50])
+
+
+@st.composite
+def _normality_samples(draw):
+    """100 to 3000 draws of one law, shifted, scaled and rounded to make ties."""
+    n = draw(st.integers(100, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    law = draw(st.sampled_from(["normal", "exponential", "uniform"]))
+    x = getattr(rng, law)(size=n)
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    shift = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    scale = draw(st.floats(1e-3, 1e3, allow_nan=False))
+    return shift + scale * x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_normality_samples())
+def test_normality_diagnostics_matches_the_norm_form(x):
+    # scipy.special's ndtri and ndtr are the ufuncs behind norm.ppf and norm.cdf
+    assume(x.std(ddof=1) > 0)
+    assert repr(mc.normality_diagnostics(x)) == repr(normality_diagnostics_by_norm(x))
+
+
+@pytest.mark.parametrize("n", [100, 101, 10_000])
+def test_normality_diagnostics_matches_the_norm_form_on_exact_quantiles(n):
+    exact = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    assert repr(mc.normality_diagnostics(exact)) == repr(normality_diagnostics_by_norm(exact))
 
 
 def test_rate_fit_synthetic():
