@@ -218,7 +218,7 @@ def clt_bound_terms(
             return 0.0
         w = 0.5 * m * (gauss_x + 1.0)
         vals = (u - w) ** d_over_b * (v - w) ** d_over_b
-        return cone_coef**2 * 0.5 * m * float(gauss_w @ vals)
+        return cone_coef**2 * 0.5 * m * float((gauss_w * vals).sum())
 
     in_x, in_w = np.polynomial.legendre.leggauss(64)
 
@@ -230,7 +230,7 @@ def clt_bound_terms(
             return 0.0
         u = 0.5 * v * (in_x + 1.0)
         vals = np.array([math.sqrt(f4(ui)) * joint_cone(ui, v) for ui in u])
-        inner = 0.5 * v * float(in_w @ vals)
+        inner = 0.5 * v * float((in_w * vals).sum())
         return fv * math.exp(-b * t * v**q) * inner
 
     outer = _quad_to_inf(outer_integrand)

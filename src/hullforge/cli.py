@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, analytics, corpora, montecarlo
-from .core import ConfigurationError
+from .core import ConfigurationError, ordered_sum
 
 SCHEMA_VERSION = 1
 
@@ -340,9 +340,7 @@ def cmd_clt(cfg: dict, out: Path, threads: int) -> tuple[bool, dict]:
     lo, hi = -0.40, -0.10  # the W1 slope band
     t_max = config.grid()[-1]
     terms = analytics.clt_bound_terms(scen.hoelder_params(t_max))
-    bound = 0.0  # a left-to-right sum: sum() compensates on Python >= 3.12
-    for term in terms:
-        bound += term
+    bound = ordered_sum(terms)
     w1_last = summary.rows[-1].w1
     slope_ok = summary.w1_slope is not None and lo <= summary.w1_slope <= hi
     bound_ok = w1_last <= bound

@@ -42,7 +42,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -55,6 +56,20 @@ EPS_GEOM = 1e-9
 #: entries of a generator kernel's largest array (floats or bools), or steps of its
 #: longest Python loop, at a pattern of ``HullGenerator.point_limit`` expected points
 KERNEL_BUDGET = 2**24
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The one summation rule for every sum that feeds an output: left to right from 0.0.
+
+    Python floats are added in the order given, starting from 0.0: ``sum()``
+    compensates on Python >= 3.12 and ``math.fsum`` rounds once, so either
+    would move the last bit.  An array product-sum on an output path is
+    ``(a * b).sum()``, numpy's elementwise product and its fixed pairwise
+    reduction, which are the same on every CPU.  Such a sum never uses ``@``,
+    ``np.dot`` or ``np.matmul``: their order of summation and their fused
+    multiply-adds follow the BLAS kernel that the CPU selects.
+    """
+    return reduce(add, values, 0.0)
 
 
 class SpaceMismatchError(ValueError):

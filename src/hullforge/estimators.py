@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .core import (
     HullGenerator,
     PointPattern,
     SpacePoint,
+    ordered_sum,
     point_from_row,
 )
 
@@ -222,10 +224,8 @@ def atom_values(f: Integrand, mu: PointPattern, mask: Sequence[bool]) -> tuple[l
     """(f at each atom where ``mask`` is true, its multiplicity), as lists in row order.
 
     f comes from ``f.values`` on the selected rows of ``mu.coords``, so no
-    point object is built.  The callers sum the products left to right over
-    these Python floats, as a loop over point objects did: ``np.sum`` adds
-    pairwise and ``sum()`` compensates on Python >= 3.12, and either would
-    move the last bit.
+    point object is built.  The callers sum the products of these Python
+    floats by ``core.ordered_sum``, as a loop over point objects did.
     """
     if not any(mask):
         return [], []
@@ -237,11 +237,8 @@ def atom_values(f: Integrand, mu: PointPattern, mask: Sequence[bool]) -> tuple[l
 
 
 def weighted_sum(fvs: list, mults: list) -> float:
-    """sum m f over the lists of ``atom_values``, added left to right."""
-    total = 0.0
-    for fv, m in zip(fvs, mults):
-        total += m * fv
-    return total
+    """sum m f over the lists of ``atom_values``, by ``core.ordered_sum``."""
+    return ordered_sum(map(mul, mults, fvs))
 
 
 @dataclass(frozen=True)
@@ -265,11 +262,8 @@ def hull_estimate(
     """Unbiased estimate of int f d(lambda): hull integral + boundary f-sum."""
     mask, mass, h_term = _evaluate(gen, model, f, mu)
     fvs, mults = atom_values(f, mu, mask)
-    b_term = 0.0
-    var_est = 0.0
-    for fv, m in zip(fvs, mults):
-        b_term += m * fv
-        var_est += m * fv * fv
+    terms = list(map(mul, mults, fvs))
+    b_term, var_est = ordered_sum(terms), ordered_sum(map(mul, terms, fvs))
     return HullEstimate(
         value=h_term + b_term,
         hull_term=h_term,
@@ -334,7 +328,4 @@ def hull_estimate_k(
         for _ in range(m):
             for j in range(k, 0, -1):
                 sums[j] += j * v * sums[j - 1]
-    total = 0.0
-    for i in range(k + 1):
-        total += math.comb(k, i) * a**i * sums[k - i]
-    return total
+    return ordered_sum(math.comb(k, i) * a**i * sums[k - i] for i in range(k + 1))

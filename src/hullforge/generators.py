@@ -39,6 +39,7 @@ from .core import (
     KERNEL_BUDGET,
     HullGenerator,
     PointPattern,
+    ordered_sum,
 )
 from . import sampling
 from .sampling import _unit_circle
@@ -190,21 +191,24 @@ class _Solid:
     At full rank qhull runs once, and the extreme points, the facet
     equations and the volume all come from that one build; a flat set is
     handled in its affine span.  The rank tolerance is relative to the
-    points' own scale.
+    points' own scale.  A set that qhull refuses as flat is taken in its
+    best-fit plane, and a query may lie off that plane by as much as the set
+    does (``thickness``) on top of the tolerance.
     """
 
     def __init__(self, distinct: list[tuple]):
         self.scale = _coord_scale(distinct)
         coords = np.asarray(distinct, dtype=float)
         self.rank, self.c, self.basis = _affine_rank(coords, EPS_GEOM * self.scale)
-        self.qhull, self.volume = None, 0.0
+        self.qhull, self.volume, self.thickness = None, 0.0, 0.0
         if self.rank == 3:
             from scipy.spatial import QhullError
 
             try:
                 self.qhull = _SciPyHull(coords)
-            except QhullError:
-                self.rank, self.basis = 2, self.basis[:2]  # numerically flat; use the planar path
+            except QhullError:  # numerically flat: use the planar path, as thick as the set
+                self.thickness = float(np.abs((coords - self.c) @ self.basis[2]).max())
+                self.rank, self.basis = 2, self.basis[:2]
             else:
                 self.volume = float(self.qhull.volume)
         self.proj = (coords - self.c) @ self.basis.T
@@ -234,7 +238,7 @@ class _Solid:
             return False
         resid = qv - self.c
         off = resid - self.basis.T @ (self.basis @ resid)
-        if np.linalg.norm(off) > tol:
+        if np.linalg.norm(off) > tol + self.thickness:
             return False
         qp = self.basis @ resid
         if self.rank == 1:
@@ -789,25 +793,22 @@ class DiskHullGen(HullGenerator):
         if not ext:
             return math.pi * r0 * r0
         ext = sorted(ext, key=lambda p: math.atan2(p[1], p[0]))
-        area = 0.0
-        n = len(ext)
-        for i in range(n):
-            a = ext[i]
-            b = ext[(i + 1) % n]
-            ab = math.hypot(b[0] - a[0], b[1] - a[1])
-            cr = a[0] * b[1] - a[1] * b[0]
-            if ab > 0.0 and cr / ab >= r0 * (1.0 - EPS_GEOM):
-                area += 0.5 * cr  # straight edge keeps the disk to the left
-                continue
-            ta = self._tangent(a, +1)
-            tb = self._tangent(b, -1)
-            area += 0.5 * (a[0] * ta[1] - a[1] * ta[0])
-            ang_a = math.atan2(ta[1], ta[0])
-            ang_b = math.atan2(tb[1], tb[0])
-            sweep = (ang_b - ang_a) % (2.0 * math.pi)
-            area += 0.5 * r0 * r0 * sweep
-            area += 0.5 * (tb[0] * b[1] - tb[1] * b[0])
-        return area
+
+        def pieces():
+            for a, b in zip(ext, ext[1:] + ext[:1]):
+                ab = math.hypot(b[0] - a[0], b[1] - a[1])
+                cr = a[0] * b[1] - a[1] * b[0]
+                if ab > 0.0 and cr / ab >= r0 * (1.0 - EPS_GEOM):
+                    yield 0.5 * cr  # straight edge keeps the disk to the left
+                    continue
+                ta = self._tangent(a, +1)
+                tb = self._tangent(b, -1)
+                yield 0.5 * (a[0] * ta[1] - a[1] * ta[0])
+                sweep = (math.atan2(tb[1], tb[0]) - math.atan2(ta[1], ta[0])) % (2.0 * math.pi)
+                yield 0.5 * r0 * r0 * sweep
+                yield 0.5 * (tb[0] * b[1] - tb[1] * b[0])
+
+        return ordered_sum(pieces())
 
     def _tangent(self, p: tuple[float, float], sign: int) -> tuple[float, float]:
         r0 = self.anchor_radius
@@ -842,31 +843,29 @@ _TRI_P = np.array([[1 / 3, 1 / 3], [_A1, _B1], [_B1, _A1], [_B1, _B1],
                    [_A2, _B2], [_B2, _A2], [_B2, _B2]])
 
 
+_TRI_N = 4  # the mesh cuts each edge into _TRI_N parts
+# the mesh's 16 cells, by (i, j) steps along ab and ac: the cell at (i, j), then
+# the upside-down one beside it (up = 1) where it fits
+_TRI_CELLS = [((i + up, j), (i + 1, j + up), (i, j + 1))
+              for i in range(_TRI_N) for j in range(_TRI_N - i)
+              for up in range(1 + (i + j + 1 < _TRI_N))]
+
+
 def _triangle_quad(values, a, b, c) -> float:
     """Integral over triangle abc, degree-5 rule on a mesh of 16 cells.
 
     ``values`` maps a cell's (7, 2) array of nodes to the integrand there.
     """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    n = 4  # each edge cut into n parts
-    total = 0.0
-    for i in range(n):
-        for j in range(n - i):
-            corners = []
-            p00 = a + (b - a) * (i / n) + (c - a) * (j / n)
-            p10 = a + (b - a) * ((i + 1) / n) + (c - a) * (j / n)
-            p01 = a + (b - a) * (i / n) + (c - a) * ((j + 1) / n)
-            corners.append((p00, p10, p01))
-            if j < n - i - 1:
-                p11 = a + (b - a) * ((i + 1) / n) + (c - a) * ((j + 1) / n)
-                corners.append((p10, p11, p01))
-            for u, v, w in corners:
-                area = 0.5 * abs(
-                    (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
-                )
-                pts = u + _TRI_P[:, :1] * (v - u) + _TRI_P[:, 1:] * (w - u)
-                total += area * float(_TRI_W @ values(pts))
-    return total
+    node = {(i, j): a + (b - a) * (i / _TRI_N) + (c - a) * (j / _TRI_N)
+            for i in range(_TRI_N + 1) for j in range(_TRI_N + 1 - i)}
+
+    def cell_integral(u, v, w) -> float:
+        area = 0.5 * abs((v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1]))
+        pts = u + _TRI_P[:, :1] * (v - u) + _TRI_P[:, 1:] * (w - u)
+        return area * float((_TRI_W * values(pts)).sum())
+
+    return ordered_sum(cell_integral(*(node[ij] for ij in cell)) for cell in _TRI_CELLS)
 
 
 def _convex_rule(gen: ConvexHullGen, model, mu: PointPattern):
@@ -877,10 +876,8 @@ def _convex_rule(gen: ConvexHullGen, model, mu: PointPattern):
 
     def integrate(f) -> float:
         values = lambda pts: f.values(pts, gen.space_tag)
-        total = 0.0  # a left-to-right sum: sum() compensates on Python >= 3.12
-        for i in range(1, len(poly) - 1):
-            total += _triangle_quad(values, poly[0], poly[i], poly[i + 1])
-        return model.rate * total
+        return model.rate * ordered_sum(_triangle_quad(values, poly[0], poly[i], poly[i + 1])
+                                        for i in range(1, len(poly) - 1))
 
     return mask, model.rate * sampling.polygon_area(poly), integrate
 
@@ -1001,12 +998,10 @@ def _staircase_area(minimal: list[list[float]], lo, hi) -> float:
 
     ``minimal`` comes in row order: x increasing and, in 2-D, y strictly
     falling.  Each row's slab runs from its x to the next row's, as high as
-    the box above its y (height 1 in 1-D); the slabs are summed left to right.
+    the box above its y (height 1 in 1-D); the slabs are summed by ``ordered_sum``.
     """
-    area = 0.0
     frontier = [[max(c, l) for c, l in zip(row, lo)] for row in minimal]
-    for i, (x, *ys) in enumerate(frontier):
-        x_next = frontier[i + 1][0] if i + 1 < len(frontier) else hi[0]
-        w = max(0.0, min(x_next, hi[0]) - min(x, hi[0]))
-        area += w * math.prod(max(0.0, h - y) for y, h in zip(ys, hi[1:]))
-    return area
+    ends = [row[0] for row in frontier[1:]] + [hi[0]]
+    return ordered_sum(max(0.0, min(x_next, hi[0]) - min(x, hi[0]))
+                       * math.prod(max(0.0, h - y) for y, h in zip(ys, hi[1:]))
+                       for (x, *ys), x_next in zip(frontier, ends))

@@ -569,11 +569,11 @@ def rate_fit(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:
     x = np.log(ts)
     y = np.log(ms)
     xc = x - x.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ (y - y.mean())) / sxx
+    sxx = float((xc * xc).sum())
+    slope = float((xc * (y - y.mean())).sum()) / sxx
     resid = y - y.mean() - slope * xc
     dof = len(pairs) - 2
-    se = math.sqrt(float(resid @ resid) / dof / sxx)
+    se = math.sqrt(float((resid * resid).sum()) / dof / sxx)
     return slope, se
 
 
@@ -696,7 +696,7 @@ def covariance_ci99(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     n = len(x)
     xc = x - x.mean()
     yc = y - y.mean()
-    c = float(xc @ yc / (n - 1))
+    c = float((xc * yc).sum() / (n - 1))
     m22 = float(np.mean(xc**2 * yc**2))
     se = math.sqrt(max(m22 - c * c, 0.0) / n)
     return c - _Z99 * se, c + _Z99 * se, c

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, PointPattern
+from .core import ConfigurationError, DomainError, PointPattern, ordered_sum
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -271,13 +271,11 @@ class UniformDisk(IntensityModel):
 
 
 def polygon_area(poly) -> float:
-    """Signed shoelace area of a vertex list or tuple (positive if CCW), summed left to right."""
+    """Signed shoelace area of a vertex list or tuple (positive if CCW), by ``ordered_sum``."""
     if len(poly) < 3:
         return 0.0
-    s = 0.0
-    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
-        s += ax * by - bx * ay
-    return 0.5 * s
+    edges = zip(poly, poly[1:] + poly[:1])
+    return 0.5 * ordered_sum(ax * by - bx * ay for (ax, ay), (bx, by) in edges)
 
 
 @dataclass(frozen=True)

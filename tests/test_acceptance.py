@@ -29,6 +29,7 @@ from hullforge import (
     sample_poisson,
 )
 from hullforge.cli import main as cli_main
+from hullforge.core import ordered_sum
 from hullforge.corpora import run_axiom_battery
 from hullforge.estimators import Constant
 from hullforge.generators import hull_mass
@@ -446,7 +447,7 @@ def test_c10_clt_rate(capsys, clt_grid):
     slope_ok = abs(slope - (-0.25)) <= 0.15
     t_max = clt_grid.rows[-1].t
     terms = analytics.clt_bound_terms(mc.hoelder_scenario_params(t_max))
-    bound = sum(terms)
+    bound = ordered_sum(terms)  # summed as cmd_clt sums them
     w1 = clt_grid.rows[-1].w1
     bound_ok = w1 <= bound
     ok = slope_ok and bound_ok

@@ -20,7 +20,7 @@ from hullforge import (
     line,
     param,
 )
-from hullforge.core import AxiomReport, check_axioms, checked_array, point_from_row
+from hullforge.core import AxiomReport, check_axioms, checked_array, ordered_sum, point_from_row
 from hullforge.corpora import LexDropGen
 from hullforge.generators import EnvelopeGen, HalfPlaneGen
 from hullforge.montecarlo import _hoelder_band
@@ -548,3 +548,11 @@ def test_convex_hull_is_not_prime():
     mu = PointPattern.from_points([euclid(0, 0), euclid(2, 0), euclid(1, 2)])
     z = euclid(1.0, 0.5)
     assert not prime_factorization_holds(gen, mu, z)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # a compensated sum (math.fsum, or sum() on Python >= 3.12) gives 1.0 here
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([1.0, 1e16, -1e16]) == 0.0
+    assert ordered_sum([1e16, -1e16, 1.0]) == 1.0
+    assert ordered_sum(iter([])) == 0.0

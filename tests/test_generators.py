@@ -203,6 +203,22 @@ def test_flat_solid_takes_the_planar_path_when_qhull_refuses(monkeypatch):
     got = [gen.hull_contains(mu, x) for x in probes]
     assert got == [gen.hull_contains_definitional(mu, x) for x in probes]
     assert 0 < sum(got) < len(got)
+    # the set is thicker than the rank tolerance, so a query may lie off the fitted
+    # plane by as much as the set does, and no farther
+    for q in [euclid(0.5, 0.5, 1e-8), euclid(0.25, 0.25, 4e-9)]:
+        assert gen.hull_contains_definitional(mu, q) and gen.hull_contains(mu, q)
+    assert not gen.hull_contains(mu, euclid(0.5, 0.5, 1e-3))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="half-plane bodies without area: contains_mask disagrees with "
+                   "the definitional rule until Direction 3 closes the shells")
+def test_halfplane_body_without_area_agrees_with_the_definitional_rule():
+    # two opposite lines through the origin bound a body without area
+    gen = HalfPlaneGen()
+    mu = PointPattern.from_points([line(0.0, 0.0), line(math.pi, 0.0)])
+    q = line(1.0, 0.5)
+    assert gen.hull_contains(mu, q) == gen.hull_contains_definitional(mu, q)
 
 
 def test_far_query_in_the_batch_leaves_an_answer_unchanged():

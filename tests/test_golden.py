@@ -26,6 +26,11 @@ were re-recorded when the half line stopped drawing its own renewal
 sequence of exponential gaps and began sampling through ``sample_coords``
 like every other model: a Poisson(rate * horizon) count of uniform points,
 the same law from other draws.
+``variance-covariance``, ``PAIRING_GOLDEN["convex2-box"]`` and
+``PAIRING_GOLDEN["convex2-polygon"]`` were re-recorded when every sum that
+feeds an output took the one rule of ``core.ordered_sum``: the covariance and
+the triangle quadrature had been BLAS dot products, whose last bit followed
+the kernel the CPU selects, and now read the same on every CPU.
 Regenerate a digest only with a change that means to alter that output.
 """
 
@@ -116,7 +121,7 @@ GOLDEN = {
     "estimate-disk_support_sanity": "9d793ed7fcd696e465e62ef7115db212fc749f264f3bbfdfda07f95bac745894",
     "estimate-meanwidth_disks-t1": "087d2ed3e42be1acce1b3a0f0c352b2ad4d32d5ded49d5d144a75a622be0004c",
     "estimate-disk_support_sanity-t1": "6d7520b3e8bbe51f5f4491f305391131064c14edf6eb7b480bd349e7482efe25",
-    "variance-covariance": "a8d067fbad65ba0358075298a50efe7f303ff0a4952f698447aaa9d76be4090f",
+    "variance-covariance": "2386599c54991351468ae382d3bb916fb0fe5e9661bf229111ee19a1813660f7",
     "markov": "52ff42d263a3e27925ab7993797c62217d0248fc7ed5bad87ea89f0b4816d17c",
     "markov-convex_square": "4aabfd2985c2e69c9067e1c08c14a1db74c2a110657899f0f4a39b4388291d22",
     "markov-pareto_square": "449868fce218dbf173ce1e84ba8ac26cec5042749f7a8ed30108f388f82bb3c7",
@@ -258,9 +263,9 @@ INTEGRANDS = (
 )
 
 PAIRING_GOLDEN = {
-    "convex2-box": "00eb1d5b092910bbd138e7d263407bbd2fa9a577fa7a137b8d09975580d91173",
+    "convex2-box": "a7b9f8f4814e8bd50ace10dbaebb1dc9e3b5b8994ab664915cc4de47e6ac8cdf",
     "convex2-disk": "21cc22568dc0183bb9dbcccacca45ff0708233d2847e8126d697d9c5d632f064",
-    "convex2-polygon": "a295b86e18118cdd9eae151ea6ae047e03e033fed21f0f58c88e5b203637ac39",
+    "convex2-polygon": "47c14eb3db06919a8fa7a3e1583149fc21d4dc37a38acc4a3f1c0d7429be9605",
     "convex3-box": "347c5eaa75c9a2f756467ca7e1aae212aa79148f153b89cc41a4fcd89ae06f2b",
     "coordmin-box": "5e3f3937bb7a58c38c43021c878557c3a0cd9d1ea0f6b5d0ecb295d60cd674a3",
     "diskhull-annulus": "9ce4442c90749e93395d472f810996c98ee92ecc4972d3bc45dff38152833fba",
