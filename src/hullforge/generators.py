@@ -592,8 +592,8 @@ class HalfPlaneGen(HullGenerator):
         line that crosses the window, and the meeting point of each
         non-parallel pair, ordered by line i (its circle points, then the pairs
         (i, j > i)).  Returns (C, a, b, P, inside): the (m, 2) points, their
-        two defining lines (-1 for none), P = C @ dirs.T and whether each point
-        lies in the window.  Feasibility is left to the caller.
+        two defining lines (-1 for none), P[c, z] = <C_c, dirs_z> and whether
+        each point lies in the window.  Feasibility is left to the caller.
         """
         W = self.window_radius
         n = len(offs)
@@ -607,8 +607,7 @@ class HalfPlaneGen(HullGenerator):
         det = c[i] * s[j] - s[i] * c[j]
         meet = np.abs(det) >= 1e-14
         i, j, det = i[meet], j[meet], det[meet]
-        # sort key (line i, then 0 and 1 for its circle points, 1 + j for the pair (i, j)):
-        # hull_support's matrix product rounds by row position, so the order is kept
+        # sort key (line i, then 0 and 1 for its circle points, 1 + j for the pair (i, j))
         k = n + 1
         order = np.argsort(np.concatenate(([-1], cut * k, cut * k + 1, i * k + 1 + j)))
         px = (offs[i] * s[j] - offs[j] * s[i]) / det
@@ -620,7 +619,7 @@ class HalfPlaneGen(HullGenerator):
         a = np.concatenate(([-1], cut, cut, i))[order]
         b = np.concatenate(([-1], none, none, j))[order]
         inside = np.sqrt(C[:, 0] * C[:, 0] + C[:, 1] * C[:, 1]) <= W + 1e-12 * max(1.0, W)
-        return C, a, b, C @ dirs.T, inside
+        return C, a, b, _dots(C, dirs), inside
 
     def _feasible_vertices(self, dirs: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """Corner candidates of the clipped body (always includes the origin)."""
@@ -635,8 +634,8 @@ class HalfPlaneGen(HullGenerator):
             return np.full(len(angles), W)
         dirs, offs = _unit_circle(mu.coords[:, 0]), mu.coords[:, 1]
         verts = self._feasible_vertices(dirs, offs)
-        h = (verts @ S.T).max(axis=0)
-        arc_ok = np.all((S @ dirs.T) * W <= offs[None, :] + 1e-12 * max(1.0, W), axis=1)
+        h = _dots(verts, S).max(axis=0)
+        arc_ok = np.all(_dots(dirs, S) * W <= offs[:, None] + 1e-12 * max(1.0, W), axis=0)
         return np.where(arc_ok, W, h)
 
     def leave_one_out_mask(self, mu: PointPattern) -> tuple[bool, ...]:
@@ -662,15 +661,14 @@ class HalfPlaneGen(HullGenerator):
         lines = np.arange(len(offs))
         on = (a[:, None] == lines) | (b[:, None] == lines)  # on[c, z]: line z defines candidate c
         free = (viol.sum(axis=1)[:, None] == viol) & inside[:, None] & ~on
-        # each h_z from the matrix-vector product hull_support makes without z: BLAS
-        # rounds the last bit by the product's shape, and a tie u_z = h_z hangs on it
-        h = np.array([(C[free[:, z]] @ dirs[z:z + 1].T).max() for z in lines])
-        arc = (dirs @ dirs.T) * W <= bound  # arc[z, j]: the window point at theta_z is in line j
+        h = np.where(free, P, -np.inf).max(axis=0)
+        # arc[j, z]: the window point at theta_z is in line j
+        arc = _dots(dirs, dirs) * W <= bound[:, None]
         np.fill_diagonal(arc, True)
-        alone = offs < np.where(arc.all(axis=1), W, h)
+        alone = offs < np.where(arc.all(axis=0), W, h)
         if max(mu.mults) > 1:
             edge = on & (inside & ~viol.any(axis=1))[:, None]
-            along = C @ np.column_stack([-dirs[:, 1], dirs[:, 0]]).T  # position along each line
+            along = _dots(C, np.column_stack([-dirs[:, 1], dirs[:, 0]]))  # position along each line
             spread = (np.where(edge, along, -np.inf).max(axis=0)
                       - np.where(edge, along, np.inf).min(axis=0))
             alone = np.where(np.array(mu.mults) > 1, spread > EPS_GEOM * max(1.0, W), alone)
@@ -683,6 +681,15 @@ class HalfPlaneGen(HullGenerator):
             return q[:, 1] >= self.hull_support(mu, q[:, 0])
 
         return _split_atoms(self, mu, queries, holds_body)
+
+
+def _dots(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(m, n) inner products <p_c, d_z> of planar vectors, each two rounded products and one sum.
+
+    Not ``p @ d.T``: BLAS fuses and orders the multiply-adds by the kernel
+    the CPU selects, and a point within rounding of a line decides the hull.
+    """
+    return p[:, :1] * d[:, 0] + p[:, 1:] * d[:, 1]
 
 
 def _split_atoms(gen: HullGenerator, mu: PointPattern, queries: np.ndarray,

@@ -31,6 +31,7 @@ from scipy.special import ndtr, ndtri
 
 from . import analytics, estimators, generators, sampling
 from .core import ConfigurationError, DomainError, HullGenerator, checked_array
+from .kstwo import ks_2samp  # kept as montecarlo.ks_2samp: tracers wrap it by name
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +499,6 @@ def _markov_chunk(args, lo: int, hi: int) -> list[tuple[tuple, tuple]]:
     return out
 
 
-def ks_2samp(data1, data2, *args, **kwargs):
-    """``scipy.stats.ks_2samp``; ``scipy.stats`` loads on the first call, not with hullforge."""
-    from scipy.stats import ks_2samp as scipy_ks_2samp
-
-    return scipy_ks_2samp(data1, data2, *args, **kwargs)
-
-
 def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
     """Two-sample test of the hull-trimmed conditional law.
 
@@ -522,7 +516,7 @@ def markov_two_sample(config: ExperimentConfig) -> MarkovReport:
     names = ("interior_count", "interior_fsum", "hull_mass")
     stats, pvals = [], []
     for j in range(3):
-        res = ks_2samp(arm_a[:, j], arm_b[:, j], method="asymp")
+        res = ks_2samp(arm_a[:, j], arm_b[:, j])
         stats.append(float(res.statistic))
         pvals.append(float(res.pvalue))
     return MarkovReport(

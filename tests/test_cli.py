@@ -75,12 +75,12 @@ LAZY = ("scipy.spatial", "scipy.integrate", "scipy.stats")  # each imports the o
 solid = PointPattern.from_points(EuclidPoint(c) for c in
                                 [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 calls = {
+    "markov": lambda: montecarlo.markov_two_sample(montecarlo.ExperimentConfig(
+        scenario="convex_square", replications=50, base_seed=3, t_grid=(10.0,))),
     "scipy.spatial": lambda: [generators.ConvexHullGen(3).hull_contains(solid, EuclidPoint(q))
                               for q in [(0.2, 0.3, 0.4), (1.5, 0.5, 0.5)]],
     "scipy.integrate": lambda: analytics.hoelder_variance_bounds(
         montecarlo.hoelder_scenario_params(64.0)),
-    "scipy.stats": lambda: montecarlo.markov_two_sample(montecarlo.ExperimentConfig(
-        scenario="convex_square", replications=50, base_seed=3, t_grid=(10.0,))),
 }
 code = cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[2]])
 report = {"estimate": [code, [m for m in LAZY if m in sys.modules]]}
@@ -91,8 +91,8 @@ print(json.dumps(report))
 
 
 def test_estimate_imports_no_lazy_scipy_module(tmp_path):
-    # a fresh process: estimate loads none of the three; each later call loads its own,
-    # and answers as it does where all three were imported up front
+    # a fresh process: estimate and markov load none of the three; each later call loads
+    # its own, and answers as it does where all three were imported up front
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -106,9 +106,9 @@ def test_estimate_imports_no_lazy_scipy_module(tmp_path):
 
     cold = run("")
     assert cold["estimate"] == [0, []]
+    assert cold["markov"][1] == []
     assert cold["scipy.spatial"][1] == ["scipy.spatial"]
     assert cold["scipy.integrate"][1] == ["scipy.spatial", "scipy.integrate"]
-    assert cold["scipy.stats"][1] == ["scipy.spatial", "scipy.integrate", "scipy.stats"]
     assert cold["scipy.spatial"][0] == "[True, False]"
     warm = run("import scipy.integrate, scipy.spatial, scipy.stats\n")
     assert [answer for answer, _ in cold.values()] == [answer for answer, _ in warm.values()]
