@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, analytics, corpora, montecarlo
+from . import __version__, analytics, corpora, montecarlo, sampling
 from .core import ConfigurationError, ordered_sum
 
 SCHEMA_VERSION = 1
@@ -121,6 +121,7 @@ _name = _reader("a non-empty file stem without '/', '\\' or '..'", lambda v: isi
                 and v != "" and not any(s in v for s in ("/", "\\", "..")))
 _text = _reader("a string", lambda v: isinstance(v, str))
 _integer = _reader("an integer", lambda v: type(v) is int)  # a float is refused, not truncated
+_seed = _reader("an integer in [0, 2**64)", sampling.is_seed)  # others alias a seed in range
 _count = _reader("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _flag = _reader("true or false", lambda v: type(v) is bool)
 _t = _reader("a positive finite number", _t_value, lambda v: (float(v),))  # a one-point grid
@@ -131,7 +132,7 @@ _generators = _reader(f"a list of names from {sorted(corpora.GENERATOR_SUITE)}",
                       lambda v: isinstance(v, list) and all(
                           isinstance(n, str) and n in corpora.GENERATOR_SUITE for n in v))
 
-_EVERY = {"schema": _schema, "name": _name, "seed": _integer}
+_EVERY = {"schema": _schema, "name": _name, "seed": _seed}
 _SCENARIO = {**_EVERY, "scenario": _text}
 _SLOPE = {**_SCENARIO, "replications": _integer, "t_grid": _grid}
 
@@ -422,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         raw, cfg = _load_config(args.config, args.command)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _seed("--seed", args.seed)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core, generators, montecarlo
+from . import core, generators, montecarlo, sampling
 from .core import (AxiomReport, ConfigurationError, HullGenerator, PointPattern, SpacePoint,
                    euclid, line, param)
 
@@ -116,6 +116,7 @@ def run_axiom_battery(name: str, count: int, max_points: int, seed: int,
     disjoint slice with its own RNG.  The chunk layout depends on ``count``
     alone, so merged counters do not depend on the worker count.
     """
+    sampling.check_seed(seed)
     check_battery((name,), count, max_points)
     report = AxiomReport()
     gen, make_corpus = GENERATOR_SUITE[name]

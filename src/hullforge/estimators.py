@@ -91,6 +91,10 @@ class Constant(Integrand):
 
     c: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ConfigurationError(f"a constant integrand needs a finite c, got {self.c!r}")
+
     def values(self, coords, space_tag):
         return np.array([self.c] * len(coords), dtype=float)
 

@@ -23,15 +23,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import analytics, estimators, generators, sampling
 from .core import ConfigurationError, DomainError, HullGenerator, checked_array
 from .kstwo import ks_2samp  # kept as montecarlo.ks_2samp: tracers wrap it by name
+from .normal import ndtr, ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,7 @@ class ExperimentConfig:
                                      f"the cap of {MAX_REPLICATIONS:.0e}")
         if self.threads < 1:
             raise ConfigurationError(f"need at least 1 thread, got {self.threads}")
+        sampling.check_seed(self.base_seed)
         if self.nested_probes < 2 or self.nested_replicas < 1:
             raise ConfigurationError(
                 "need at least 2 nested probes and 1 nested replica, got "
@@ -227,6 +229,10 @@ class ExperimentConfig:
             if not mass <= cap:  # also refuses an overflow to inf
                 raise ConfigurationError(f"t = {t:g} asks for {mass:.3g} points per pattern, "
                                          f"above the cap of {cap:g} of {type(scen.gen).__name__}")
+            try:  # Constant refuses a non-finite c, such as 1/t below t = 5.6e-309
+                scen.make_integrand(t)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"t = {t:g}: {exc}") from exc
 
     def grid(self) -> tuple[float, ...]:
         return self.t_grid or (get_scenario(self.scenario).default_t,)
@@ -543,13 +549,20 @@ def normality_diagnostics(samples: Sequence[float]) -> tuple[float, float]:
         raise DomainError("sample variance must be positive")
     z = np.sort((x - x.mean()) / sd)
     n = len(z)
-    quantiles = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    w1 = float(np.mean(np.abs(z - quantiles)))
+    w1 = float(np.mean(np.abs(z - _normal_scores(n))))
     cdf = ndtr(z)
     upper = np.abs(np.arange(1, n + 1) / n - cdf)
     lower = np.abs(np.arange(0, n) / n - cdf)
     ks = float(np.max(np.maximum(upper, lower)))
     return w1, ks
+
+
+@lru_cache(maxsize=8)
+def _normal_scores(n: int) -> np.ndarray:
+    """ndtri((i - 1/2) / n) for i = 1..n, read-only: the same for every t of a run."""
+    scores = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    scores.flags.writeable = False
+    return scores
 
 
 def rate_fit(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:

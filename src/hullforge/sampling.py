@@ -45,6 +45,21 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 
+def is_seed(v) -> bool:
+    """True for an int (not a bool or a float) in [0, 2**64), the seeds a run may take.
+
+    ``mix64`` keeps an int's low 64 bits and ``random.Random`` its absolute
+    value, so any other int would rerun the streams of a seed in range.
+    """
+    return type(v) is int and 0 <= v <= _MASK
+
+
+def check_seed(seed) -> None:
+    """Refuse, with a ``ConfigurationError``, a seed that ``is_seed`` refuses."""
+    if not is_seed(seed):
+        raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def mix64(z: int) -> int:
     """SplitMix64 finalizer; bijective on 64-bit integers."""
     z &= _MASK

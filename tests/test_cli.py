@@ -68,15 +68,17 @@ def test_cli_module_runs_as_a_process(tmp_path):
 
 _LAZY_SCIPY = """
 import json, sys
-from hullforge import analytics, cli, generators, montecarlo
+from hullforge import analytics, cli, generators, kstwo, montecarlo
 from hullforge.core import EuclidPoint, PointPattern
 
-LAZY = ("scipy.spatial", "scipy.integrate", "scipy.stats")  # each imports the ones before it
+# each imports the ones before it
+LAZY = ("scipy.special", "scipy.spatial", "scipy.integrate", "scipy.stats")
 solid = PointPattern.from_points(EuclidPoint(c) for c in
                                 [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 calls = {
     "markov": lambda: montecarlo.markov_two_sample(montecarlo.ExperimentConfig(
         scenario="convex_square", replications=50, base_seed=3, t_grid=(10.0,))),
+    "kstwo_sf": lambda: kstwo.kstwo_sf(0.6, 10.0),  # x >= 0.5: 2 smirnov(n, x)
     "scipy.spatial": lambda: [generators.ConvexHullGen(3).hull_contains(solid, EuclidPoint(q))
                               for q in [(0.2, 0.3, 0.4), (1.5, 0.5, 0.5)]],
     "scipy.integrate": lambda: analytics.hoelder_variance_bounds(
@@ -91,8 +93,9 @@ print(json.dumps(report))
 
 
 def test_estimate_imports_no_lazy_scipy_module(tmp_path):
-    # a fresh process: estimate and markov load none of the three; each later call loads
-    # its own, and answers as it does where all three were imported up front
+    # a fresh process: estimate (with its normality distances) and markov load no scipy
+    # module; each later call loads its own, and answers as it does where all four were
+    # imported up front
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -107,10 +110,11 @@ def test_estimate_imports_no_lazy_scipy_module(tmp_path):
     cold = run("")
     assert cold["estimate"] == [0, []]
     assert cold["markov"][1] == []
-    assert cold["scipy.spatial"][1] == ["scipy.spatial"]
-    assert cold["scipy.integrate"][1] == ["scipy.spatial", "scipy.integrate"]
+    assert cold["kstwo_sf"][1] == ["scipy.special"]
+    assert cold["scipy.spatial"][1] == ["scipy.special", "scipy.spatial"]
+    assert cold["scipy.integrate"][1] == ["scipy.special", "scipy.spatial", "scipy.integrate"]
     assert cold["scipy.spatial"][0] == "[True, False]"
-    warm = run("import scipy.integrate, scipy.spatial, scipy.stats\n")
+    warm = run("import scipy.integrate, scipy.spatial, scipy.special, scipy.stats\n")
     assert [answer for answer, _ in cold.values()] == [answer for answer, _ in warm.values()]
 
 
@@ -236,6 +240,14 @@ _GRID4 = [16.0, 32.0, 64.0, 128.0]
                  id="markov-t-huge"),
     pytest.param("rates", {"scenario": "hoelder_d1", "replications": 10, "t_grid": _GRID4,
                            "seed": "s"}, id="seed-s"),
+    *[pytest.param("estimate", {"scenario": "coordmin", "replications": 10, "seed": seed},
+                   id=f"seed-{name}") for name, seed in (("2**64", 2**64), ("2**80", 2**80),
+                                                        ("negative", -1))],
+    pytest.param("axioms", {"generators": ["coordmin"], "seed": -1}, id="axioms-seed-negative"),
+    pytest.param("estimate", {"scenario": "coordmin", "replications": 10, "t_grid": [5e-324]},
+                 id="t_grid-tiny"),
+    pytest.param("variance", {"scenario": "coordmin", "replications": 10, "t": 1e-309},
+                 id="variance-t-tiny"),
     pytest.param("axioms", {"generators": ["coordmin"], "patterns": "many"},
                  id="patterns-many"),
     pytest.param("axioms", {"generators": 5}, id="generators-number"),
@@ -280,6 +292,7 @@ _REFUSED = {
     cli._name: 7,
     cli._text: ["convex_square"],
     cli._integer: "1",
+    cli._seed: -1,
     cli._count: "1",
     cli._flag: "true",
     cli._t: True,
@@ -321,6 +334,19 @@ def test_bad_seed_refused_under_seed_override(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (out / "x.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["estimate", "axioms"])
+def test_seed_override_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    # estimate would rerun seed 2**64 - 1's streams at -1 and seed 0's at 2**64; axioms
+    # would rebuild seed 1's corpus at -1
+    cfg = _write(tmp_path, "c.json", {"schema": 1, "name": "x", **_VALID[command]})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err == (f"config error: '--seed' must be an integer in "
+                                       f"[0, 2**64), got {seed}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

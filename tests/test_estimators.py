@@ -214,6 +214,13 @@ SPACE_PAIRINGS = [(get_scenario(n).gen, get_scenario(n).make_model(4.0)) for n i
 SPACE_PAIRINGS.append((ConvexHullGen(2), BOX5))
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_constant_refuses_a_non_finite_c(c):
+    # f = 1/t at t = 5e-324 is inf, and every estimate of it nan
+    with pytest.raises(ConfigurationError, match="finite c"):
+        Constant(c)
+
+
 @pytest.mark.parametrize("f", [Indicator(), PowerDepth(2.0), RadialPower(2.0, 0.5),
                                PowerTail(2.0)], ids=lambda f: type(f).__name__)
 def test_integrand_on_another_space_is_a_configuration_error(f):

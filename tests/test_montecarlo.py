@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -37,6 +38,34 @@ def test_config_refuses_patterns_past_the_mass_cap():
     t = 1024.0  # the largest t the rate checks sample: 768 expected points
     assert mc.get_scenario("hoelder_d1").make_model(t).total_mass <= mc.MAX_PATTERN_MASS
     mc.ExperimentConfig(scenario="hoelder_d1", replications=10, t_grid=(t,))
+
+
+@pytest.mark.parametrize("seed, alias", [(0, 2**64), (0, 2**80), (2**64 - 1, -1)])
+def test_config_refuses_a_seed_that_aliases_one_in_range(seed, alias):
+    # mix64 keeps a seed's low 64 bits, so alias would rerun every stream of seed
+    for index in (0, 1, 7):
+        assert sampling.RngStream(alias, index).seed() == sampling.RngStream(seed, index).seed()
+    with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
+        mc.ExperimentConfig(scenario="coordmin", replications=10, base_seed=alias)
+    mc.ExperimentConfig(scenario="coordmin", replications=10, base_seed=seed)
+
+
+def test_axiom_battery_refuses_a_seed_that_aliases_one_in_range():
+    # random.Random takes a seed's absolute value: seed -1 would rebuild seed 1's corpus
+    assert random.Random(-1).random() == random.Random(1).random()
+    with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*64\)"):
+        run_axiom_battery("coordmin", 3, 4, -1)
+    assert run_axiom_battery("coordmin", 3, 4, 1).all_passed
+
+
+@pytest.mark.parametrize("scenario", ["coordmin", "convex_square", "pareto_square"])
+def test_config_refuses_a_t_whose_integrand_is_not_finite(scenario):
+    # f = 1/t overflows to inf below t = 5.6e-309; refused before any pattern is drawn
+    with pytest.raises(ConfigurationError, match="finite c"):
+        mc.ExperimentConfig(scenario=scenario, replications=10, t_grid=(5e-324,))
+    with pytest.raises(ConfigurationError, match="finite c"):
+        mc.ExperimentConfig(scenario=scenario, replications=10, t_grid=(1e-309, 1.0))
+    mc.ExperimentConfig(scenario=scenario, replications=10, t_grid=(1e-300,))
 
 
 def test_nan_residual_after_the_first_replication_is_reported(nan_residual_at):
