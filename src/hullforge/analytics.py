@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadpack
 from .core import DomainError
 
 #: unit-ball volumes for d <= 3
@@ -140,14 +141,22 @@ def _profile(params: HoelderScenarioParams, i: int) -> Callable[[float], float]:
 
 
 def _quad_to_inf(fn: Callable[[float], float]) -> float:
-    """int_0^inf fn(u) du by ``scipy.integrate.quad`` (epsrel 1e-6, 200 subintervals).
+    """int_0^inf fn(u) du by QUADPACK's QAGI (epsrel 1e-6, 200 subintervals).
 
-    ``scipy.integrate`` is imported on the first call, not with hullforge.
+    ``quadpack.qagi`` returns ``scipy.integrate.quad(fn, 0.0, np.inf,
+    epsrel=1e-6, limit=200)`` bit for bit, and warns where ``quad`` warns.
     """
-    from scipy.integrate import quad
+    return quadpack.qagi(fn, 0.0, epsrel=1e-6, limit=200).value
 
-    val, _ = quad(fn, 0.0, np.inf, epsrel=1e-6, limit=200)
-    return val
+
+def _variance_bound(params: HoelderScenarioParams, coef: float) -> float:
+    """t * int f_2(u) exp(-coef t u^q) du; 0 for an infinite decay coefficient."""
+    f2 = _profile(params, 2)
+    if math.isinf(coef):
+        return 0.0
+    t = params.rate
+    q = params.depth_exponent
+    return t * _quad_to_inf(lambda u: f2(u) * math.exp(-coef * t * u**q))
 
 
 def hoelder_variance_bounds(params: HoelderScenarioParams) -> tuple[float, float]:
@@ -156,16 +165,8 @@ def hoelder_variance_bounds(params: HoelderScenarioParams) -> tuple[float, float
     Evaluated in depth coordinates: t * int f_2(u) exp(-c t u^q) du with the
     conservative (lower) and sharp (upper) decay coefficients.
     """
-    f2 = _profile(params, 2)
-    t = params.rate
-    q = params.depth_exponent
-
-    def bound(coef: float) -> float:
-        if math.isinf(coef):
-            return 0.0
-        return t * _quad_to_inf(lambda u: f2(u) * math.exp(-coef * t * u**q))
-
-    return bound(params.decay_conservative), bound(params.decay_sharp)
+    return (_variance_bound(params, params.decay_conservative),
+            _variance_bound(params, params.decay_sharp))
 
 
 def clt_bound_terms(
@@ -179,7 +180,7 @@ def clt_bound_terms(
     distance.  The variance proxy is the conservative lower bound, which
     keeps the final bound one-sided; it must be positive.
     """
-    sigma2, _ = hoelder_variance_bounds(params)
+    sigma2 = _variance_bound(params, params.decay_conservative)
     if sigma2 <= 0.0:
         raise DomainError("variance lower bound is zero; bound terms undefined")
     sigma = math.sqrt(sigma2)

@@ -403,8 +403,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors are config errors: one line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hullforge",
         description="Hull operators on Poisson processes: simulation checks",
     )
@@ -415,10 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--threads", type=int, default=1, help="worker processes")
         p.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
 
     started = time.time()
     try:
+        args = parser.parse_args(argv)
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         raw, cfg = _load_config(args.config, args.command)

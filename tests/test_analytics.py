@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hullforge import analytics
 from hullforge.analytics import (
     HoelderScenarioParams,
     clt_bound_terms,
@@ -130,6 +131,13 @@ def test_clt_terms_zero_integrand():
 def test_clt_terms_error_when_constants_coincide():
     with pytest.raises(DomainError):
         clt_bound_terms(_flat_params(holder_const=1.0, rate=8.0))
+
+
+def test_clt_terms_take_five_integrals(spy):
+    # T1, T3, T4, T5 and the variance proxy, which is the lower bound alone
+    calls = spy(analytics, "_quad_to_inf")
+    clt_bound_terms(hoelder_scenario_params(1024.0))
+    assert len(calls) == 5
 
 
 def test_clt_terms_strictly_decrease_when_t_doubles():

@@ -47,11 +47,16 @@ def test_estimate_pass_and_outputs(tmp_path):
     assert manifest["outputs"] == ["est.csv", "est.summary.json"]
 
 
-def test_cli_module_runs_as_a_process(tmp_path):
-    # ``python -m hullforge.cli``: its exit code and output streams, not main()'s return
+def _process_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's hullforge."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_module_runs_as_a_process(tmp_path):
+    # ``python -m hullforge.cli``: its exit code and output streams, not main()'s return
+    env = _process_env()
 
     def run(cfg):
         argv = ["estimate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)]
@@ -66,56 +71,93 @@ def test_cli_module_runs_as_a_process(tmp_path):
     assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("config error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--config", "c.json", "--seed", "abc"],
+    ["estimate", "--config", "c.json", "--threads", "1.5"],
+    ["estimate", "--seed", "3"],
+    ["estimat", "--config", "c.json"],
+    [],
+    ["estimate", "--config", "c.json", "--sed", "3"],
+])
+def test_argument_errors_are_one_line_config_errors(tmp_path, argv):
+    # argparse's own refusals: exit 2 and one line, as every other bad input
+    proc = subprocess.run([sys.executable, "-m", "hullforge.cli", *argv], env=_process_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("config error:")
+    assert proc.stdout == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hullforge estimate")
+
+
 _LAZY_SCIPY = """
 import json, sys
+from pathlib import Path
 from hullforge import analytics, cli, generators, kstwo, montecarlo
 from hullforge.core import EuclidPoint, PointPattern
 
 # each imports the ones before it
 LAZY = ("scipy.special", "scipy.spatial", "scipy.integrate", "scipy.stats")
+est_cfg, out, rates_cfg, clt_cfg = sys.argv[1:]
 solid = PointPattern.from_points(EuclidPoint(c) for c in
                                 [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+
+
+def run(command, cfg):
+    code = cli.main([command, "--config", cfg, "--out", out])
+    return code, Path(out, command + ".summary.json").read_text()
+
+
 calls = {
+    "estimate": lambda: cli.main(["estimate", "--config", est_cfg, "--out", out]),
     "markov": lambda: montecarlo.markov_two_sample(montecarlo.ExperimentConfig(
         scenario="convex_square", replications=50, base_seed=3, t_grid=(10.0,))),
+    "bounds": lambda: analytics.hoelder_variance_bounds(montecarlo.hoelder_scenario_params(64.0)),
+    "rates": lambda: run("rates", rates_cfg),
+    "clt": lambda: run("clt", clt_cfg),
     "kstwo_sf": lambda: kstwo.kstwo_sf(0.6, 10.0),  # x >= 0.5: 2 smirnov(n, x)
     "scipy.spatial": lambda: [generators.ConvexHullGen(3).hull_contains(solid, EuclidPoint(q))
                               for q in [(0.2, 0.3, 0.4), (1.5, 0.5, 0.5)]],
-    "scipy.integrate": lambda: analytics.hoelder_variance_bounds(
-        montecarlo.hoelder_scenario_params(64.0)),
 }
-code = cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[2]])
-report = {"estimate": [code, [m for m in LAZY if m in sys.modules]]}
+report = {}
 for name, call in calls.items():
-    report[name] = [repr(call()), [m for m in LAZY if m in sys.modules]]
+    answer = repr(call())
+    scipy = any(m.partition(".")[0] == "scipy" for m in sys.modules)
+    report[name] = [answer, [m for m in LAZY if m in sys.modules], scipy]
 print(json.dumps(report))
 """
 
 
 def test_estimate_imports_no_lazy_scipy_module(tmp_path):
-    # a fresh process: estimate (with its normality distances) and markov load no scipy
-    # module; each later call loads its own, and answers as it does where all four were
-    # imported up front
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    cfg = _write(tmp_path, "c.json", _estimate_cfg(reps=100))
+    # a fresh process: estimate (with its normality distances), markov, the analytic
+    # bounds, rates and clt load no scipy module; each later call loads its own, and
+    # answers as it does where all four were imported up front
+    env = _process_env()
+    cfgs = [_write(tmp_path, "c.json", _estimate_cfg(reps=100)), None,
+            _write(tmp_path, "r.json", {"schema": 1, "name": "rates", **_VALID["rates"]}),
+            _write(tmp_path, "t.json", {"schema": 1, "name": "clt", **_VALID["clt"]})]
 
-    def run(preamble):
-        proc = subprocess.run([sys.executable, "-c", preamble + _LAZY_SCIPY, cfg, str(tmp_path)],
+    def run(preamble, out):
+        cfgs[1] = str(tmp_path / out)
+        proc = subprocess.run([sys.executable, "-c", preamble + _LAZY_SCIPY, *cfgs],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    cold = run("")
-    assert cold["estimate"] == [0, []]
-    assert cold["markov"][1] == []
+    cold = run("", "cold")
+    for name in ("estimate", "markov", "bounds", "rates", "clt"):
+        assert cold[name][1:] == [[], False], name
+    assert cold["estimate"][0] == "0"
     assert cold["kstwo_sf"][1] == ["scipy.special"]
     assert cold["scipy.spatial"][1] == ["scipy.special", "scipy.spatial"]
-    assert cold["scipy.integrate"][1] == ["scipy.special", "scipy.spatial", "scipy.integrate"]
     assert cold["scipy.spatial"][0] == "[True, False]"
-    warm = run("import scipy.integrate, scipy.spatial, scipy.special, scipy.stats\n")
-    assert [answer for answer, _ in cold.values()] == [answer for answer, _ in warm.values()]
+    warm = run("import scipy.integrate, scipy.spatial, scipy.special, scipy.stats\n", "warm")
+    assert [answer for answer, *_ in cold.values()] == [answer for answer, *_ in warm.values()]
 
 
 def test_estimate_float_precision_17_digits(tmp_path):
